@@ -24,8 +24,10 @@ import (
 	"spforest/engine"
 	"spforest/internal/baseline"
 	"spforest/internal/core"
+	"spforest/internal/dense"
 	"spforest/internal/ett"
 	"spforest/internal/leader"
+	"spforest/internal/par"
 	"spforest/internal/pasc"
 	"spforest/internal/portal"
 	"spforest/internal/shapes"
@@ -37,6 +39,10 @@ import (
 func reportRounds(b *testing.B, rounds int64) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
+
+// coreEnv is the environment of the benchmarks that call the core
+// algorithms directly: GOMAXPROCS workers over the shared arena.
+func coreEnv() *core.Env { return core.NewEnv(par.New(0, dense.Shared), nil) }
 
 // mustEngine binds a benchmark engine, failing the benchmark on error.
 func mustEngine(b *testing.B, s *amoebot.Structure, cfg *engine.Config) *engine.Engine {
@@ -295,7 +301,7 @@ func BenchmarkE8_Subroutines(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.LineForest(&clock, s, chain, []int32{0, n - 1})
+			core.LineForestEnv(coreEnv(), &clock, s, chain, []int32{0, n - 1})
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -306,12 +312,12 @@ func BenchmarkE8_Subroutines(b *testing.B) {
 		var build sim.Clock
 		a, _ := s.Index(amoebot.XZ(0, 0))
 		c, _ := s.Index(amoebot.XZ(63, 63))
-		f1 := core.SPT(&build, r, a, r.Nodes())
-		f2 := core.SPT(&build, r, c, r.Nodes())
+		f1 := core.SPTEnv(coreEnv(), &build, r, a, r.Nodes())
+		f2 := core.SPTEnv(coreEnv(), &build, r, c, r.Nodes())
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.Merge(&clock, f1, f2)
+			core.MergeEnv(coreEnv(), &clock, f1, f2)
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -330,11 +336,11 @@ func BenchmarkE8_Subroutines(b *testing.B) {
 		ap := amoebot.NewRegion(s, apNodes)
 		var bc sim.Clock
 		a, _ := s.Index(amoebot.XZ(0, 0))
-		f := baseline.BFSForest(&bc, ap, []int32{a})
+		f := baseline.BFSForestExec(nil, &bc, ap, []int32{a})
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.Propagate(&clock, r, mid, f, amoebot.SideB)
+			core.PropagateEnv(coreEnv(), &clock, r, mid, f, amoebot.SideB)
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -351,7 +357,7 @@ func BenchmarkE9_Baselines(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.SPT(&clock, amoebot.WholeRegion(comb), src, []int32{dst})
+			core.SPTEnv(coreEnv(), &clock, amoebot.WholeRegion(comb), src, []int32{dst})
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -360,7 +366,7 @@ func BenchmarkE9_Baselines(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			baseline.BFSForest(&clock, amoebot.WholeRegion(comb), []int32{src})
+			baseline.BFSForestExec(nil, &clock, amoebot.WholeRegion(comb), []int32{src})
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -467,7 +473,7 @@ func BenchmarkE13_Ablation(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.Forest(&clock, region, sources, region.Nodes(), sources[0])
+			core.ForestEnv(coreEnv(), &clock, region, sources, region.Nodes(), sources[0], core.ScheduleCentroid)
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)
@@ -476,7 +482,7 @@ func BenchmarkE13_Ablation(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			core.ForestWithSchedule(&clock, region, sources, region.Nodes(),
+			core.ForestEnv(coreEnv(), &clock, region, sources, region.Nodes(),
 				sources[0], core.ScheduleTreeDepth)
 			rounds = clock.Rounds()
 		}

@@ -40,8 +40,10 @@ import (
 	"spforest/engine"
 	"spforest/internal/baseline"
 	"spforest/internal/core"
+	"spforest/internal/dense"
 	"spforest/internal/ett"
 	"spforest/internal/leader"
+	"spforest/internal/par"
 	"spforest/internal/pasc"
 	"spforest/internal/portal"
 	"spforest/internal/scenario"
@@ -141,7 +143,7 @@ func main() {
 		{"E16", "intra-query parallelism: wall-time scaling vs IntraWorkers", e16},
 		{"E17", "cross-query sharing: Batch vs a solo query loop at n ≥ 10⁶", e17},
 		{"E18", "incremental preprocessing: patched Apply+Warm vs fresh rebuild under churn at n ≥ 10⁶", e18},
-		{"E20", "intra-query wave sharing: lane-packed vs per-wave forest and multi-source bfs", e20},
+		{"E20", "intra-query wave sharing: lane-packed vs per-source multi-source bfs", e20},
 	}
 	for _, e := range experiments {
 		if *runFilter != "" && !strings.Contains(e.id, *runFilter) {
@@ -218,6 +220,11 @@ func mustEngine(s *amoebot.Structure, cfg *engine.Config) *engine.Engine {
 	die(err)
 	return e
 }
+
+// coreEnv is the execution environment of the experiments that call the
+// core algorithms directly: the -intra-workers budget mustEngine gives
+// every engine, over the process-wide shared arena.
+func coreEnv() *core.Env { return core.NewEnv(par.New(*intra, dense.Shared), nil) }
 
 func hexRadii() []int {
 	if *quick {
@@ -419,8 +426,9 @@ func e8() {
 		for i := range chain {
 			chain[i] = int32(i)
 		}
+		env := coreEnv()
 		var cl sim.Clock
-		core.LineForest(&cl, s, chain, []int32{0, int32(n - 1)})
+		core.LineForestEnv(env, &cl, s, chain, []int32{0, int32(n - 1)})
 
 		// Merge of two SSSP trees on a square parallelogram.
 		side := int(math.Sqrt(float64(n)))
@@ -429,10 +437,10 @@ func e8() {
 		var build sim.Clock
 		a, _ := ps.Index(amoebot.XZ(0, 0))
 		b, _ := ps.Index(amoebot.XZ(side-1, side-1))
-		f1 := core.SPT(&build, r, a, r.Nodes())
-		f2 := core.SPT(&build, r, b, r.Nodes())
+		f1 := core.SPTEnv(env, &build, r, a, r.Nodes())
+		f2 := core.SPTEnv(env, &build, r, b, r.Nodes())
 		var cm sim.Clock
-		core.Merge(&cm, f1, f2)
+		core.MergeEnv(env, &cm, f1, f2)
 
 		// Propagation from the middle portal of the parallelogram.
 		ports := portal.Compute(r, amoebot.AxisX)
@@ -449,9 +457,9 @@ func e8() {
 		}
 		ap := amoebot.NewRegion(ps, apNodes)
 		var bb sim.Clock
-		fp := baseline.BFSForest(&bb, ap, []int32{a})
+		fp := baseline.BFSForestExec(nil, &bb, ap, []int32{a})
 		var cp sim.Clock
-		core.Propagate(&cp, r, mid, fp, amoebot.SideB)
+		core.PropagateEnv(env, &cp, r, mid, fp, amoebot.SideB)
 
 		emit("subroutines", map[string]int64{"n": int64(n)},
 			cl.Rounds()+cm.Rounds()+cp.Rounds(),
@@ -519,7 +527,7 @@ func e10() {
 		for probe := 0; probe < 20; probe++ {
 			u := int32(rng.Intn(s.N()))
 			v := int32(rng.Intn(s.N()))
-			d, _ := baseline.Exact(r, []int32{u})
+			d, _ := baseline.ExactExec(nil, r, []int32{u})
 			sum := 0
 			for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 				pd := portalDist(ps[axis], ps[axis].ID[u], ps[axis].ID[v])
@@ -608,9 +616,10 @@ func e13() {
 		sources := shapes.RandomSubset(rng, s, k)
 		start := time.Now()
 		var c1, c2 sim.Clock
-		f1 := core.Forest(&c1, region, sources, region.Nodes(), sources[0])
+		env := coreEnv()
+		f1 := core.ForestEnv(env, &c1, region, sources, region.Nodes(), sources[0], core.ScheduleCentroid)
 		die(verify.Forest(s, sources, region.Nodes(), f1))
-		f2 := core.ForestWithSchedule(&c2, region, sources, region.Nodes(), sources[0], core.ScheduleTreeDepth)
+		f2 := core.ForestEnv(env, &c2, region, sources, region.Nodes(), sources[0], core.ScheduleTreeDepth)
 		die(verify.Forest(s, sources, region.Nodes(), f2))
 		emit("ablation", map[string]int64{"k": int64(k), "bottomup_rounds": c2.Rounds()},
 			c1.Rounds(), c1.Beeps(), time.Since(start))
@@ -1063,68 +1072,24 @@ func e17() {
 		float64(batchWall)/float64(soloWall))
 }
 
-// e20 measures intra-query wave sharing (DESIGN.md §10) on its two
-// execution paths, pinning zero simulated drift on both:
-//
-//   - forest: one k=32 divide-and-conquer forest query on a large blob,
-//     answered by a per-wave engine (WaveLanes=1: every PASC/beep wave
-//     builds and sweeps its own circuit) and by a lane-packed engine
-//     (default: a merge's two waves — and a parity round's whole batch of
-//     merges — share one physical circuit). Forest bytes, rounds and beeps
-//     are asserted identical; only the host wall may differ.
-//   - bfs: 16 single-source bfs queries on a radius-577 hexagon
-//     (n ≈ 1.0·10⁶) answered per source by a solo Run loop and as lanes of
-//     one MS-BFS sweep by Batch. Summed rounds and beeps are asserted
-//     identical; the shared sweep expands the union frontier once per
-//     layer instead of once per source, which carries the BENCH gate
-//     (packed wall < 0.8× per-wave wall, summed over both points).
+// e20 measures intra-query wave sharing (DESIGN.md §10) on its MS-BFS
+// path, pinning zero simulated drift: 16 single-source bfs queries on a
+// radius-577 hexagon (n ≈ 1.0·10⁶) answered per source by a solo Run loop
+// and as lanes of one MS-BFS sweep by Batch. Summed rounds and beeps are
+// asserted identical; the shared sweep expands the union frontier once per
+// layer instead of once per source.
 func e20() {
-	nForest, k, r, nbfs := 40000, 32, 577, 16
+	r, nbfs := 577, 16
 	if *quick {
-		nForest, k, r, nbfs = 2000, 8, 24, 8
+		r, nbfs = 24, 8
 	}
 
-	// Forest point: identical query, engines differing only in WaveLanes.
-	s := spforest.RandomBlob(13, nForest)
-	sources := spforest.RandomCoords(17, s, k)
-	fq := engine.Query{Algo: engine.AlgoForest, Sources: sources, Dests: s.Coords()}
-	fparams := map[string]int64{"n": int64(s.N()), "k": int64(k)}
-	type point struct {
-		res  *spforest.Result
-		wall time.Duration
-	}
-	run := func(lanes int) point {
-		eng := mustEngine(s, &engine.Config{Leader: &sources[0], WaveLanes: lanes})
-		eng.Warm()
-		start := time.Now()
-		res, err := eng.Run(fq)
-		die(err)
-		return point{res, time.Since(start)}
-	}
-	perwave, packed := run(1), run(0)
-	wb, _ := perwave.res.Forest.MarshalText()
-	pb, _ := packed.res.Forest.MarshalText()
-	if perwave.res.Stats.Rounds != packed.res.Stats.Rounds ||
-		perwave.res.Stats.Beeps != packed.res.Stats.Beeps || string(wb) != string(pb) {
-		die(fmt.Errorf("E20: lane packing drifted the forest query (%d/%d vs %d/%d rounds/beeps)",
-			packed.res.Stats.Rounds, packed.res.Stats.Beeps,
-			perwave.res.Stats.Rounds, perwave.res.Stats.Beeps))
-	}
-	emit("forest-perwave", fparams, perwave.res.Stats.Rounds, perwave.res.Stats.Beeps, perwave.wall)
-	emit("forest-packed", fparams, packed.res.Stats.Rounds, packed.res.Stats.Beeps, packed.wall)
-	printf("forest: blob n=%d, k=%d\n", s.N(), k)
-	printf("  per-wave  %9d rounds %10v\n", perwave.res.Stats.Rounds, perwave.wall.Round(time.Millisecond))
-	printf("  packed    %9d rounds %10v   (%d waves / %d passes, ratio %.2f)\n",
-		packed.res.Stats.Rounds, packed.wall.Round(time.Millisecond),
-		packed.res.Stats.WavesPacked, packed.res.Stats.LanePasses,
-		float64(packed.wall)/float64(perwave.wall))
-
-	// BFS point: distinct sources drawn from a small disc at the hexagon's
-	// center. Lane packing shares work where wavefronts travel together —
-	// clustered seeds keep every node's per-lane discovery layers within
-	// the cluster diameter, so the union frontier visits each node a few
-	// times instead of once per lane (sources spread across the structure
-	// degrade gracefully towards per-source cost; see EXPERIMENTS.md E20).
+	// Distinct sources drawn from a small disc at the hexagon's center. Lane
+	// packing shares work where wavefronts travel together — clustered
+	// seeds keep every node's per-lane discovery layers within the cluster
+	// diameter, so the union frontier visits each node a few times instead
+	// of once per lane (sources spread across the structure degrade
+	// gracefully towards per-source cost; see EXPERIMENTS.md E20).
 	hex := spforest.Hexagon(r)
 	var cluster []amoebot.Coord
 	for x := -2; x <= 2 && len(cluster) < nbfs; x++ {

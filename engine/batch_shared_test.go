@@ -8,6 +8,7 @@ import (
 	"spforest"
 	"spforest/amoebot"
 	"spforest/engine"
+	"spforest/internal/baseline"
 	"spforest/internal/shapes"
 )
 
@@ -308,9 +309,8 @@ func TestBatchGroupsBFSAcrossDests(t *testing.T) {
 
 // TestBatchLanePackedBFSMatchesSolo: bfs queries with DIFFERENT source sets
 // form one group and run as lanes of shared MS-BFS sweeps. Forests, rounds
-// and beeps must stay bit-identical to per-query solo Runs both with lane
-// packing at the default width and with WaveLanes=1 (per-wave reference
-// path); only the packing telemetry may differ.
+// and beeps must stay bit-identical to per-query solo Runs; only the
+// packing telemetry differs.
 func TestBatchLanePackedBFSMatchesSolo(t *testing.T) {
 	s := spforest.RandomBlob(37, 300)
 	var queries []engine.Query
@@ -320,7 +320,55 @@ func TestBatchLanePackedBFSMatchesSolo(t *testing.T) {
 	}
 	// A repeated source set exercises the replay path inside the group.
 	queries = append(queries, engine.Query{Algo: engine.AlgoBFS, Sources: queries[0].Sources, Dests: s.Coords()})
+	batch := checkBFSBatchMatchesSolo(t, s, queries)
+	if batch.Stats.WavesPacked < 9 {
+		t.Fatalf("packed %d waves, want ≥ 9 (one per distinct source set)", batch.Stats.WavesPacked)
+	}
+	if batch.Stats.LanePasses == 0 {
+		t.Fatal("reported zero lane passes")
+	}
+}
 
+// TestBatchLanePackedBFSTwoSweeps covers the sweep boundary: more distinct
+// bfs source sets than one MS-BFS sweep carries (baseline.MaxBFSLanes) run
+// as two sweeps, every query still bit-identical to its solo Run, and every
+// distinct source set counted as exactly one packed wave.
+func TestBatchLanePackedBFSTwoSweeps(t *testing.T) {
+	s := spforest.RandomBlob(41, 300)
+	coords := s.Coords()
+	const distinct = baseline.MaxBFSLanes + 6
+	var queries []engine.Query
+	for i := 0; i < distinct; i++ {
+		srcs := []amoebot.Coord{coords[i]}
+		if i%5 == 0 {
+			srcs = append(srcs, coords[len(coords)-1-i]) // some multi-source sets
+		}
+		queries = append(queries, engine.Query{Algo: engine.AlgoBFS, Sources: srcs})
+	}
+	// Replays (same sources, other destinations) of one member per sweep.
+	for _, i := range []int{3, distinct - 1} {
+		queries = append(queries, engine.Query{Algo: engine.AlgoBFS, Sources: queries[i].Sources, Dests: coords[:1]})
+	}
+	batch := checkBFSBatchMatchesSolo(t, s, queries)
+	if batch.Stats.WavesPacked != distinct {
+		t.Fatalf("packed %d waves, want %d (one per distinct source set)", batch.Stats.WavesPacked, distinct)
+	}
+	for i, r := range batch.Results {
+		want := int64(1) // a representative rides one lane
+		if i >= distinct {
+			want = 0 // a replay reuses its representative's lane
+		}
+		if r.Result.Stats.WavesPacked != want {
+			t.Fatalf("query %d: WavesPacked %d, want %d", i, r.Result.Stats.WavesPacked, want)
+		}
+	}
+}
+
+// checkBFSBatchMatchesSolo answers the bfs queries once by solo Runs and
+// once as one Batch, requiring a single group whose every member matches
+// its solo Run: forest, rounds, beeps and bfs phase.
+func checkBFSBatchMatchesSolo(t *testing.T, s *amoebot.Structure, queries []engine.Query) *engine.BatchResult {
+	t.Helper()
 	solo, err := engine.New(s, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -331,45 +379,30 @@ func TestBatchLanePackedBFSMatchesSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	for _, lanes := range []int{1, 0} { // 1 = per-wave reference, 0 = default packing
-		e, err := engine.New(s, &engine.Config{Workers: 4, WaveLanes: lanes})
-		if err != nil {
-			t.Fatal(err)
+	e, err := engine.New(s, &engine.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := e.Batch(queries)
+	if batch.Stats.Groups != 1 {
+		t.Fatalf("Groups = %d, want 1 (all bfs queries share)", batch.Stats.Groups)
+	}
+	for i, r := range batch.Results {
+		if r.Err != nil {
+			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		batch := e.Batch(queries)
-		if batch.Stats.Groups != 1 {
-			t.Fatalf("WaveLanes=%d: Groups = %d, want 1 (all bfs queries share)", lanes, batch.Stats.Groups)
+		ws, gs := want[i].Stats, r.Result.Stats
+		if gs.Rounds != ws.Rounds || gs.Beeps != ws.Beeps {
+			t.Fatalf("query %d: %d rounds / %d beeps, solo %d / %d", i, gs.Rounds, gs.Beeps, ws.Rounds, ws.Beeps)
 		}
-		for i, r := range batch.Results {
-			if r.Err != nil {
-				t.Fatalf("WaveLanes=%d query %d: %v", lanes, i, r.Err)
-			}
-			ws, gs := want[i].Stats, r.Result.Stats
-			if gs.Rounds != ws.Rounds || gs.Beeps != ws.Beeps {
-				t.Fatalf("WaveLanes=%d query %d: %d rounds / %d beeps, solo %d / %d",
-					lanes, i, gs.Rounds, gs.Beeps, ws.Rounds, ws.Beeps)
-			}
-			if gs.Phases["bfs"] != ws.Phases["bfs"] {
-				t.Fatalf("WaveLanes=%d query %d: bfs phase %d, solo %d",
-					lanes, i, gs.Phases["bfs"], ws.Phases["bfs"])
-			}
-			for n := int32(0); n < int32(s.N()); n++ {
-				if r.Result.Forest.Parent(n) != want[i].Forest.Parent(n) {
-					t.Fatalf("WaveLanes=%d query %d: parent mismatch at node %d", lanes, i, n)
-				}
-			}
+		if gs.Phases["bfs"] != ws.Phases["bfs"] {
+			t.Fatalf("query %d: bfs phase %d, solo %d", i, gs.Phases["bfs"], ws.Phases["bfs"])
 		}
-		if lanes == 1 && batch.Stats.WavesPacked != 0 {
-			t.Fatalf("WaveLanes=1 packed %d waves, want 0", batch.Stats.WavesPacked)
-		}
-		if lanes == 0 {
-			if batch.Stats.WavesPacked < 9 {
-				t.Fatalf("default lanes packed %d waves, want ≥ 9 (one per distinct source set)", batch.Stats.WavesPacked)
-			}
-			if batch.Stats.LanePasses == 0 {
-				t.Fatal("default lanes reported zero lane passes")
+		for n := int32(0); n < int32(s.N()); n++ {
+			if r.Result.Forest.Parent(n) != want[i].Forest.Parent(n) {
+				t.Fatalf("query %d: parent mismatch at node %d", i, n)
 			}
 		}
 	}
+	return batch
 }

@@ -62,14 +62,6 @@ type Config struct {
 	// and beeps are bit-for-bit identical at every setting — the layer only
 	// changes host wall time.
 	IntraWorkers int
-	// WaveLanes bounds the intra-query wave sharing: how many concurrent
-	// PASC/beep/BFS waves of one query may pack into a single physical
-	// execution (DESIGN.md §10). Zero or out-of-range selects the default
-	// (wave.MaxLanes = 64); 1 disables lane packing and forces the per-wave
-	// reference path. Like IntraWorkers, the setting only changes host
-	// execution: forests, simulated rounds and beeps are bit-for-bit
-	// identical at every lane count.
-	WaveLanes int
 	// AllowHoles admits structures that are connected but not hole-free.
 	// The paper's portal-based algorithms require hole-free structures
 	// (portal graphs are trees only then, Lemma 9), so on a holed engine
@@ -253,8 +245,8 @@ func (e *Engine) runPlanned(pq *plannedQuery) (*Result, error) {
 }
 
 // newContext builds one query's execution context: the engine's environment
-// derived with the configured wave lane budget and a fresh set of
-// wave-sharing counters, so Stats attributes packing activity per query.
+// derived with a fresh set of wave-sharing counters, so Stats attributes
+// packing activity per query.
 func (e *Engine) newContext(clock *sim.Clock, srcs, dests []int32) *Context {
 	ctr := &wave.Counters{}
 	return &Context{
@@ -262,7 +254,7 @@ func (e *Engine) newContext(clock *sim.Clock, srcs, dests []int32) *Context {
 		Clock:   clock,
 		Sources: srcs,
 		Dests:   dests,
-		env:     e.env.WithWaves(e.cfg.WaveLanes, ctr),
+		env:     e.env.WithWaves(ctr),
 		waves:   ctr,
 	}
 }
@@ -347,7 +339,7 @@ func (e *Engine) Distances(sources []amoebot.Coord) ([]int, error) {
 // with every distinct source set ever queried.
 const maxDistCacheEntries = 64
 
-// exactDistances memoizes baseline.Exact per canonical source set, keeping
+// exactDistances memoizes baseline.ExactExec per canonical source set, keeping
 // at most maxDistCacheEntries entries. Eviction is a deterministic FIFO
 // ring over insertion order — the oldest-inserted entry goes first — so a
 // repeated batch workload cannot randomly evict its own hot entry the way

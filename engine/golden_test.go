@@ -177,13 +177,12 @@ func goldenPath(t testing.TB) string {
 	return filepath.Join("testdata", "golden.json")
 }
 
-// goldenRun computes every (case, solver) record at the given wave lane
-// setting (0 = default lane packing, 1 = per-wave reference path).
-func goldenRun(t *testing.T, waveLanes int) map[string]goldenRecord {
+// goldenRun computes every (case, solver) record.
+func goldenRun(t *testing.T) map[string]goldenRecord {
 	got := map[string]goldenRecord{}
 	for _, c := range goldenCases(t) {
 		leader := c.s.Coord(c.sources[0])
-		eng, err := engine.New(c.s, &engine.Config{Leader: &leader, WaveLanes: waveLanes})
+		eng, err := engine.New(c.s, &engine.Config{Leader: &leader})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -209,23 +208,7 @@ func goldenRun(t *testing.T, waveLanes int) map[string]goldenRecord {
 }
 
 func TestGoldenSolverOutputs(t *testing.T) {
-	got := goldenRun(t, 0)
-
-	// Lane packing is pure host execution: the per-wave reference path
-	// (WaveLanes=1) must reproduce every golden record bit-for-bit.
-	unpacked := goldenRun(t, 1)
-	for k, g := range got {
-		u, ok := unpacked[k]
-		if !ok {
-			t.Errorf("golden %s: missing from WaveLanes=1 run", k)
-			continue
-		}
-		if g.Rounds != u.Rounds || g.Beeps != u.Beeps || !reflect.DeepEqual(g.Parents, u.Parents) {
-			t.Errorf("golden %s: WaveLanes=1 diverges from lane-packed run (%d/%d vs %d/%d rounds/beeps)",
-				k, u.Rounds, u.Beeps, g.Rounds, g.Beeps)
-		}
-	}
-
+	got := goldenRun(t)
 	path := goldenPath(t)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

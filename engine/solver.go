@@ -24,9 +24,9 @@ type Context struct {
 	Sources []int32
 	Dests   []int32 // nil when the query gave no destinations
 
-	// env is the engine environment derived with the query's wave lane
-	// budget (Config.WaveLanes); nil falls back to the engine's base
-	// environment (lane packing at the default width, no counters).
+	// env is the engine environment derived with the query's wave-sharing
+	// counters; nil falls back to the engine's base environment (no
+	// counters).
 	env *core.Env
 	// waves collects this query's lane-packing counters for Stats.
 	waves *wave.Counters
@@ -48,8 +48,8 @@ func (ctx *Context) Arena() *dense.Arena { return ctx.Engine.arena }
 func (ctx *Context) Exec() *par.Exec { return ctx.Engine.exec }
 
 // Env returns the query's core execution environment: the executor plus
-// the engine's memoized portal decompositions, derived with the query's
-// wave lane budget, ready to hand to the core.*Env algorithm entry points.
+// the engine's memoized portal decompositions, reporting into the query's
+// wave-sharing counters, ready to hand to the core algorithm entry points.
 func (ctx *Context) Env() *core.Env {
 	if ctx.env != nil {
 		return ctx.env

@@ -200,15 +200,12 @@ func (b bfsSolver) SolveShared(ctxs []*Context) ([]*amoebot.Forest, []error) {
 		}
 	}
 
-	lanes := ctxs[0].Env().Lanes()
-	if lanes > baseline.MaxBFSLanes {
-		lanes = baseline.MaxBFSLanes
-	}
-	if lanes >= 2 && len(reps) >= 2 {
-		// Lane-packed path: chunks of up to `lanes` representatives run as
-		// one physical sweep each. BFSForestMany charges each lane's clock
+	if len(reps) >= 2 {
+		// Lane-packed path: chunks of up to MaxBFSLanes representatives run
+		// as one physical sweep each. BFSForestMany charges each lane's clock
 		// its exact solo layers, so only phase attribution and the packing
 		// telemetry are added here.
+		const lanes = baseline.MaxBFSLanes
 		for lo := 0; lo < len(reps); lo += lanes {
 			hi := lo + lanes
 			if hi > len(reps) {

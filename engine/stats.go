@@ -19,10 +19,11 @@ type Stats struct {
 	// Phases attributes rounds to named algorithm phases ("preprocess",
 	// "spt", "forest", ...).
 	Phases map[string]int64
-	// WavesPacked counts the logical beep waves this query executed inside
-	// lane-packed physical passes (DESIGN.md §10). Host-side execution
-	// telemetry only: it never feeds Rounds or Beeps, and it is zero when
-	// the engine runs with Config.WaveLanes = 1.
+	// WavesPacked counts the logical PASC/BFS waves this query executed as
+	// lanes of shared physical passes (DESIGN.md §10): the waves of merges,
+	// line sweeps and bfs group sweeps. Single-wave PASC executions
+	// (propagation, Euler tours) are not shared passes and are not counted.
+	// Host-side execution telemetry only: it never feeds Rounds or Beeps.
 	WavesPacked int64
 	// LanePasses counts the shared physical passes those waves rode on;
 	// WavesPacked/LanePasses is the achieved packing factor.

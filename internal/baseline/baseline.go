@@ -1,17 +1,18 @@
 // Package baseline provides the comparison algorithms of the evaluation:
 //
-//   - Exact: a centralized multi-source BFS used as ground truth by the
+//   - ExactExec: a centralized multi-source BFS used as ground truth by the
 //     verifier (not round-accounted; this is the reference solver, not a
 //     distributed algorithm).
-//   - BFSForest: the distributed breadth-first wavefront in the plain
+//   - BFSForestExec: the distributed breadth-first wavefront in the plain
 //     amoebot model, the Θ(diam)-round approach the paper's related work
 //     discusses (Kostitsyna et al. compute shortest path trees in O(diam)
 //     rounds for hole-free structures): each round the frontier beeps to
 //     its neighbors, joining amoebots adopt a beeping neighbor as parent.
 //
-// The third baseline of the paper — the naive sequential merge in
-// O(k log n) rounds (§5 introduction) — is built from the paper's own
-// subroutines and lives in the core package (ForestSequential).
+// Both take a parallel executor; nil runs the plain serial loop. The third
+// baseline of the paper — the naive sequential merge in O(k log n) rounds
+// (§5 introduction) — is built from the paper's own subroutines and lives
+// in the core package (ForestSequentialEnv).
 package baseline
 
 import (
@@ -22,22 +23,18 @@ import (
 	"spforest/internal/sim"
 )
 
-// Exact computes, for every node of the region, the graph distance to the
-// nearest source and one nearest source (the smallest node index among
-// equidistant sources, for determinism). Unreachable or non-region nodes get
-// distance -1. Sources outside the region are ignored.
-func Exact(region *amoebot.Region, sources []int32) (dist []int32, nearest []int32) {
-	return ExactExec(nil, region, sources)
-}
-
-// ExactExec is Exact with the frontier expansion fanned out level by level
-// over the exec (nil runs the plain serial BFS). Parallel workers claim
-// newly discovered nodes with compare-and-swap — the claim winner varies,
-// but the claimed distance is the level number either way — and each
-// claimed node then derives its nearest source as the minimum over its
-// previous-level neighbors, which is exactly the value the serial FIFO
-// sweep converges to. dist and nearest are therefore byte-identical at
-// every worker count.
+// ExactExec computes, for every node of the region, the graph distance to
+// the nearest source and one nearest source (the smallest node index among
+// equidistant sources, for determinism). Unreachable or non-region nodes
+// get distance -1. Sources outside the region are ignored.
+//
+// The frontier expansion fans out level by level over the exec (nil runs
+// the plain serial BFS). Parallel workers claim newly discovered nodes with
+// compare-and-swap — the claim winner varies, but the claimed distance is
+// the level number either way — and each claimed node then derives its
+// nearest source as the minimum over its previous-level neighbors, which is
+// exactly the value the serial FIFO sweep converges to. dist and nearest
+// are therefore byte-identical at every worker count.
 func ExactExec(ex *par.Exec, region *amoebot.Region, sources []int32) (dist []int32, nearest []int32) {
 	s := region.Structure()
 	if ex.Workers() > 1 {
@@ -131,20 +128,17 @@ func exactParallel(ex *par.Exec, region *amoebot.Region, sources []int32) (dist 
 	return dist, nearest
 }
 
-// BFSForest computes an S-shortest-path forest for the region with the
+// BFSForestExec computes an S-shortest-path forest for the region with the
 // plain-model BFS wavefront, charging one round per distance layer
 // (Θ(eccentricity(S)) = Θ(diam) rounds). Each joining amoebot adopts its
 // smallest-direction beeping neighbor as parent.
-func BFSForest(clock *sim.Clock, region *amoebot.Region, sources []int32) *amoebot.Forest {
-	return BFSForestExec(nil, clock, region, sources)
-}
-
-// BFSForestExec is BFSForest with the wavefront expansion fanned out level
-// by level over the exec (nil runs the plain serial loop). Discovery
-// claims race benignly (the claimed depth is the layer number regardless
-// of the winner) and every joining amoebot then picks its parent purely
-// from the finalized previous layer, so the forest, the per-layer beep
-// counts and the round total are byte-identical at every worker count.
+//
+// The wavefront expansion fans out level by level over the exec (nil runs
+// the plain serial loop). Discovery claims race benignly (the claimed
+// depth is the layer number regardless of the winner) and every joining
+// amoebot then picks its parent purely from the finalized previous layer,
+// so the forest, the per-layer beep counts and the round total are
+// byte-identical at every worker count.
 func BFSForestExec(ex *par.Exec, clock *sim.Clock, region *amoebot.Region, sources []int32) *amoebot.Forest {
 	if ex.Workers() > 1 {
 		return bfsForestParallel(ex, clock, region, sources)
@@ -245,13 +239,13 @@ func bfsForestParallel(ex *par.Exec, clock *sim.Clock, region *amoebot.Region, s
 // distributed algorithms (zero simulated rounds) and returns nil if some
 // destination lies outside the region or cannot reach a source.
 func ExactForest(region *amoebot.Region, sources, dests []int32) *amoebot.Forest {
-	dist, _ := Exact(region, sources)
+	dist, _ := ExactExec(nil, region, sources)
 	return ExactForestFromDist(region, dist, sources, dests)
 }
 
 // ExactForestFromDist is ExactForest with the nearest-source distances
-// precomputed (as returned by Exact for the same region and sources), so
-// callers that memoize distances skip the BFS.
+// precomputed (as returned by ExactExec for the same region and sources),
+// so callers that memoize distances skip the BFS.
 func ExactForestFromDist(region *amoebot.Region, dist []int32, sources, dests []int32) *amoebot.Forest {
 	s := region.Structure()
 	f := amoebot.NewForest(s)
@@ -287,7 +281,7 @@ func ExactForestFromDist(region *amoebot.Region, dist []int32, sources, dests []
 // Eccentricity returns max_u dist(S, u) within the region (the BFS round
 // count lower bound).
 func Eccentricity(region *amoebot.Region, sources []int32) int {
-	dist, _ := Exact(region, sources)
+	dist, _ := ExactExec(nil, region, sources)
 	max := 0
 	for _, u := range region.Nodes() {
 		if int(dist[u]) > max {

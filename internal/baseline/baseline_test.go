@@ -12,7 +12,7 @@ import (
 func TestExactSingleSource(t *testing.T) {
 	s := shapes.Line(6)
 	r := amoebot.WholeRegion(s)
-	dist, nearest := Exact(r, []int32{0})
+	dist, nearest := ExactExec(nil, r, []int32{0})
 	for i := int32(0); i < 6; i++ {
 		if dist[i] != i {
 			t.Fatalf("dist[%d] = %d", i, dist[i])
@@ -26,7 +26,7 @@ func TestExactSingleSource(t *testing.T) {
 func TestExactMultiSourceTieBreak(t *testing.T) {
 	s := shapes.Line(5)
 	r := amoebot.WholeRegion(s)
-	dist, nearest := Exact(r, []int32{0, 4})
+	dist, nearest := ExactExec(nil, r, []int32{0, 4})
 	wantDist := []int32{0, 1, 2, 1, 0}
 	wantNear := []int32{0, 0, 0, 4, 4} // the middle ties towards index 0
 	for i := range wantDist {
@@ -39,7 +39,7 @@ func TestExactMultiSourceTieBreak(t *testing.T) {
 func TestExactRespectsRegion(t *testing.T) {
 	s := shapes.Line(5)
 	r := amoebot.NewRegion(s, []int32{0, 1, 3, 4})
-	dist, _ := Exact(r, []int32{0})
+	dist, _ := ExactExec(nil, r, []int32{0})
 	if dist[2] != -1 {
 		t.Fatal("distance computed for node outside region")
 	}
@@ -47,7 +47,7 @@ func TestExactRespectsRegion(t *testing.T) {
 		t.Fatal("distance crossed the region gap")
 	}
 	// Source outside the region is ignored.
-	dist2, _ := Exact(r, []int32{2})
+	dist2, _ := ExactExec(nil, r, []int32{2})
 	for i := range dist2 {
 		if dist2[i] != -1 {
 			t.Fatal("outside source not ignored")
@@ -59,7 +59,7 @@ func TestExactMatchesGridDistanceOnHexagon(t *testing.T) {
 	s := shapes.Hexagon(5)
 	r := amoebot.WholeRegion(s)
 	center, _ := s.Index(amoebot.Coord{})
-	dist, _ := Exact(r, []int32{center})
+	dist, _ := ExactExec(nil, r, []int32{center})
 	for i := int32(0); i < int32(s.N()); i++ {
 		if int(dist[i]) != s.Coord(center).Dist(s.Coord(i)) {
 			t.Fatalf("node %d: BFS %d, grid %d", i, dist[i], s.Coord(center).Dist(s.Coord(i)))
@@ -75,11 +75,11 @@ func TestBFSForestIsValidForest(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := BFSForest(&clock, r, sources)
+		f := BFSForestExec(nil, &clock, r, sources)
 		if err := f.Check(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dist, _ := Exact(r, sources)
+		dist, _ := ExactExec(nil, r, sources)
 		for i := int32(0); i < int32(s.N()); i++ {
 			if !f.Member(i) {
 				t.Fatalf("trial %d: node %d not covered", trial, i)

@@ -11,7 +11,7 @@ import (
 const Unknown = int32(1) << 30
 
 // RepairExact incrementally restores dist to the exact multi-source BFS
-// distances of Exact(r, srcs) after a structure mutation, instead of
+// distances of ExactExec(ex, r, srcs) after a structure mutation, instead of
 // recomputing them from scratch. It is the dynamic-SSSP repair of
 // Ramalingam & Reps specialised to unit weights: a downward pass that
 // invalidates every node whose old shortest path died with a removed cell,

@@ -64,7 +64,7 @@ func TestRepairExactMatchesFresh(t *testing.T) {
 		for i, idx := range srcIdx {
 			srcs[i] = s.Coord(idx)
 		}
-		dist, _ := baseline.Exact(amoebot.WholeRegion(s), srcIdx)
+		dist, _ := baseline.ExactExec(nil, amoebot.WholeRegion(s), srcIdx)
 		for step := 0; step < 40; step++ {
 			d := shapes.RandomDelta(rng, s, 1+rng.Intn(4), 1+rng.Intn(4), srcs...)
 			if d.IsEmpty() {
@@ -79,7 +79,7 @@ func TestRepairExactMatchesFresh(t *testing.T) {
 			for i, c := range srcs {
 				newSrcIdx[i], _ = ns.Index(c)
 			}
-			want, _ := baseline.Exact(amoebot.WholeRegion(ns), newSrcIdx)
+			want, _ := baseline.ExactExec(nil, amoebot.WholeRegion(ns), newSrcIdx)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d step %d: node %d (%v): repaired %d, fresh %d",
@@ -96,7 +96,7 @@ func TestRepairExactMatchesFresh(t *testing.T) {
 func TestRepairExactNoChange(t *testing.T) {
 	s := shapes.Parallelogram(8, 4)
 	srcIdx := []int32{0}
-	dist, _ := baseline.Exact(amoebot.WholeRegion(s), srcIdx)
+	dist, _ := baseline.ExactExec(nil, amoebot.WholeRegion(s), srcIdx)
 
 	// Growing a cell at the far corner cannot shorten any distance; the
 	// repair must only assign the added cell itself.
@@ -119,7 +119,7 @@ func TestRepairExactNoChange(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("repair wrote %d entries, want 1 (the added cell)", changed)
 	}
-	want, _ := baseline.Exact(amoebot.WholeRegion(ns), []int32{src})
+	want, _ := baseline.ExactExec(nil, amoebot.WholeRegion(ns), []int32{src})
 	for i := range want {
 		if nd[i] != want[i] {
 			t.Fatalf("node %d: repaired %d, fresh %d", i, nd[i], want[i])

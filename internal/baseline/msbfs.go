@@ -11,7 +11,7 @@ import (
 // one per bit of the per-node lane words.
 const MaxBFSLanes = 64
 
-// BFSForestMany runs up to 64 BFSForest wavefronts over one region as lanes
+// BFSForestMany runs up to 64 BFSForestExec wavefronts over one region as lanes
 // of a single physical sweep (MS-BFS-style lane packing; the intra-query
 // analogue of the circuit reuse in DESIGN.md §10): per node, the seen /
 // frontier / next sets of all lanes live in one uint64 word each, so every

@@ -23,9 +23,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			k = s.N()
 		}
 		srcs := shapes.RandomSubset(rng, s, k)
-		wantDist, wantNearest := Exact(region, srcs)
+		wantDist, wantNearest := ExactExec(nil, region, srcs)
 		var wantClock sim.Clock
-		wantForest := BFSForest(&wantClock, region, srcs)
+		wantForest := BFSForestExec(nil, &wantClock, region, srcs)
 		wantBytes, _ := wantForest.MarshalText()
 		for _, workers := range []int{2, 3, 8} {
 			ex := par.New(workers, nil)

@@ -83,7 +83,7 @@ func TestSPTOnCraftedShapes(t *testing.T) {
 				dests = allNodes(s)
 			}
 			var clock sim.Clock
-			f := SPT(&clock, amoebot.WholeRegion(s), sources[0], dests)
+			f := SPTEnv(testEnv(), &clock, amoebot.WholeRegion(s), sources[0], dests)
 			if err := verify.Forest(s, sources, dests, f); err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestSSSPOnCraftedShapes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, sources, _ := parseCase(t, layout)
 			var clock sim.Clock
-			f := SPT(&clock, amoebot.WholeRegion(s), sources[0], allNodes(s))
+			f := SPTEnv(testEnv(), &clock, amoebot.WholeRegion(s), sources[0], allNodes(s))
 			if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestForestOnCraftedShapes(t *testing.T) {
 				sources = append(sources, last)
 			}
 			var clock sim.Clock
-			f := Forest(&clock, amoebot.WholeRegion(s), sources, allNodes(s), sources[0])
+			f := ForestEnv(testEnv(), &clock, amoebot.WholeRegion(s), sources, allNodes(s), sources[0], ScheduleCentroid)
 			if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestSerpentineDetourLength(t *testing.T) {
 	// that are 4 apart on the open grid.
 	s, sources, dests := parseCase(t, craftedCases["serpentine"])
 	var clock sim.Clock
-	f := SPT(&clock, amoebot.WholeRegion(s), sources[0], dests)
+	f := SPTEnv(testEnv(), &clock, amoebot.WholeRegion(s), sources[0], dests)
 	if err := verify.Forest(s, sources, dests, f); err != nil {
 		t.Fatal(err)
 	}

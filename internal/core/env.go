@@ -19,14 +19,14 @@ type PortalSource interface {
 }
 
 // Env bundles the per-engine execution state threaded through the
-// algorithms: the deterministic parallel executor (with its scratch arena)
-// and an optional portal-decomposition memo. A nil *Env — and every
-// omitted part — degrades to the serial, compute-fresh, shared-arena
-// behavior of the plain entry points, so internal code never branches.
+// algorithms: the deterministic parallel executor (with its scratch arena),
+// an optional portal-decomposition memo and optional wave-sharing
+// counters. A nil *Env — and every omitted part — degrades to serial,
+// compute-fresh, shared-arena, uncounted execution, so internal code never
+// branches.
 type Env struct {
 	ex    *par.Exec
 	src   PortalSource
-	lanes int            // wave lane budget; 0 selects the default (wave.MaxLanes)
 	waves *wave.Counters // wave-sharing counters, usually per query; may be nil
 }
 
@@ -34,32 +34,16 @@ type Env struct {
 // portal decompositions. Both may be nil.
 func NewEnv(ex *par.Exec, src PortalSource) *Env { return &Env{ex: ex, src: src} }
 
-// WithWaves derives an Env carrying the given wave lane budget and
-// wave-sharing counters (DESIGN.md §10). Out-of-range budgets clamp to the
-// default wave.MaxLanes; 1 disables lane packing (the per-wave reference
-// path). The engine derives one such Env per query so the counters
-// attribute per query; the receiver is not modified.
-func (env *Env) WithWaves(lanes int, ctr *wave.Counters) *Env {
+// WithWaves derives an Env whose lane-packed PASC executions report into
+// ctr (DESIGN.md §10). The engine derives one such Env per query so the
+// counters attribute per query; the receiver is not modified.
+func (env *Env) WithWaves(ctr *wave.Counters) *Env {
 	var cp Env
 	if env != nil {
 		cp = *env
 	}
-	if lanes <= 0 || lanes > wave.MaxLanes {
-		lanes = wave.MaxLanes
-	}
-	cp.lanes, cp.waves = lanes, ctr
+	cp.waves = ctr
 	return &cp
-}
-
-// Lanes returns the wave lane budget: how many concurrent PASC/beep waves
-// of one query may pack into a single shared execution. A nil Env — and an
-// Env that never chose — defaults to wave.MaxLanes; 1 means lane packing is
-// disabled.
-func (env *Env) Lanes() int {
-	if env == nil || env.lanes == 0 {
-		return wave.MaxLanes
-	}
-	return env.lanes
 }
 
 // Waves returns the wave-sharing counters lane-packed executions report
@@ -70,11 +54,6 @@ func (env *Env) Waves() *wave.Counters {
 	}
 	return env.waves
 }
-
-// envArena builds the Env used by the Arena-style entry points: full host
-// parallelism (matching the previous runParallel behavior) over the given
-// arena, no portal memo.
-func envArena(ar *dense.Arena) *Env { return &Env{ex: par.New(0, ar)} }
 
 // Exec returns the executor (nil-safe; a nil Env executes serially).
 func (env *Env) Exec() *par.Exec {

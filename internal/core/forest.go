@@ -12,25 +12,6 @@ import (
 	"spforest/internal/sim"
 )
 
-// Forest computes an (S,D)-shortest path forest of the region with the
-// divide-and-conquer algorithm of §5.4 (Theorem 56, Corollary 57) in
-// O(log n log² k) rounds:
-//
-//  1. Q = x-portals holding sources, Q' = Q ∪ A_Q (Lemma 51),
-//  2. split the structure at the Q' portals and at the marked connector
-//     amoebots into base regions meeting ≤ 2 portals of Q' (Lemma 52),
-//  3. per base region: line algorithm on its Q' portal segment(s),
-//     propagation into the region, merging (Lemma 54),
-//  4. merge regions level by level along the Q'-centroid decomposition of
-//     the x-portal tree, deepest centroids first (Lemmas 37/55),
-//  5. final root-and-prune of every tree with (s, D) (Corollary 57).
-//
-// leader is the unique pre-elected amoebot (§2.1); its portal roots the
-// portal tree. Use the leader package (or any source) to obtain one.
-func Forest(clock *sim.Clock, region *amoebot.Region, sources, dests []int32, leader int32) *amoebot.Forest {
-	return ForestWithSchedule(clock, region, sources, dests, leader, ScheduleCentroid)
-}
-
 // Schedule selects the order in which the merge phase processes the Q'
 // portals.
 type Schedule int
@@ -47,22 +28,26 @@ const (
 	ScheduleTreeDepth
 )
 
-// ForestWithSchedule is Forest with an explicit merge schedule (see
-// Schedule; ScheduleTreeDepth exists for the ablation study).
-func ForestWithSchedule(clock *sim.Clock, region *amoebot.Region, sources, dests []int32, leader int32, sched Schedule) *amoebot.Forest {
-	return ForestArena(dense.Shared, clock, region, sources, dests, leader, sched)
-}
-
-// ForestArena is ForestWithSchedule drawing its index-space scratch from
-// the arena; the engine threads its per-engine arena through here so a
-// query stream reuses the same scratch arrays.
-func ForestArena(ar *dense.Arena, clock *sim.Clock, region *amoebot.Region, sources, dests []int32, leader int32, sched Schedule) *amoebot.Forest {
-	return ForestEnv(envArena(ar), clock, region, sources, dests, leader, sched)
-}
-
-// ForestEnv is ForestWithSchedule under an execution environment: the
-// x-portal decomposition resolves through the env's portal memo, the base
-// cases fan out per region, and each centroid level's merges run
+// ForestEnv computes an (S,D)-shortest path forest of the region with the
+// divide-and-conquer algorithm of §5.4 (Theorem 56, Corollary 57) in
+// O(log n log² k) rounds:
+//
+//  1. Q = x-portals holding sources, Q' = Q ∪ A_Q (Lemma 51),
+//  2. split the structure at the Q' portals and at the marked connector
+//     amoebots into base regions meeting ≤ 2 portals of Q' (Lemma 52),
+//  3. per base region: line algorithm on its Q' portal segment(s),
+//     propagation into the region, merging (Lemma 54),
+//  4. merge regions level by level along the Q'-centroid decomposition of
+//     the x-portal tree, deepest centroids first (Lemmas 37/55),
+//  5. final root-and-prune of every tree with (s, D) (Corollary 57).
+//
+// leader is the unique pre-elected amoebot (§2.1); its portal roots the
+// portal tree. Use the leader package (or any source) to obtain one. sched
+// selects the merge schedule: ScheduleCentroid is the paper's, and
+// ScheduleTreeDepth exists for the ablation study.
+//
+// The x-portal decomposition resolves through the env's portal memo, the
+// base cases fan out per region, and each centroid level's merges run
 // concurrently when their region sets are host-disjoint (see mergeLevel).
 // Outputs and round accounting are bit-identical at every worker count.
 func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dests []int32, leader int32, sched Schedule) *amoebot.Forest {
@@ -525,8 +510,7 @@ func regionSideOf(r *amoebot.Region, pnodes []int32, inP *dense.BitSet) (amoebot
 // merges every pair as lanes of one shared tree-PASC pass (MergeManyEnv).
 // The resulting region list — [unpaired regions, original order] + [merged
 // regions, mark order] — and every branch's accounting are bit-identical
-// to the serial walk, which remains the execution for dependent rounds and
-// for Lanes() < 2.
+// to the serial walk, which remains the execution for dependent rounds.
 func mergeParityRound(env *Env, clock *sim.Clock, odd []int32, regions []*regionState) []*regionState {
 	serial := func() []*regionState {
 		branches := make([]*sim.Clock, 0, len(odd))
@@ -557,9 +541,6 @@ func mergeParityRound(env *Env, clock *sim.Clock, odd []int32, regions []*region
 		}
 		clock.JoinMax(branches...)
 		return regions
-	}
-	if env.Lanes() < 2 {
-		return serial()
 	}
 	// Symbolic walk: groups stand in for the serial walk's evolving region
 	// list; a group contains a mark when any merged-in original does.
@@ -741,22 +722,11 @@ func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, s *amoebot.Structure, 
 	return out
 }
 
-// ForestSequential is the naive multi-source approach the paper describes
-// as the O(k log n) baseline (§5 introduction): one SPT per source, merged
-// sequentially, then the final prune to the destinations.
-func ForestSequential(clock *sim.Clock, region *amoebot.Region, sources, dests []int32) *amoebot.Forest {
-	return ForestSequentialArena(dense.Shared, clock, region, sources, dests)
-}
-
-// ForestSequentialArena is ForestSequential drawing its index-space scratch
-// from the arena.
-func ForestSequentialArena(ar *dense.Arena, clock *sim.Clock, region *amoebot.Region, sources, dests []int32) *amoebot.Forest {
-	return ForestSequentialEnv(envArena(ar), clock, region, sources, dests)
-}
-
-// ForestSequentialEnv is ForestSequential under an execution environment
-// (the per-source SPTs merge sequentially by definition — that is the
-// baseline being measured — but each SPT's internal sweeps fan out).
+// ForestSequentialEnv is the naive multi-source approach the paper
+// describes as the O(k log n) baseline (§5 introduction): one SPT per
+// source, merged sequentially, then the final prune to the destinations.
+// The per-source SPTs merge sequentially by definition — that is the
+// baseline being measured — but each SPT's internal sweeps fan out.
 func ForestSequentialEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dests []int32) *amoebot.Forest {
 	if len(sources) == 0 {
 		panic("core: no sources")

@@ -16,7 +16,7 @@ func TestForestTwoSourcesParallelogram(t *testing.T) {
 	a, _ := s.Index(amoebot.XZ(0, 0))
 	b, _ := s.Index(amoebot.XZ(9, 5))
 	var clock sim.Clock
-	f := Forest(&clock, r, []int32{a, b}, allNodes(s), a)
+	f := ForestEnv(testEnv(), &clock, r, []int32{a, b}, allNodes(s), a, ScheduleCentroid)
 	if err := verify.Forest(s, []int32{a, b}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestForestSourcesOnOneRow(t *testing.T) {
 		sources = append(sources, u)
 	}
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, allNodes(s), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestForestOnLineStructure(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	sources := []int32{2, 9, 17}
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, allNodes(s), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestForestHexagonManySources(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	sources := shapes.RandomSubset(rng, s, 8)
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, allNodes(s), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestForestRandomBlobsRandomSources(t *testing.T) {
 		}
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := Forest(&clock, r, sources, allNodes(s), sources[0])
+		f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 		if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 			t.Fatalf("trial %d (n=%d, k=%d, sources=%v): %v", trial, s.N(), k, sources, err)
 		}
@@ -87,7 +87,7 @@ func TestForestWithDestinationsPrunes(t *testing.T) {
 	sources := shapes.RandomSubset(rng, s, 4)
 	dests := shapes.RandomSubset(rng, s, 3)
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, dests, sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, dests, sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, dests, f); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestForestCombTeethSources(t *testing.T) {
 		sources = append(sources, u)
 	}
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, allNodes(s), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestForestSequentialBaseline(t *testing.T) {
 		}
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := ForestSequential(&clock, r, sources, allNodes(s))
+		f := ForestSequentialEnv(testEnv(), &clock, r, sources, allNodes(s))
 		if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -138,8 +138,8 @@ func TestForestMatchesSequentialDistances(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	sources := shapes.RandomSubset(rng, s, 5)
 	var c1, c2 sim.Clock
-	f1 := Forest(&c1, r, sources, allNodes(s), sources[0])
-	f2 := ForestSequential(&c2, r, sources, allNodes(s))
+	f1 := ForestEnv(testEnv(), &c1, r, sources, allNodes(s), sources[0], ScheduleCentroid)
+	f2 := ForestSequentialEnv(testEnv(), &c2, r, sources, allNodes(s))
 	for i := int32(0); i < int32(s.N()); i++ {
 		if f1.Depth(i) != f2.Depth(i) {
 			t.Fatalf("node %d: D&C depth %d, sequential depth %d", i, f1.Depth(i), f2.Depth(i))
@@ -151,7 +151,7 @@ func TestForestSingleSourceDelegatesToSPT(t *testing.T) {
 	s := shapes.Hexagon(3)
 	r := amoebot.WholeRegion(s)
 	var clock sim.Clock
-	f := Forest(&clock, r, []int32{5}, allNodes(s), 5)
+	f := ForestEnv(testEnv(), &clock, r, []int32{5}, allNodes(s), 5, ScheduleCentroid)
 	if err := verify.Forest(s, []int32{5}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestForestAdjacentSourceRows(t *testing.T) {
 	a, _ := s.Index(amoebot.XZ(1, 0))
 	b, _ := s.Index(amoebot.XZ(6, 1))
 	var clock sim.Clock
-	f := Forest(&clock, r, []int32{a, b}, allNodes(s), a)
+	f := ForestEnv(testEnv(), &clock, r, []int32{a, b}, allNodes(s), a, ScheduleCentroid)
 	if err := verify.Forest(s, []int32{a, b}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestForestManySourcesSameRegion(t *testing.T) {
 		sources = append(sources, u)
 	}
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, allNodes(s), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}

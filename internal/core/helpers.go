@@ -1,18 +1,21 @@
 // Package core implements the two algorithms of Padalkin & Scheideler
 // (PODC 2024) and their subroutines:
 //
-//   - SPT: the shortest path tree algorithm for a single source
+//   - SPTEnv: the shortest path tree algorithm for a single source
 //     (§4, Theorem 39; O(log ℓ) rounds),
-//   - LineForest: the line algorithm (§5.1, Lemma 40),
-//   - Merge: the forest merging algorithm (§5.2, Lemma 42),
-//   - Propagate: the propagation algorithm across a portal (§5.3, Lemma 50),
-//   - Forest: the divide-and-conquer shortest path forest algorithm
+//   - LineForestEnv: the line algorithm (§5.1, Lemma 40),
+//   - MergeEnv: the forest merging algorithm (§5.2, Lemma 42),
+//   - PropagateEnv: the propagation algorithm across a portal (§5.3,
+//     Lemma 50),
+//   - ForestEnv: the divide-and-conquer shortest path forest algorithm
 //     (§5.4, Theorem 56 / Corollary 57; O(log n log² k) rounds),
-//   - ForestSequential: the naive sequential-merge approach the paper
+//   - ForestSequentialEnv: the naive sequential-merge approach the paper
 //     mentions as the O(k log n) baseline (§5 introduction).
 //
 // All algorithms operate on a Region (sub-structure) and account their
-// synchronous rounds on a sim.Clock exactly as the paper's lemmas do.
+// synchronous rounds on a sim.Clock exactly as the paper's lemmas do. Each
+// takes an *Env — the execution environment (parallel executor, scratch
+// arena, portal memo, wave counters); a nil Env runs serially.
 package core
 
 import (
@@ -21,7 +24,6 @@ import (
 	"spforest/amoebot"
 	"spforest/internal/dense"
 	"spforest/internal/ett"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 	"spforest/internal/treeprim"
 )
@@ -91,23 +93,13 @@ func forestTree(f *amoebot.Forest, members []int32, ar *dense.Arena) (*ett.Tree,
 	return ett.MustTree(nbrs), toLocal
 }
 
-// forestPASC builds a multi-root tree-distance PASC over all members of f:
-// slot i corresponds to members[i]; roots are the forest roots. Each
-// member's streamed value is its tree depth = dist(S, ·). The caller
-// releases the local index with ar.PutIndex and the run with
-// run.Release(ar); both draw their state (the parent column and the PASC
-// comparator columns) from the arena, so the per-level merge cascade of a
-// forest query recycles one set of backing arrays.
-func forestPASC(f *amoebot.Forest, members []int32, ar *dense.Arena) (*pasc.Run, *dense.Index) {
-	parent, toLocal := forestLaneParent(f, members, ar)
-	defer ar.PutInt32s(parent)
-	return pasc.NewTreeDistanceArena(ar, parent), toLocal
-}
-
 // forestLaneParent builds the local parent column of f over its members:
-// the lane spec a packed wave execution stages (forestPASC feeds the same
-// column to a solo run). The caller releases the column with ar.PutInt32s
-// (after Seal, for packed lanes) and the index with ar.PutIndex.
+// the lane spec of a multi-root tree-distance PASC wave, where slot i is
+// members[i], the roots are the forest roots, and each member's streamed
+// value is its tree depth = dist(S, ·). The caller releases the column with
+// ar.PutInt32s (after Seal) and the index with ar.PutIndex; both draw from
+// the arena, so the per-level merge cascade of a forest query recycles one
+// set of backing arrays.
 func forestLaneParent(f *amoebot.Forest, members []int32, ar *dense.Arena) ([]int32, *dense.Index) {
 	toLocal := ar.Index(f.Structure().N())
 	for li, g := range members {

@@ -3,13 +3,11 @@ package core
 import (
 	"spforest/amoebot"
 	"spforest/internal/bitstream"
-	"spforest/internal/dense"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
 
-// LineForest computes an S-shortest path forest for a chain of amoebots
+// LineForestEnv computes an S-shortest path forest for a chain of amoebots
 // (§5.1, Lemma 40): the PASC algorithm runs from every source into both
 // directions up to the next source (two joint PASC executions, one per
 // direction, 4 links per edge); every amoebot compares its two streamed
@@ -18,26 +16,14 @@ import (
 //
 // chain lists the amoebot node ids in chain order; sources must be a subset
 // of the chain. Runs in O(log n) rounds.
-func LineForest(clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
-	return LineForestArena(dense.Shared, clock, s, chain, sources)
-}
-
-// LineForestArena is LineForest drawing its index-space scratch from the
-// arena.
-func LineForestArena(ar *dense.Arena, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
-	return LineForestEnv(envArena(ar), clock, s, chain, sources)
-}
-
-// LineForestEnv is LineForest under an execution environment: the
-// per-amoebot comparator feeds of each PASC iteration and the final parent
-// sweep fan out over index chunks (each slot owns its comparator and its
-// forest entry, so chunks write disjoint state). All per-slot scratch —
-// flag columns, direction parent columns, comparator states — draws from
-// the arena, so a stream of line queries runs allocation-free here.
 //
-// With wave lanes enabled (Env.Lanes() ≥ 2, the default) the east and west
-// runs execute as two lanes of one packed wave execution (DESIGN.md §10)
-// instead of two pasc.Runs; bits and clock charge are identical.
+// The east and west runs execute as two lanes of one packed wave execution
+// (DESIGN.md §10). The per-amoebot comparator feeds of each PASC iteration
+// and the final parent sweep fan out over index chunks (each slot owns its
+// comparator and its forest entry, so chunks write disjoint state). All
+// per-slot scratch — flag columns, direction parent columns, comparator
+// states, the packed wave columns — draws from the arena, so a stream of
+// line queries runs allocation-free here.
 func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
 	ar := env.Arena()
 	n := len(chain)
@@ -123,30 +109,17 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 			}
 		})
 	}
-	if env.Lanes() >= 2 {
-		p := wave.NewPacked(ar, env.Waves())
-		p.AddLane(parentE, nil)
-		p.AddLane(parentW, nil)
-		p.Seal()
-		ar.PutInt32s(parentE)
-		ar.PutInt32s(parentW)
-		for !p.AllDone() {
-			p.StepRound(clock)
-			feed(p.Bits(0), p.Bits(1))
-		}
-		p.Release()
-	} else {
-		east := pasc.NewTreeDistanceArena(ar, parentE)
-		west := pasc.NewTreeDistanceArena(ar, parentW)
-		ar.PutInt32s(parentE)
-		ar.PutInt32s(parentW)
-		for !pasc.AllDone(east, west) {
-			bits := pasc.StepRound(clock, east, west)
-			feed(bits[0], bits[1])
-		}
-		east.Release(ar)
-		west.Release(ar)
+	p := wave.NewPacked(ar, env.Waves())
+	p.AddLane(parentE, nil)
+	p.AddLane(parentW, nil)
+	p.Seal()
+	ar.PutInt32s(parentE)
+	ar.PutInt32s(parentW)
+	for !p.AllDone() {
+		p.StepRound(clock)
+		feed(p.Bits(0), p.Bits(1))
 	}
+	p.Release()
 	ex.Range(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := chain[i]

@@ -8,7 +8,6 @@ import (
 	"spforest/internal/par"
 	"spforest/internal/shapes"
 	"spforest/internal/sim"
-	"spforest/internal/wave"
 )
 
 func lineFixture(n int) (chain, srcs []int32) {
@@ -37,7 +36,7 @@ func TestLaneLineForestScratchRecycled(t *testing.T) {
 	const n = 1 << 13
 	s := shapes.Line(n)
 	chain, srcs := lineFixture(n)
-	env := (&Env{ex: par.New(1, dense.NewArena())}).WithWaves(wave.MaxLanes, nil)
+	env := NewEnv(par.New(1, dense.NewArena()), nil)
 	var warm sim.Clock
 	LineForestEnv(env, &warm, s, chain, srcs)
 	res := testing.Benchmark(func(b *testing.B) {
@@ -54,20 +53,18 @@ func TestLaneLineForestScratchRecycled(t *testing.T) {
 
 func BenchmarkLineForestEnv(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14} {
-		for _, lanes := range []int{1, wave.MaxLanes} {
-			b.Run(fmt.Sprintf("n=%d/lanes=%d", n, lanes), func(b *testing.B) {
-				s := shapes.Line(n)
-				chain, srcs := lineFixture(n)
-				env := (&Env{ex: par.New(1, dense.NewArena())}).WithWaves(lanes, nil)
-				var warm sim.Clock
-				LineForestEnv(env, &warm, s, chain, srcs)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var clock sim.Clock
-					LineForestEnv(env, &clock, s, chain, srcs)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := shapes.Line(n)
+			chain, srcs := lineFixture(n)
+			env := NewEnv(par.New(1, dense.NewArena()), nil)
+			var warm sim.Clock
+			LineForestEnv(env, &warm, s, chain, srcs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var clock sim.Clock
+				LineForestEnv(env, &clock, s, chain, srcs)
+			}
+		})
 	}
 }

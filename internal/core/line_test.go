@@ -22,7 +22,7 @@ func chainOf(s *amoebot.Structure) []int32 {
 func TestLineForestTwoSources(t *testing.T) {
 	s := shapes.Line(9)
 	var clock sim.Clock
-	f := LineForest(&clock, s, chainOf(s), []int32{0, 8})
+	f := LineForestEnv(testEnv(), &clock, s, chainOf(s), []int32{0, 8})
 	if err := verify.Forest(s, []int32{0, 8}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestLineForestTwoSources(t *testing.T) {
 func TestLineForestEndsWithoutSources(t *testing.T) {
 	s := shapes.Line(10)
 	var clock sim.Clock
-	f := LineForest(&clock, s, chainOf(s), []int32{4})
+	f := LineForestEnv(testEnv(), &clock, s, chainOf(s), []int32{4})
 	if err := verify.Forest(s, []int32{4}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLineForestRandom(t *testing.T) {
 		k := 1 + rng.Intn(n)
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := LineForest(&clock, s, chainOf(s), sources)
+		f := LineForestEnv(testEnv(), &clock, s, chainOf(s), sources)
 		if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 			t.Fatalf("trial %d (n=%d k=%d): %v", trial, n, k, err)
 		}
@@ -65,7 +65,7 @@ func TestLineForestRoundBound(t *testing.T) {
 	n := 1 << 10
 	s := shapes.Line(n)
 	var clock sim.Clock
-	f := LineForest(&clock, s, chainOf(s), []int32{0})
+	f := LineForestEnv(testEnv(), &clock, s, chainOf(s), []int32{0})
 	if err := verify.Forest(s, []int32{0}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLineForestRoundBound(t *testing.T) {
 func TestLineForestAllSources(t *testing.T) {
 	s := shapes.Line(5)
 	var clock sim.Clock
-	f := LineForest(&clock, s, chainOf(s), chainOf(s))
+	f := LineForestEnv(testEnv(), &clock, s, chainOf(s), chainOf(s))
 	for i := int32(0); i < 5; i++ {
 		if f.Parent(i) != amoebot.None || !f.Member(i) {
 			t.Fatal("all-sources line must be all roots")
@@ -97,9 +97,9 @@ func TestMergeTwoSingleSourceForests(t *testing.T) {
 			continue
 		}
 		var clock sim.Clock
-		f1 := SPT(&clock, r, s1, allNodes(s))
-		f2 := SPT(&clock, r, s2, allNodes(s))
-		merged := Merge(&clock, f1, f2)
+		f1 := SPTEnv(testEnv(), &clock, r, s1, allNodes(s))
+		f2 := SPTEnv(testEnv(), &clock, r, s2, allNodes(s))
+		merged := MergeEnv(testEnv(), &clock, f1, f2)
 		if err := verify.Forest(s, []int32{s1, s2}, allNodes(s), merged); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -110,13 +110,13 @@ func TestMergeWithEmptyForest(t *testing.T) {
 	s := shapes.Line(6)
 	r := amoebot.WholeRegion(s)
 	var clock sim.Clock
-	f1 := SPT(&clock, r, 0, allNodes(s))
+	f1 := SPTEnv(testEnv(), &clock, r, 0, allNodes(s))
 	empty := amoebot.NewForest(s)
-	m := Merge(&clock, f1, empty)
+	m := MergeEnv(testEnv(), &clock, f1, empty)
 	if err := verify.Forest(s, []int32{0}, allNodes(s), m); err != nil {
 		t.Fatal(err)
 	}
-	m2 := Merge(&clock, empty, f1)
+	m2 := MergeEnv(testEnv(), &clock, empty, f1)
 	if err := verify.Forest(s, []int32{0}, allNodes(s), m2); err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +130,10 @@ func TestMergeIsIncremental(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	sources := shapes.RandomSubset(rng, s, 5)
 	var clock sim.Clock
-	acc := SPT(&clock, r, sources[0], allNodes(s))
+	acc := SPTEnv(testEnv(), &clock, r, sources[0], allNodes(s))
 	for _, src := range sources[1:] {
-		next := SPT(&clock, r, src, allNodes(s))
-		acc = Merge(&clock, acc, next)
+		next := SPTEnv(testEnv(), &clock, r, src, allNodes(s))
+		acc = MergeEnv(testEnv(), &clock, acc, next)
 	}
 	if err := verify.Forest(s, sources, allNodes(s), acc); err != nil {
 		t.Fatal(err)
@@ -146,10 +146,10 @@ func TestMergeRoundsLogarithmic(t *testing.T) {
 	var build sim.Clock
 	a, _ := s.Index(amoebot.XZ(0, 0))
 	b, _ := s.Index(amoebot.XZ(63, 7))
-	f1 := SPT(&build, r, a, allNodes(s))
-	f2 := SPT(&build, r, b, allNodes(s))
+	f1 := SPTEnv(testEnv(), &build, r, a, allNodes(s))
+	f2 := SPTEnv(testEnv(), &build, r, b, allNodes(s))
 	var clock sim.Clock
-	Merge(&clock, f1, f2)
+	MergeEnv(testEnv(), &clock, f1, f2)
 	// Depth ≤ 70: the joint PASC needs ⌊log₂70⌋+1 = 7 iterations → 14 rounds.
 	if clock.Rounds() > 14 {
 		t.Fatalf("merge rounds = %d", clock.Rounds())

@@ -5,13 +5,12 @@ import (
 	"spforest/internal/bitstream"
 	"spforest/internal/dense"
 	"spforest/internal/par"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
 
-// Merge merges an S1-shortest path forest and an S2-shortest path forest
-// into an (S1∪S2)-shortest path forest (§5.2, Lemma 42): tree-PASC
+// MergeEnv merges an S1-shortest path forest and an S2-shortest path
+// forest into an (S1∪S2)-shortest path forest (§5.2, Lemma 42): tree-PASC
 // executions on both forests stream every amoebot's dist(S1,·) and
 // dist(S2,·); each amoebot compares them with an O(1)-state comparator and
 // keeps the parent of the nearer side (Lemma 41; ties towards f1).
@@ -19,66 +18,30 @@ import (
 // Amoebots covered by only one forest keep that forest's parent; the merge
 // is meaningful when every relevant amoebot is covered by at least one
 // side. Runs in O(log n) rounds; 4 links per edge (2 per forest).
-func Merge(clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Forest {
-	return MergeArena(dense.Shared, clock, f1, f2)
-}
-
-// MergeArena is Merge drawing its index-space scratch from the arena.
-func MergeArena(ar *dense.Arena, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Forest {
-	return MergeEnv(envArena(ar), clock, f1, f2)
-}
-
-// MergeEnv is Merge under an execution environment: the per-amoebot
-// comparator feeds of each joint PASC iteration fan out over index chunks
-// (every doubly-covered amoebot owns its comparator slot, so chunks write
-// disjoint state and the outcome is identical at every worker count).
 //
-// With wave lanes enabled (Env.Lanes() ≥ 2, the default) the two tree-PASC
-// waves run as lanes of one packed execution (DESIGN.md §10) instead of two
-// pasc.Runs: same bits, same clock charge, one fused column sweep per joint
-// iteration.
+// The two tree-PASC waves run as the two lanes of one packed execution
+// (DESIGN.md §10), and the per-amoebot comparator feeds of each joint
+// iteration fan out over index chunks (every doubly-covered amoebot owns
+// its comparator slot, so chunks write disjoint state and the outcome is
+// identical at every worker count). It is MergeManyEnv over one pair.
 func MergeEnv(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Forest {
-	if f2.Structure() != f1.Structure() {
-		panic("core: merging forests of different structures")
-	}
-	if len(f1.Members()) == 0 {
-		return f2.Clone()
-	}
-	if len(f2.Members()) == 0 {
-		return f1.Clone()
-	}
-	ar := env.Arena()
-	mc := newMergeCmps(f1, f2, ar)
-	defer mc.release(ar)
-	if env.Lanes() >= 2 {
-		mergeFeedPacked(env, clock, f1, f2, mc)
-	} else {
-		mergeFeedUnpacked(env, clock, f1, f2, mc)
-	}
-	return mc.assemble(f1, f2)
+	return MergeManyEnv(env, []*sim.Clock{clock}, [][2]*amoebot.Forest{{f1, f2}})[0]
 }
 
 // MergeManyEnv merges independent forest pairs — no forest appearing in two
-// pairs — as lanes of shared tree-PASC executions: up to Lanes()/2 pairs
-// per packed pass, pair i advancing on clocks[i] and charged exactly what
-// its solo MergeEnv loop would have charged (a pair whose two waves have
-// terminated is skipped by later joint iterations, exactly as its solo loop
+// pairs — as lanes of shared tree-PASC executions: up to wave.MaxLanes/2
+// pairs per packed pass, pair i advancing on clocks[i] and charged exactly
+// what merging that pair alone charges (a pair whose two waves have
+// terminated is skipped by later joint iterations, exactly as its own loop
 // would have exited). Forests and per-clock accounting are bit-identical to
-// calling MergeEnv per pair; with lane packing disabled (Lanes() < 2) that
-// per-pair loop IS the execution.
+// calling MergeEnv per pair.
 func MergeManyEnv(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest) []*amoebot.Forest {
 	if len(clocks) != len(pairs) {
 		panic("core: MergeManyEnv clock count mismatch")
 	}
 	out := make([]*amoebot.Forest, len(pairs))
-	if env.Lanes() < 2 {
-		for i, pr := range pairs {
-			out[i] = MergeEnv(env, clocks[i], pr[0], pr[1])
-		}
-		return out
-	}
 	// Trivial pairs (an empty side) resolve to clones without lanes or
-	// clock charge, like their MergeEnv fast path; live pairs pack.
+	// clock charge; live pairs pack.
 	var live []int
 	for i, pr := range pairs {
 		switch {
@@ -92,7 +55,7 @@ func MergeManyEnv(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest) []*
 			live = append(live, i)
 		}
 	}
-	perPass := env.Lanes() / 2
+	const perPass = wave.MaxLanes / 2
 	for lo := 0; lo < len(live); lo += perPass {
 		hi := lo + perPass
 		if hi > len(live) {
@@ -128,9 +91,9 @@ func mergePackedPairs(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest,
 	ex := env.Exec()
 	liveBefore := make([]bool, len(idxs))
 	for !p.AllDone() {
-		// A pair already done has exited its solo loop: no step, no feed. A
-		// pair finishing in this very iteration still feeds — the solo loop
-		// also consumes the bits of its final StepRound.
+		// A pair already done has exited its own loop: no step, no feed. A
+		// pair finishing in this very iteration still feeds — its own loop
+		// also consumes the bits of its final iteration.
 		for k := range idxs {
 			liveBefore[k] = !p.PairDone(k)
 		}
@@ -147,45 +110,6 @@ func mergePackedPairs(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest,
 		mcs[k].release(ar)
 		ar.PutIndex(locals[2*k])
 		ar.PutIndex(locals[2*k+1])
-	}
-}
-
-// mergeFeedPacked advances the two tree-PASC waves as lanes of one packed
-// execution, feeding the comparators each joint iteration.
-func mergeFeedPacked(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest, mc *mergeCmps) {
-	ar := env.Arena()
-	p := wave.NewPacked(ar, env.Waves())
-	parent1, local1 := forestLaneParent(f1, f1.Members(), ar)
-	defer ar.PutIndex(local1)
-	parent2, local2 := forestLaneParent(f2, f2.Members(), ar)
-	defer ar.PutIndex(local2)
-	p.AddLane(parent1, nil)
-	p.AddLane(parent2, nil)
-	p.Seal()
-	ar.PutInt32s(parent1)
-	ar.PutInt32s(parent2)
-	defer p.Release()
-	ex := env.Exec()
-	for !p.AllDone() {
-		p.StepRound(clock)
-		mc.feed(ex, local1, local2, p.Bits(0), p.Bits(1))
-	}
-}
-
-// mergeFeedUnpacked is the per-wave reference path (Lanes() < 2): two
-// pasc.Runs stepped jointly, exactly the pre-lane execution.
-func mergeFeedUnpacked(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest, mc *mergeCmps) {
-	ar := env.Arena()
-	run1, local1 := forestPASC(f1, f1.Members(), ar)
-	defer ar.PutIndex(local1)
-	defer run1.Release(ar)
-	run2, local2 := forestPASC(f2, f2.Members(), ar)
-	defer ar.PutIndex(local2)
-	defer run2.Release(ar)
-	ex := env.Exec()
-	for !pasc.AllDone(run1, run2) {
-		bits := pasc.StepRound(clock, run1, run2)
-		mc.feed(ex, local1, local2, bits[0], bits[1])
 	}
 }
 

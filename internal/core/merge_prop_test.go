@@ -6,7 +6,6 @@ import (
 
 	"spforest/amoebot"
 	"spforest/internal/baseline"
-	"spforest/internal/dense"
 	"spforest/internal/shapes"
 	"spforest/internal/sim"
 	"spforest/internal/verify"
@@ -19,7 +18,7 @@ func buildSPT(t *testing.T, s *amoebot.Structure, src int32) *amoebot.Forest {
 	t.Helper()
 	var clock sim.Clock
 	r := amoebot.WholeRegion(s)
-	return SPT(&clock, r, src, r.Nodes())
+	return SPTEnv(testEnv(), &clock, r, src, r.Nodes())
 }
 
 // TestMergeDepthsSymmetric: Merge(f1,f2) and Merge(f2,f1) may pick
@@ -36,8 +35,8 @@ func TestMergeDepthsSymmetric(t *testing.T) {
 		f1 := buildSPT(t, s, a)
 		f2 := buildSPT(t, s, b)
 		var c1, c2 sim.Clock
-		m12 := Merge(&c1, f1, f2)
-		m21 := Merge(&c2, f2, f1)
+		m12 := MergeEnv(testEnv(), &c1, f1, f2)
+		m21 := MergeEnv(testEnv(), &c2, f2, f1)
 		for i := int32(0); i < int32(s.N()); i++ {
 			if m12.Depth(i) != m21.Depth(i) {
 				t.Fatalf("trial %d: depth asymmetry at node %d: %d vs %d",
@@ -63,8 +62,8 @@ func TestMergeAssociativeDepths(t *testing.T) {
 		a, b, c := int32(perm[0]), int32(perm[1]), int32(perm[2])
 		f1, f2, f3 := buildSPT(t, s, a), buildSPT(t, s, b), buildSPT(t, s, c)
 		var cl sim.Clock
-		left := Merge(&cl, Merge(&cl, f1, f2), f3)
-		right := Merge(&cl, f1, Merge(&cl, f2, f3))
+		left := MergeEnv(testEnv(), &cl, MergeEnv(testEnv(), &cl, f1, f2), f3)
+		right := MergeEnv(testEnv(), &cl, f1, MergeEnv(testEnv(), &cl, f2, f3))
 		for i := int32(0); i < int32(s.N()); i++ {
 			if left.Depth(i) != right.Depth(i) {
 				t.Fatalf("trial %d: associativity broken at node %d", trial, i)
@@ -81,7 +80,7 @@ func TestMergeIdempotent(t *testing.T) {
 	s := shapes.Hexagon(4)
 	f := buildSPT(t, s, 0)
 	var clock sim.Clock
-	m := Merge(&clock, f, f.Clone())
+	m := MergeEnv(testEnv(), &clock, f, f.Clone())
 	for i := int32(0); i < int32(s.N()); i++ {
 		if m.Depth(i) != f.Depth(i) {
 			t.Fatalf("self-merge changed depth at %d", i)
@@ -100,8 +99,8 @@ func TestMergeAgainstExact(t *testing.T) {
 			continue
 		}
 		var clock sim.Clock
-		m := Merge(&clock, buildSPT(t, s, a), buildSPT(t, s, b))
-		dist, _ := baseline.Exact(amoebot.WholeRegion(s), []int32{a, b})
+		m := MergeEnv(testEnv(), &clock, buildSPT(t, s, a), buildSPT(t, s, b))
+		dist, _ := baseline.ExactExec(nil, amoebot.WholeRegion(s), []int32{a, b})
 		for i := int32(0); i < int32(s.N()); i++ {
 			if int32(m.Depth(i)) != dist[i] {
 				t.Fatalf("trial %d: node %d depth %d, exact %d", trial, i, m.Depth(i), dist[i])
@@ -115,10 +114,10 @@ func TestMergeAgainstExact(t *testing.T) {
 func TestPruneAfterMergeKeepsSources(t *testing.T) {
 	s := shapes.Line(10)
 	var clock sim.Clock
-	m := Merge(&clock, buildSPT(t, s, 0), buildSPT(t, s, 9))
+	m := MergeEnv(testEnv(), &clock, buildSPT(t, s, 0), buildSPT(t, s, 9))
 	// The only destination sits next to source 0; source 9's tree is
 	// pruned to the bare root.
-	pruned := pruneToDestinations(envArena(dense.Shared), &clock, m, []int32{0, 9}, []int32{1})
+	pruned := pruneToDestinations(testEnv(), &clock, m, []int32{0, 9}, []int32{1})
 	if err := verify.Forest(s, []int32{0, 9}, []int32{1}, pruned); err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,16 @@ import (
 	"spforest/amoebot"
 	"spforest/internal/bitstream"
 	"spforest/internal/dense"
-	"spforest/internal/pasc"
 	"spforest/internal/portal"
 	"spforest/internal/sim"
+	"spforest/internal/wave"
 )
 
-// Propagate extends an S-shortest path forest f covering A ∪ P to the whole
-// region A ∪ P ∪ B (§5.3, Lemma 50). P is an x-portal of the region given
-// by its nodes; B is the union of the region's components on the given side
-// of P (SideA = north). S ⊆ A ∪ P must hold, which is the case whenever f
-// is an (S∩(A∪P))-forest of A∪P.
+// PropagateEnv extends an S-shortest path forest f covering A ∪ P to the
+// whole region A ∪ P ∪ B (§5.3, Lemma 50). P is an x-portal of the region
+// given by its nodes; B is the union of the region's components on the
+// given side of P (SideA = north). S ⊆ A ∪ P must hold, which is the case
+// whenever f is an (S∩(A∪P))-forest of A∪P.
 //
 // Phase 1 handles the visibility region B' = B ∩ vis(P): amoebots visible
 // along exactly one of the y/z-portals through P adopt the neighbor towards
@@ -27,22 +27,12 @@ import (
 // shortest path tree algorithm inside Z (Lemmas 48/49).
 //
 // Runs in O(log n) rounds. An empty forest propagates to an empty forest.
-func Propagate(clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
-	return PropagateArena(dense.Shared, clock, region, pnodes, f, into)
-}
-
-// PropagateArena is Propagate drawing its index-space scratch from the
-// arena.
-func PropagateArena(ar *dense.Arena, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
-	return PropagateEnv(envArena(ar), clock, region, pnodes, f, into)
-}
-
-// PropagateEnv is Propagate under an execution environment: the two
-// visibility decompositions (y- and z-portals of P ∪ B) compute
+//
+// The two visibility decompositions (y- and z-portals of P ∪ B) compute
 // concurrently, the per-probe comparator feeds of each PASC iteration fan
 // out over index chunks, and the phase-2 invisible components — disjoint
-// sub-regions by construction — run on worker goroutines with their
-// branch clocks joined in component order.
+// sub-regions by construction — run on worker goroutines with their branch
+// clocks joined in component order.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	ar := env.Arena()
 	s := region.Structure()
@@ -124,8 +114,15 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
 	// on the portal circuits in the same cadence).
 	if len(bothVisible) > 0 {
-		members := f.Members()
-		run, toLocal := forestPASC(f, members, ar)
+		// One tree-distance wave over all members of f: slot i is members[i],
+		// the roots are the forest roots, so each member streams its tree
+		// depth = dist(S, ·). The wave is a single lane; it is not a shared
+		// pass, so it reports no wave-sharing counters.
+		parent, toLocal := forestLaneParent(f, f.Members(), ar)
+		run := wave.NewPacked(ar, nil)
+		run.AddLane(parent, nil)
+		run.Seal()
+		ar.PutInt32s(parent)
 		type probe struct {
 			u            int32
 			projY, projZ int32
@@ -142,8 +139,9 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 			probes = append(probes, probe{u: u, projY: py, projZ: pz})
 		}
 		ex := env.Exec()
-		for !run.Done() {
-			bits := pasc.StepRound(clock, run)[0]
+		for !run.Done(0) {
+			run.StepRound(clock)
+			bits := run.Bits(0)
 			ex.Range(len(probes), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					pr := &probes[i]
@@ -152,7 +150,7 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 			})
 		}
 		ar.PutIndex(toLocal)
-		run.Release(ar)
+		run.Release()
 		ex.Range(len(probes), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				pr := &probes[i]

@@ -55,7 +55,7 @@ func propagateSetup(t *testing.T, rng *rand.Rand, s *amoebot.Structure, portalId
 		sources = append(sources, nodes[perm[i]])
 	}
 	var clock sim.Clock
-	f = baseline.BFSForest(&clock, ap, sources)
+	f = baseline.BFSForestExec(nil, &clock, ap, sources)
 	return region, pnodes, sources, f, true
 }
 
@@ -67,7 +67,7 @@ func TestPropagateParallelogramSouth(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	var clock sim.Clock
-	out := Propagate(&clock, region, pnodes, f, amoebot.SideB)
+	out := PropagateEnv(testEnv(), &clock, region, pnodes, f, amoebot.SideB)
 	if err := verify.Forest(s, sources, allNodes(s), out); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPropagateBothSides(t *testing.T) {
 			t.Fatalf("setup failed for side %d", into)
 		}
 		var clock sim.Clock
-		out := Propagate(&clock, region, pnodes, f, into)
+		out := PropagateEnv(testEnv(), &clock, region, pnodes, f, into)
 		if err := verify.Forest(s, sources, allNodes(s), out); err != nil {
 			t.Fatalf("side %d: %v", into, err)
 		}
@@ -105,8 +105,8 @@ func TestPropagateCombNeedsPhase2(t *testing.T) {
 	pnodes := ports.NodesOf(spine)
 	sources := []int32{pnodes[0], pnodes[len(pnodes)-1]}
 	var clock sim.Clock
-	f := baseline.BFSForest(&clock, amoebot.NewRegion(s, pnodes), sources)
-	out := Propagate(&clock, region, pnodes, f, amoebot.SideB)
+	f := baseline.BFSForestExec(nil, &clock, amoebot.NewRegion(s, pnodes), sources)
+	out := PropagateEnv(testEnv(), &clock, region, pnodes, f, amoebot.SideB)
 	if err := verify.Forest(s, sources, allNodes(s), out); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPropagateRandomBlobs(t *testing.T) {
 		}
 		trials++
 		var clock sim.Clock
-		out := Propagate(&clock, region, pnodes, f, side)
+		out := PropagateEnv(testEnv(), &clock, region, pnodes, f, side)
 		if err := verify.Forest(s, sources, allNodes(s), out); err != nil {
 			t.Fatalf("trial %d (n=%d, |P|=%d, side=%d): %v",
 				trials, s.N(), len(pnodes), side, err)
@@ -139,7 +139,7 @@ func TestPropagateEmptyForest(t *testing.T) {
 	ports := portal.Compute(region, amoebot.AxisX)
 	empty := amoebot.NewForest(s)
 	var clock sim.Clock
-	out := Propagate(&clock, region, ports.NodesOf(0), empty, amoebot.SideB)
+	out := PropagateEnv(testEnv(), &clock, region, ports.NodesOf(0), empty, amoebot.SideB)
 	if out.Size() != 0 {
 		t.Fatal("empty forest propagated to a non-empty forest")
 	}

@@ -20,7 +20,7 @@ import (
 func sptRounds(t *testing.T, s *amoebot.Structure, src int32, dests []int32) int64 {
 	t.Helper()
 	var clock sim.Clock
-	f := SPT(&clock, amoebot.WholeRegion(s), src, dests)
+	f := SPTEnv(testEnv(), &clock, amoebot.WholeRegion(s), src, dests)
 	if err := verify.Forest(s, []int32{src}, dests, f); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEnvelopeForestPolylog(t *testing.T) {
 		r := amoebot.WholeRegion(s)
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := Forest(&clock, r, sources, r.Nodes(), sources[0])
+		f := ForestEnv(testEnv(), &clock, r, sources, r.Nodes(), sources[0], ScheduleCentroid)
 		if err := verify.Forest(s, sources, r.Nodes(), f); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestEnvelopeForestIndependentOfDiameter(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := Forest(&clock, amoebot.WholeRegion(s), sources, amoebot.WholeRegion(s).Nodes(), sources[0])
+		f := ForestEnv(testEnv(), &clock, amoebot.WholeRegion(s), sources, amoebot.WholeRegion(s).Nodes(), sources[0], ScheduleCentroid)
 		if err := verify.Forest(s, sources, amoebot.WholeRegion(s).Nodes(), f); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestAblationScheduleCorrect(t *testing.T) {
 		}
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := ForestWithSchedule(&clock, r, sources, r.Nodes(), sources[0], ScheduleTreeDepth)
+		f := ForestEnv(testEnv(), &clock, r, sources, r.Nodes(), sources[0], ScheduleTreeDepth)
 		if err := verify.Forest(s, sources, r.Nodes(), f); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -144,8 +144,8 @@ func TestAblationCentroidScheduleWins(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sources := shapes.RandomSubset(rng, s, 24)
 	var c1, c2 sim.Clock
-	f1 := Forest(&c1, r, sources, r.Nodes(), sources[0])
-	f2 := ForestWithSchedule(&c2, r, sources, r.Nodes(), sources[0], ScheduleTreeDepth)
+	f1 := ForestEnv(testEnv(), &c1, r, sources, r.Nodes(), sources[0], ScheduleCentroid)
+	f2 := ForestEnv(testEnv(), &c2, r, sources, r.Nodes(), sources[0], ScheduleTreeDepth)
 	if err := verify.Forest(s, sources, r.Nodes(), f1); err != nil {
 		t.Fatal(err)
 	}

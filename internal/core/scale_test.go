@@ -21,7 +21,7 @@ func TestScaleSSSP(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	src, _ := s.Index(amoebot.XZ(-128, 0))
 	var clock sim.Clock
-	f := SPT(&clock, r, src, r.Nodes())
+	f := SPTEnv(testEnv(), &clock, r, src, r.Nodes())
 	if err := verify.Forest(s, []int32{src}, r.Nodes(), f); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestScaleForest(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	sources := shapes.RandomSubset(rng, s, 64)
 	var clock sim.Clock
-	f := Forest(&clock, r, sources, r.Nodes(), sources[0])
+	f := ForestEnv(testEnv(), &clock, r, sources, r.Nodes(), sources[0], ScheduleCentroid)
 	if err := verify.Forest(s, sources, r.Nodes(), f); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestScaleSequentialVsDnC(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	sources := shapes.RandomSubset(rng, s, 96)
 	var c1, c2 sim.Clock
-	f1 := Forest(&c1, r, sources, r.Nodes(), sources[0])
-	f2 := ForestSequential(&c2, r, sources, r.Nodes())
+	f1 := ForestEnv(testEnv(), &c1, r, sources, r.Nodes(), sources[0], ScheduleCentroid)
+	f2 := ForestSequentialEnv(testEnv(), &c2, r, sources, r.Nodes())
 	if err := verify.Forest(s, sources, r.Nodes(), f1); err != nil {
 		t.Fatal(err)
 	}

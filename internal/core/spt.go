@@ -2,12 +2,11 @@ package core
 
 import (
 	"spforest/amoebot"
-	"spforest/internal/dense"
 	"spforest/internal/portal"
 	"spforest/internal/sim"
 )
 
-// SPT computes an ({s}, D)-shortest path forest of the region: a single
+// SPTEnv computes an ({s}, D)-shortest path forest of the region: a single
 // tree rooted at the source, containing a shortest path (within the region)
 // to every destination, pruned so that every leaf is a destination
 // (Theorem 39). It runs in O(log ℓ) rounds: three portal root-and-prune
@@ -16,21 +15,12 @@ import (
 //
 // The region must be connected and hole-free, the source and destinations
 // must lie inside it.
-func SPT(clock *sim.Clock, region *amoebot.Region, source int32, dests []int32) *amoebot.Forest {
-	return SPTArena(dense.Shared, clock, region, source, dests)
-}
-
-// SPTArena is SPT drawing its index-space scratch from the arena.
-func SPTArena(ar *dense.Arena, clock *sim.Clock, region *amoebot.Region, source int32, dests []int32) *amoebot.Forest {
-	return SPTEnv(envArena(ar), clock, region, source, dests)
-}
-
-// SPTEnv is SPT under an execution environment: the three per-axis portal
-// decompositions are resolved concurrently (memoized ones through the
-// env's portal source), the per-amoebot parent choice fans out over index
-// chunks, and the final prune runs per tree — all bit-identical to the
-// serial execution (the round accounting below never depends on the host
-// schedule).
+//
+// The three per-axis portal decompositions are resolved concurrently
+// (memoized ones through the env's portal source), the per-amoebot parent
+// choice fans out over index chunks, and the final prune runs per tree —
+// all bit-identical to the serial execution (the round accounting below
+// never depends on the host schedule). It is SPTManyEnv over one source.
 func SPTEnv(env *Env, clock *sim.Clock, region *amoebot.Region, source int32, dests []int32) *amoebot.Forest {
 	return SPTManyEnv(env, []*sim.Clock{clock}, region, []int32{source}, dests)[0]
 }

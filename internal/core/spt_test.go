@@ -23,7 +23,7 @@ func TestSPTSingleDestinationLine(t *testing.T) {
 	s := shapes.Line(8)
 	r := amoebot.WholeRegion(s)
 	var clock sim.Clock
-	f := SPT(&clock, r, 0, []int32{7})
+	f := SPTEnv(testEnv(), &clock, r, 0, []int32{7})
 	if err := verify.Forest(s, []int32{0}, []int32{7}, f); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSPTSSSPHexagon(t *testing.T) {
 	r := amoebot.WholeRegion(s)
 	center, _ := s.Index(amoebot.Coord{})
 	var clock sim.Clock
-	f := SPT(&clock, r, center, allNodes(s))
+	f := SPTEnv(testEnv(), &clock, r, center, allNodes(s))
 	if err := verify.Forest(s, []int32{center}, allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSPTPrunesToDestinations(t *testing.T) {
 	src, _ := s.Index(amoebot.XZ(0, 0))
 	dst, _ := s.Index(amoebot.XZ(9, 0))
 	var clock sim.Clock
-	f := SPT(&clock, r, src, []int32{dst})
+	f := SPTEnv(testEnv(), &clock, r, src, []int32{dst})
 	if err := verify.Forest(s, []int32{src}, []int32{dst}, f); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSPTRandomStructures(t *testing.T) {
 		l := 1 + rng.Intn(8)
 		dests := shapes.RandomSubset(rng, s, l)
 		var clock sim.Clock
-		f := SPT(&clock, r, src, dests)
+		f := SPTEnv(testEnv(), &clock, r, src, dests)
 		if err := verify.Forest(s, []int32{src}, dests, f); err != nil {
 			t.Fatalf("trial %d (n=%d, ℓ=%d, src=%d): %v", trial, s.N(), l, src, err)
 		}
@@ -97,7 +97,7 @@ func TestSPTAllShapes(t *testing.T) {
 		src := int32(rng.Intn(s.N()))
 		dests := shapes.RandomSubset(rng, s, 1+rng.Intn(5))
 		var clock sim.Clock
-		f := SPT(&clock, r, src, dests)
+		f := SPTEnv(testEnv(), &clock, r, src, dests)
 		if err := verify.Forest(s, []int32{src}, dests, f); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -123,7 +123,7 @@ func TestSPTWithinSubRegion(t *testing.T) {
 	src, _ := s.Index(amoebot.XZ(6, 0))
 	dst, _ := s.Index(amoebot.XZ(6, 4))
 	var clock sim.Clock
-	f := SPT(&clock, region, src, []int32{dst})
+	f := SPTEnv(testEnv(), &clock, region, src, []int32{dst})
 	if err := verify.ForestInRegion(region, []int32{src}, []int32{dst}, f); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSPTConstantRoundsSPSP(t *testing.T) {
 		var clock sim.Clock
 		a, _ := s.Index(amoebot.XZ(-4, 0))
 		b, _ := s.Index(amoebot.XZ(4, 0))
-		SPT(&clock, r, a, []int32{b})
+		SPTEnv(testEnv(), &clock, r, a, []int32{b})
 		small = clock.Rounds()
 	}
 	{
@@ -152,7 +152,7 @@ func TestSPTConstantRoundsSPSP(t *testing.T) {
 		var clock sim.Clock
 		a, _ := s.Index(amoebot.XZ(-24, 0))
 		b, _ := s.Index(amoebot.XZ(24, 0))
-		SPT(&clock, r, a, []int32{b})
+		SPTEnv(testEnv(), &clock, r, a, []int32{b})
 		large = clock.Rounds()
 	}
 	if small != large {
@@ -168,7 +168,7 @@ func TestSPTRoundsLogScaling(t *testing.T) {
 	src := int32(0)
 	r1 := func(l int) int64 {
 		var clock sim.Clock
-		SPT(&clock, r, src, shapes.RandomSubset(rng, s, l))
+		SPTEnv(testEnv(), &clock, r, src, shapes.RandomSubset(rng, s, l))
 		return clock.Rounds()
 	}
 	r16, r256 := r1(16), r1(256)
@@ -183,11 +183,11 @@ func TestSPTBeatsBFSOnLargeDiameter(t *testing.T) {
 	src, _ := s.Index(amoebot.XZ(0, 30))  // tip of the first tooth
 	dst, _ := s.Index(amoebot.XZ(22, 30)) // tip of the last tooth
 	var sptClock, bfsClock sim.Clock
-	f := SPT(&sptClock, r, src, []int32{dst})
+	f := SPTEnv(testEnv(), &sptClock, r, src, []int32{dst})
 	if err := verify.Forest(s, []int32{src}, []int32{dst}, f); err != nil {
 		t.Fatal(err)
 	}
-	baseline.BFSForest(&bfsClock, r, []int32{src})
+	baseline.BFSForestExec(nil, &bfsClock, r, []int32{src})
 	if sptClock.Rounds() >= bfsClock.Rounds() {
 		t.Fatalf("SPT (%d rounds) did not beat BFS (%d rounds) on a long comb",
 			sptClock.Rounds(), bfsClock.Rounds())

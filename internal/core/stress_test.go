@@ -51,7 +51,7 @@ func TestForestStress(t *testing.T) {
 			dests = shapes.RandomSubset(rng, s, l)
 		}
 		var clock sim.Clock
-		f := Forest(&clock, r, sources, dests, sources[rng.Intn(len(sources))])
+		f := ForestEnv(testEnv(), &clock, r, sources, dests, sources[rng.Intn(len(sources))], ScheduleCentroid)
 		if err := verify.Forest(s, sources, dests, f); err != nil {
 			t.Fatalf("trial %d (n=%d, k=%d, ℓ=%d, sources=%v): %v",
 				trial, s.N(), k, len(dests), sources, err)
@@ -76,7 +76,7 @@ func TestForestStressHighK(t *testing.T) {
 		}
 		sources := shapes.RandomSubset(rng, s, k)
 		var clock sim.Clock
-		f := Forest(&clock, r, sources, allNodes(s), sources[0])
+		f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 		if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 			t.Fatalf("trial %d (n=%d, k=%d): %v", trial, s.N(), k, err)
 		}
@@ -88,7 +88,7 @@ func TestForestAllSourcesEverywhere(t *testing.T) {
 	s := shapes.Hexagon(3)
 	r := amoebot.WholeRegion(s)
 	var clock sim.Clock
-	f := Forest(&clock, r, allNodes(s), allNodes(s), 0)
+	f := ForestEnv(testEnv(), &clock, r, allNodes(s), allNodes(s), 0, ScheduleCentroid)
 	if err := verify.Forest(s, allNodes(s), allNodes(s), f); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestForestPolylogRounds(t *testing.T) {
 			sources = append(sources, u)
 		}
 		var clock sim.Clock
-		f := Forest(&clock, r, sources, allNodes(s), sources[0])
+		f := ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
 		if err := verify.Forest(s, sources, allNodes(s), f); err != nil {
 			t.Fatal(err)
 		}

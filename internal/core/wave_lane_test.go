@@ -11,14 +11,6 @@ import (
 	"spforest/internal/wave"
 )
 
-// laneEnvs returns the per-wave reference environment (lane packing
-// disabled) and a packed environment with fresh counters, both serial so
-// the comparison isolates the lane dimension.
-func laneEnvs() (ref, packed *Env, ctr *wave.Counters) {
-	ctr = &wave.Counters{}
-	return envArena(nil).WithWaves(1, nil), envArena(nil).WithWaves(wave.MaxLanes, ctr), ctr
-}
-
 func sameForest(t *testing.T, label string, want, got *amoebot.Forest) {
 	t.Helper()
 	n := int32(want.Structure().N())
@@ -40,119 +32,65 @@ func sameClock(t *testing.T, label string, want, got *sim.Clock) {
 	}
 }
 
-// TestWaveLaneMergeMatchesUnpacked pins the packed two-lane MergeEnv
-// against the per-wave reference: identical forests, identical accounting.
-func TestWaveLaneMergeMatchesUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
-	for trial := 0; trial < 20; trial++ {
-		s := shapes.RandomBlob(rng, 30+rng.Intn(200))
+// checkMergeManyPerPair merges npairs random forest pairs once through
+// MergeManyEnv under the packed env and once pair by pair through
+// MergeEnv: forests must agree, and every pair's clock must be charged
+// exactly its own merge even when pairs of very different depths share
+// packed passes. With withEmpty, about one pair in eight has an empty side
+// (a trivial pair: cloned, never packed). Returns the number of live pairs.
+func checkMergeManyPerPair(t *testing.T, rng *rand.Rand, label string, npairs, maxN int, withEmpty bool, packed *Env) int {
+	t.Helper()
+	pairs := make([][2]*amoebot.Forest, npairs)
+	refClocks := make([]*sim.Clock, npairs)
+	packedClocks := make([]*sim.Clock, npairs)
+	var want []*amoebot.Forest
+	live := 0
+	for i := range pairs {
+		s := shapes.RandomBlob(rng, 10+rng.Intn(maxN))
 		r := amoebot.WholeRegion(s)
 		srcs := shapes.RandomSubset(rng, s, 2)
-		ref, packed, ctr := laneEnvs()
-		var refClock, packedClock sim.Clock
-		f1r := SPTEnv(ref, &refClock, r, srcs[0], r.Nodes())
-		f2r := SPTEnv(ref, &refClock, r, srcs[1], r.Nodes())
-		mr := MergeEnv(ref, &refClock, f1r, f2r)
-		f1p := SPTEnv(packed, &packedClock, r, srcs[0], r.Nodes())
-		f2p := SPTEnv(packed, &packedClock, r, srcs[1], r.Nodes())
-		mp := MergeEnv(packed, &packedClock, f1p, f2p)
-		label := fmt.Sprintf("trial %d (n=%d)", trial, s.N())
-		sameForest(t, label, mr, mp)
-		sameClock(t, label, &refClock, &packedClock)
-		if ctr.WavesPacked.Load() < 2 {
-			t.Fatalf("%s: merge packed %d waves", label, ctr.WavesPacked.Load())
+		var build sim.Clock
+		pairs[i][0] = SPTEnv(testEnv(), &build, r, srcs[0], r.Nodes())
+		if withEmpty && rng.Intn(8) == 0 {
+			pairs[i][1] = amoebot.NewForest(s) // empty side: trivial pair
+		} else {
+			pairs[i][1] = SPTEnv(testEnv(), &build, r, srcs[1], r.Nodes())
+			live++
 		}
+		refClocks[i] = &sim.Clock{}
+		packedClocks[i] = &sim.Clock{}
+		want = append(want, MergeEnv(testEnv(), refClocks[i], pairs[i][0], pairs[i][1]))
 	}
+	got := MergeManyEnv(packed, packedClocks, pairs)
+	for i := range pairs {
+		l := fmt.Sprintf("%s pair %d/%d", label, i, npairs)
+		sameForest(t, l, want[i], got[i])
+		sameClock(t, l, refClocks[i], packedClocks[i])
+	}
+	return live
 }
 
 // TestWaveLaneMergeManyMatchesPerPair pins MergeManyEnv against per-pair
-// MergeEnv calls: same forests, and every pair's clock charged exactly its
-// solo loop's rounds and beeps even when pairs of very different depths
-// share one packed pass.
+// MergeEnv calls on batches that fit one packed pass.
 func TestWaveLaneMergeManyMatchesPerPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
 	for trial := 0; trial < 10; trial++ {
-		npairs := 1 + rng.Intn(7)
-		pairs := make([][2]*amoebot.Forest, npairs)
-		ref, packed, _ := laneEnvs()
-		refClocks := make([]*sim.Clock, npairs)
-		packedClocks := make([]*sim.Clock, npairs)
-		var want []*amoebot.Forest
-		for i := range pairs {
-			s := shapes.RandomBlob(rng, 10+rng.Intn(120))
-			r := amoebot.WholeRegion(s)
-			srcs := shapes.RandomSubset(rng, s, 2)
-			var build sim.Clock
-			pairs[i][0] = SPTEnv(ref, &build, r, srcs[0], r.Nodes())
-			if rng.Intn(8) == 0 {
-				pairs[i][1] = amoebot.NewForest(s) // empty side: trivial pair
-			} else {
-				pairs[i][1] = SPTEnv(ref, &build, r, srcs[1], r.Nodes())
-			}
-			refClocks[i] = &sim.Clock{}
-			packedClocks[i] = &sim.Clock{}
-			want = append(want, MergeEnv(ref, refClocks[i], pairs[i][0], pairs[i][1]))
-		}
-		got := MergeManyEnv(packed, packedClocks, pairs)
-		for i := range pairs {
-			label := fmt.Sprintf("trial %d pair %d/%d", trial, i, npairs)
-			sameForest(t, label, want[i], got[i])
-			sameClock(t, label, refClocks[i], packedClocks[i])
-		}
+		checkMergeManyPerPair(t, rng, fmt.Sprintf("trial %d", trial), 1+rng.Intn(7), 120, true, testEnv())
 	}
 }
 
-// TestWaveLaneLineForestMatchesUnpacked pins the packed east/west joint
-// execution of the line algorithm against the per-wave reference.
-func TestWaveLaneLineForestMatchesUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(419))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(60)
-		s := shapes.Line(n)
-		chain := make([]int32, n)
-		for i := range chain {
-			chain[i] = int32(i)
-		}
-		k := 1 + rng.Intn(n)
-		srcs := shapes.RandomSubset(rng, s, k)
-		ref, packed, ctr := laneEnvs()
-		var refClock, packedClock sim.Clock
-		fr := LineForestEnv(ref, &refClock, s, chain, srcs)
-		fp := LineForestEnv(packed, &packedClock, s, chain, srcs)
-		label := fmt.Sprintf("trial %d (n=%d, k=%d)", trial, n, k)
-		sameForest(t, label, fr, fp)
-		sameClock(t, label, &refClock, &packedClock)
-		if ctr.WavesPacked.Load() != 2 {
-			t.Fatalf("%s: line packed %d waves", label, ctr.WavesPacked.Load())
-		}
+// TestWaveLaneMergeManyTwoPasses covers the pass boundary: more live pairs
+// than one packed pass carries (wave.MaxLanes/2) split over two passes,
+// each pair still charged exactly its own merge, with both waves of every
+// live pair counted as packed.
+func TestWaveLaneMergeManyTwoPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(433))
+	const npairs = wave.MaxLanes/2 + 8
+	var ctr wave.Counters
+	if live := checkMergeManyPerPair(t, rng, "two passes", npairs, 60, false, testEnv().WithWaves(&ctr)); live != npairs {
+		t.Fatalf("%d live pairs, want %d", live, npairs)
 	}
-}
-
-// TestWaveLaneForestMatchesUnpacked is the end-to-end pin: whole forest
-// queries — base cases, parity-round merge batches, per-level merges, both
-// schedules — produce bit-identical forests and accounting with lane
-// packing on and off.
-func TestWaveLaneForestMatchesUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(421))
-	for _, sched := range []Schedule{ScheduleCentroid, ScheduleTreeDepth} {
-		for trial := 0; trial < 15; trial++ {
-			s := shapes.RandomBlob(rng, 40+rng.Intn(250))
-			r := amoebot.WholeRegion(s)
-			k := 2 + rng.Intn(7)
-			if k > s.N() {
-				k = s.N()
-			}
-			srcs := shapes.RandomSubset(rng, s, k)
-			ref, packed, ctr := laneEnvs()
-			var refClock, packedClock sim.Clock
-			fr := ForestEnv(ref, &refClock, r, srcs, allNodes(s), srcs[0], sched)
-			fp := ForestEnv(packed, &packedClock, r, srcs, allNodes(s), srcs[0], sched)
-			label := fmt.Sprintf("sched %d trial %d (n=%d, k=%d)", sched, trial, s.N(), k)
-			sameForest(t, label, fr, fp)
-			sameClock(t, label, &refClock, &packedClock)
-			if ctr.WavesPacked.Load() == 0 {
-				t.Fatalf("%s: no waves packed", label)
-			}
-		}
+	if got := ctr.WavesPacked.Load(); got != 2*npairs {
+		t.Fatalf("WavesPacked = %d, want %d (two waves per live pair)", got, 2*npairs)
 	}
 }

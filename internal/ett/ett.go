@@ -226,7 +226,7 @@ func (r *Run) Iterations() int { return r.prun.Iterations() }
 
 // Step executes one ETT iteration (one PASC iteration, 2 rounds).
 func (r *Run) Step(clock *sim.Clock) {
-	r.bits = pasc.StepRound(clock, r.prun)[0]
+	r.bits = r.prun.Step(clock)
 }
 
 // EdgeBits returns, for the current iteration, the bit of prefixsum(u→vj)

@@ -7,16 +7,18 @@ import (
 )
 
 // CircuitChain is the reference implementation of PASC on a chain: instead
-// of propagating the track bit directly (Run), it materializes the actual
-// pin configuration of Feldmann et al. every iteration — two partition
-// sets (primary/secondary) per amoebot, two links per edge, crossed inside
-// active amoebots — sends the source beep through the resulting circuits,
-// and reads each amoebot's bit off the partition set the beep arrives at.
+// of propagating the track bit directly (the wave.Packed kernel behind
+// Run), it materializes the actual pin configuration of Feldmann et al.
+// every iteration — two partition sets (primary/secondary) per amoebot, two
+// links per edge, crossed inside active amoebots — sends the source beep
+// through the resulting circuits, and reads each amoebot's bit off the
+// partition set the beep arrives at.
 //
-// It exists to validate the optimized engine: equivalence of the two
-// implementations is property-tested, which substantiates the fidelity
-// argument of DESIGN.md §2 ("PASC internals"). It charges the same 2 rounds
-// per iteration (signal round + termination round).
+// It is the test oracle of the kernel: equivalence with one-lane runs and
+// with every lane of a packed execution is property-tested, which
+// substantiates the fidelity argument of DESIGN.md §2 ("PASC internals").
+// It charges the same 2 rounds per iteration (signal round + termination
+// round).
 type CircuitChain struct {
 	participant []bool
 	active      []bool

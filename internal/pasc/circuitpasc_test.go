@@ -37,7 +37,7 @@ func TestCircuitChainMatchesTrackEngine(t *testing.T) {
 			if fd {
 				break
 			}
-			fastBits := StepRound(&cFast, fast)[0]
+			fastBits := fast.Step(&cFast)
 			slowBits := slow.Step(&cSlow)
 			for i := 0; i < m; i++ {
 				if fastBits[i+1] != slowBits[i] {

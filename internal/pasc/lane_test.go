@@ -15,8 +15,8 @@ import (
 // implementation of the paper's §2.2 construction): every lane of a packed
 // run must emit the exact bit stream and iteration count the per-wave
 // CircuitChain produces, for lane counts 1 and 64. Together with
-// TestCircuitChainMatchesTrackEngine this closes the chain
-// Packed ≡ pasc.Run ≡ materialized circuits.
+// TestCircuitChainMatchesTrackEngine (the one-lane Run view) this pins the
+// one PASC kernel to the materialized circuits.
 func TestLanePackedPASCMatchesCircuitChain(t *testing.T) {
 	for _, lanes := range []int{1, 64} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {

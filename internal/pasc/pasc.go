@@ -18,46 +18,23 @@
 // are exactly those whose value is divisible by 2^(i-1); the PASC therefore
 // terminates after ⌊log₂ max⌋ + 1 iterations.
 //
-// The simulator propagates the arriving track directly (an XOR along the
-// tree) instead of materializing the two circuits; this is observationally
-// identical and linear per iteration. Rounds are charged via StepRound.
-//
-// Layout: the comparator state is stored as parallel flat columns (SoA) of
-// one byte per flag, and the inner loop selects every verdict with masks
-// instead of branching — one PASC iteration over n slots is a single
-// predictable pass over four byte columns and one index column, which is
-// what keeps million-slot sweeps memory-bound instead of
-// branch-miss-bound. The columns can be drawn from and recycled through a
-// dense.Arena (NewTreeDistanceArena / Release).
+// This package holds the paper-level configurations (chain distance, tree
+// distance, prefix sums) and the circuit-materialized reference
+// CircuitChain. Execution belongs to the one PASC kernel, wave.Packed: a
+// Run is a one-lane view over it, which propagates the arriving track
+// directly (an XOR along the tree) instead of materializing the two
+// circuits — observationally identical and linear per iteration.
 package pasc
 
 import (
-	"spforest/internal/dense"
 	"spforest/internal/sim"
+	"spforest/internal/wave"
 )
 
-// LinksPerEdge is the number of external links one PASC execution occupies
-// on each tree edge (the two tracks).
-const LinksPerEdge = 2
-
-// Run is one PASC execution over a forest of slots. Roots act as sources:
-// they always toggle the track and always read bit 0.
-//
-// State is SoA: one flat column per comparator field, indexed by slot. The
-// parent column uses a sentinel: roots point at virtual slot n, whose
-// arrival entry is pinned to track 0, so the step loop reads every slot's
-// incoming track with one unconditional load.
+// Run is one PASC execution over a forest of slots: a one-lane wave.Packed.
+// Roots act as sources: they always toggle the track and always read bit 0.
 type Run struct {
-	pidx    []int32 // parent slot; roots point at the sentinel slot n
-	order   []int32 // topological order (parents before children)
-	part    []uint8 // 1 = participant
-	act     []uint8 // 1 = still active
-	root    []uint8 // 1 = source slot
-	bits    []uint8 // reused output buffer
-	arrival []uint8 // length n+1: exit track per slot; arrival[n] ≡ 0 (sentinel)
-
-	iterations  int
-	activeCount int
+	p *wave.Packed
 }
 
 // New creates a PASC run over slots 0..len(parent)-1 with the given forest
@@ -66,233 +43,96 @@ type Run struct {
 // tracks unchanged and read the prefix value of their nearest participating
 // ancestor. Roots' participant flags are ignored (sources always toggle).
 func New(parent []int32, participant []bool) *Run {
-	n := len(parent)
-	if len(participant) != n {
+	if len(participant) != len(parent) {
 		panic("pasc: length mismatch")
 	}
-	return build(nil, parent, func(i int) bool { return participant[i] })
+	part := make([]uint8, len(parent))
+	for i, ok := range participant {
+		if ok {
+			part[i] = 1
+		}
+	}
+	return newRun(parent, part)
 }
 
-// build assembles the SoA columns, drawing them from the arena when one is
-// given (nil degrades to plain allocation, like the arena itself).
-func build(ar *dense.Arena, parent []int32, participant func(i int) bool) *Run {
-	n := len(parent)
-	r := &Run{
-		pidx:    ar.Int32s(n),
-		part:    ar.Bytes(n),
-		act:     ar.Bytes(n),
-		root:    ar.Bytes(n),
-		bits:    ar.Bytes(n),
-		arrival: ar.Bytes(n + 1),
-	}
-	// Topological order via iterative root-to-leaf traversal. The child
-	// lists live in one flat array indexed by a per-slot offset (CSR), so
-	// building them costs three flat scratch columns instead of one
-	// allocation per slot.
-	kidOff := ar.Int32s(n + 1)
-	roots := make([]int32, 0, 1)
-	for i, p := range parent {
-		if p == -1 {
-			roots = append(roots, int32(i))
-			r.root[i] = 1
-			r.pidx[i] = int32(n) // sentinel: arrival[n] is always track 0
-		} else {
-			r.pidx[i] = p
-			kidOff[p+1]++
-		}
-		if participant(i) && p != -1 { // sources do not count themselves
-			r.part[i] = 1
-		}
-	}
-	if len(roots) == 0 {
-		panic("pasc: no root slot")
-	}
-	for i := 0; i < n; i++ {
-		kidOff[i+1] += kidOff[i]
-	}
-	kids := ar.Int32s(int(kidOff[n]))
-	pos := ar.Int32s(n)
-	copy(pos, kidOff[:n])
-	for i, p := range parent {
-		if p != -1 {
-			kids[pos[p]] = int32(i)
-			pos[p]++
-		}
-	}
-	r.order = ar.Int32s(n)[:0]
-	stack := append(pos[:0], roots...) // reuse pos as the DFS stack
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r.order = append(r.order, u)
-		stack = append(stack, kids[kidOff[u]:kidOff[u+1]]...)
-	}
-	if len(r.order) != n {
-		panic("pasc: slot graph is not a forest")
-	}
-	ar.PutInt32s(kidOff)
-	ar.PutInt32s(kids)
-	ar.PutInt32s(stack) // pos's backing array, drained by the traversal
-	for i := range r.act {
-		if r.part[i] == 1 {
-			r.act[i] = 1
-			r.activeCount++
-		}
-	}
-	return r
-}
-
-// Release returns the run's comparator columns to the arena they were drawn
-// from (NewTreeDistanceArena). The run must not be used afterwards.
-func (r *Run) Release(ar *dense.Arena) {
-	ar.PutInt32s(r.pidx)
-	ar.PutInt32s(r.order)
-	ar.PutBytes(r.part)
-	ar.PutBytes(r.act)
-	ar.PutBytes(r.root)
-	ar.PutBytes(r.bits)
-	ar.PutBytes(r.arrival)
-	r.pidx, r.order, r.part, r.act, r.root, r.bits, r.arrival = nil, nil, nil, nil, nil, nil, nil
+// newRun seals a one-lane execution; a nil participant column means every
+// slot participates.
+func newRun(parent []int32, part []uint8) *Run {
+	p := wave.NewPacked(nil, nil)
+	p.AddLane(parent, part)
+	p.Seal()
+	return &Run{p: p}
 }
 
 // NewChain creates a run over a chain of n slots (slot 0 the source).
 // With all participants it computes each slot's distance to slot 0
 // (Lemma 3).
 func NewChain(n int, participant []bool) *Run {
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i) - 1
-	}
-	return New(parent, participant)
+	return New(chainParent(n), participant)
 }
 
 // NewChainDistance creates the Lemma 3 configuration: a chain of n slots,
 // everybody participates.
 func NewChainDistance(n int) *Run {
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
+	return newRun(chainParent(n), nil)
+}
+
+func chainParent(n int) []int32 {
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i) - 1
 	}
-	return NewChain(n, all)
+	return parent
 }
 
 // NewTreeDistance creates the Corollary 5 configuration: distances to the
 // root(s) in a rooted forest.
 func NewTreeDistance(parent []int32) *Run {
-	return NewTreeDistanceArena(nil, parent)
-}
-
-// NewTreeDistanceArena is NewTreeDistance drawing the comparator columns
-// from the arena; pair with Release so repeated solves recycle the state.
-func NewTreeDistanceArena(ar *dense.Arena, parent []int32) *Run {
-	return build(ar, parent, func(int) bool { return true })
+	return newRun(parent, nil)
 }
 
 // NewPrefixSum creates the Corollary 6 configuration for a chain of m
 // elements with 0/1 weights: slot i+1 computes prefixsum(i) = w(0)+…+w(i).
 // Slot 0 is the virtual source (simulated by the first chain amoebot).
 func NewPrefixSum(weights []bool) *Run {
-	parent := make([]int32, len(weights)+1)
-	part := make([]bool, len(weights)+1)
-	parent[0] = -1
+	parent := chainParent(len(weights) + 1)
+	part := make([]uint8, len(weights)+1)
 	for i, w := range weights {
-		parent[i+1] = int32(i)
-		part[i+1] = w
+		if w {
+			part[i+1] = 1
+		}
 	}
-	return New(parent, part)
+	return newRun(parent, part)
 }
 
 // Len returns the number of slots.
-func (r *Run) Len() int { return len(r.pidx) }
+func (r *Run) Len() int { return len(r.p.Bits(0)) }
 
 // Done reports whether the run has terminated: every participant has turned
-// passive and at least one iteration has run (the amoebots need one silent
-// termination beep to learn that the run is over, even when nothing was
-// marked).
-func (r *Run) Done() bool { return r.iterations > 0 && r.activeCount == 0 }
+// passive and at least one iteration has run.
+func (r *Run) Done() bool { return r.p.Done(0) }
 
-// Iterations returns the number of iterations stepped so far.
-func (r *Run) Iterations() int { return r.iterations }
+// Iterations returns the number of iterations stepped before termination.
+func (r *Run) Iterations() int { return r.p.Iterations(0) }
 
-// step executes one PASC iteration and returns the bit each slot reads.
-// The returned slice is reused by the next call.
-//
-// The loop is branch-free: with a = "active participant" and rt = "root",
-// the three comparator verdicts collapse to mask selects on the arriving
-// track t —
-//
-//	exit = t ^ (a|rt)    (sources and active participants toggle the track)
-//	bit  = (t ^ a ^ 1) &^ rt
-//	       (active participants read t, passive slots and forwarders read
-//	        the inverted track, sources read 0)
-//
-// and an active participant deactivates exactly when its bit is 1
-// (d = a & bit). Every slot executes the same instructions; the verdicts
-// live in the data.
-func (r *Run) step() []uint8 {
-	r.iterations++
-	deactivated := 0
-	for _, u := range r.order {
-		t := r.arrival[r.pidx[u]] // roots read the pinned sentinel track 0
-		a := r.part[u] & r.act[u]
-		rt := r.root[u]
-		r.arrival[u] = t ^ (a | rt)
-		bit := (t ^ a ^ 1) &^ rt
-		r.bits[u] = bit
-		d := a & bit
-		r.act[u] ^= d
-		deactivated += int(d)
-	}
-	r.activeCount -= deactivated
-	return r.bits
+// Step executes one PASC iteration on the clock — 2 rounds (Lemma 4), plus
+// the track beep and every still-active participant's termination beep —
+// and returns the bit each slot reads. The returned slice is reused by the
+// next call; a terminated run keeps emitting zero bits.
+func (r *Run) Step(clock *sim.Clock) []uint8 {
+	r.p.StepRound(clock)
+	return r.p.Bits(0)
 }
 
-// StepRound advances every given run by one joint iteration, charging the
-// model cost of one PASC iteration — 2 rounds (Lemma 4): the track beep and
-// the shared termination beep. It returns the per-run bit slices (valid
-// until the next call).
-//
-// Runs stepped together share the termination round, which is how the paper
-// executes PASC instances "in parallel" (e.g. both directions of the line
-// algorithm, or the two forests of the merging algorithm). Runs that are
-// already Done keep emitting zero bits.
-func StepRound(clock *sim.Clock, runs ...*Run) [][]uint8 {
-	clock.Tick(2)
-	out := make([][]uint8, len(runs))
-	beeps := int64(0)
-	for i, r := range runs {
-		out[i] = r.step()
-		beeps += int64(r.activeCount) + 1 // track beep reaches everyone; actives beep for termination
-	}
-	clock.AddBeeps(beeps)
-	return out
-}
-
-// AllDone reports whether every run has terminated.
-func AllDone(runs ...*Run) bool {
-	for _, r := range runs {
-		if !r.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// Collect runs all given runs to joint completion, returning each slot's
-// full value for every run (simulator convenience: real amoebots consume
-// the bits with O(1)-state machines instead; see bitstream).
-func Collect(clock *sim.Clock, runs ...*Run) [][]uint64 {
-	vals := make([][]uint64, len(runs))
-	for i, r := range runs {
-		vals[i] = make([]uint64, r.Len())
-	}
-	for shift := uint(0); !AllDone(runs...); shift++ {
-		bitsPerRun := StepRound(clock, runs...)
-		for i, bits := range bitsPerRun {
-			for j, b := range bits {
-				if b != 0 {
-					vals[i][j] |= 1 << shift
-				}
+// Collect runs r to completion, returning each slot's full value
+// (simulator convenience: real amoebots consume the bits with O(1)-state
+// machines instead; see bitstream).
+func Collect(clock *sim.Clock, r *Run) []uint64 {
+	vals := make([]uint64, r.Len())
+	for shift := uint(0); !r.Done(); shift++ {
+		for j, b := range r.Step(clock) {
+			if b != 0 {
+				vals[j] |= 1 << shift
 			}
 		}
 	}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"spforest/internal/sim"
+	"spforest/internal/wave"
 )
 
 func TestChainDistance(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 9, 17, 100, 1000} {
 		var clock sim.Clock
 		r := NewChainDistance(n)
-		vals := Collect(&clock, r)[0]
+		vals := Collect(&clock, r)
 		for i, v := range vals {
 			if v != uint64(i) {
 				t.Fatalf("n=%d: slot %d computed %d", n, i, v)
@@ -45,7 +46,7 @@ func TestTreeDistanceRandom(t *testing.T) {
 		}
 		var clock sim.Clock
 		r := NewTreeDistance(parent)
-		vals := Collect(&clock, r)[0]
+		vals := Collect(&clock, r)
 		for i, v := range vals {
 			if v != depth[i] {
 				t.Fatalf("trial %d: node %d depth %d, PASC says %d", trial, i, depth[i], v)
@@ -58,7 +59,7 @@ func TestTreeDistanceMultiRoot(t *testing.T) {
 	// Forest with two roots: distances to the nearest root along parents.
 	parent := []int32{-1, 0, 1, -1, 3}
 	var clock sim.Clock
-	vals := Collect(&clock, NewTreeDistance(parent))[0]
+	vals := Collect(&clock, NewTreeDistance(parent))
 	want := []uint64{0, 1, 2, 0, 1}
 	for i := range want {
 		if vals[i] != want[i] {
@@ -77,7 +78,7 @@ func TestPrefixSumRandom(t *testing.T) {
 		}
 		var clock sim.Clock
 		r := NewPrefixSum(weights)
-		vals := Collect(&clock, r)[0]
+		vals := Collect(&clock, r)
 		sum := uint64(0)
 		for i, w := range weights {
 			if w {
@@ -102,7 +103,7 @@ func TestPrefixSumRandom(t *testing.T) {
 func TestPrefixSumAllZeroWeights(t *testing.T) {
 	var clock sim.Clock
 	r := NewPrefixSum(make([]bool, 10))
-	vals := Collect(&clock, r)[0]
+	vals := Collect(&clock, r)
 	for i, v := range vals {
 		if v != 0 {
 			t.Fatalf("slot %d = %d", i, v)
@@ -120,32 +121,37 @@ func TestDoneRunsEmitZeros(t *testing.T) {
 	r := NewChainDistance(4)
 	var clock sim.Clock
 	for !r.Done() {
-		StepRound(&clock, r)
+		r.Step(&clock)
 	}
-	bitsAfter := StepRound(&clock, r)[0]
+	iters := r.Iterations()
+	bitsAfter := r.Step(&clock)
 	for i, b := range bitsAfter {
 		if b != 0 {
 			t.Fatalf("slot %d emitted %d after completion", i, b)
 		}
 	}
+	if r.Iterations() != iters {
+		t.Fatalf("stepping a terminated run counted an iteration (%d → %d)", iters, r.Iterations())
+	}
 }
 
 func TestJointStepping(t *testing.T) {
-	// Two runs of different lengths share termination: rounds = 2·max iters.
+	// Two waves of different lengths stepped as lanes of one execution share
+	// the termination round: rounds = 2·max iters, while each lane counts
+	// only its own iterations.
 	var clock sim.Clock
-	short := NewChainDistance(3)   // values ≤ 2 → 2 iterations
-	long := NewChainDistance(1000) // values ≤ 999 → 10 iterations
-	for !AllDone(short, long) {
-		StepRound(&clock, short, long)
+	p := wave.NewPacked(nil, nil)
+	p.AddLane(chainParent(3), nil)    // values ≤ 2 → 2 iterations
+	p.AddLane(chainParent(1000), nil) // values ≤ 999 → 10 iterations
+	p.Seal()
+	for !p.AllDone() {
+		p.StepRound(&clock)
 	}
-	if short.Iterations() != long.Iterations() {
-		t.Fatalf("joint stepping diverged: %d vs %d", short.Iterations(), long.Iterations())
+	if p.Iterations(0) != 2 || p.Iterations(1) != 10 {
+		t.Fatalf("lane iterations %d/%d, want 2/10", p.Iterations(0), p.Iterations(1))
 	}
-	if clock.Rounds() != int64(2*long.Iterations()) {
+	if clock.Rounds() != int64(2*p.Iterations(1)) {
 		t.Fatalf("rounds = %d", clock.Rounds())
-	}
-	if long.Iterations() != 10 {
-		t.Fatalf("long run took %d iterations", long.Iterations())
 	}
 }
 
@@ -154,7 +160,7 @@ func TestBitsStreamLSBFirst(t *testing.T) {
 	r := NewChainDistance(13)
 	var clock sim.Clock
 	for it := 0; !r.Done(); it++ {
-		bitsNow := StepRound(&clock, r)[0]
+		bitsNow := r.Step(&clock)
 		for slot, b := range bitsNow {
 			want := uint8(slot >> uint(it) & 1)
 			if b != want {
@@ -168,7 +174,7 @@ func TestNonParticipantsInheritPrefix(t *testing.T) {
 	// weights 0,1,0,0,1,0 → prefixes 0,1,1,1,2,2
 	weights := []bool{false, true, false, false, true, false}
 	var clock sim.Clock
-	vals := Collect(&clock, NewPrefixSum(weights))[0]
+	vals := Collect(&clock, NewPrefixSum(weights))
 	want := []uint64{0, 0, 1, 1, 1, 2, 2} // slot 0 is the virtual source
 	for i := range want {
 		if vals[i] != want[i] {

@@ -141,7 +141,7 @@ func exactDistByCoord(s *amoebot.Structure, srcs []amoebot.Coord) (map[amoebot.C
 	if err != nil {
 		return nil, err
 	}
-	dist, _ := baseline.Exact(amoebot.WholeRegion(s), idx)
+	dist, _ := baseline.ExactExec(nil, amoebot.WholeRegion(s), idx)
 	out := make(map[amoebot.Coord]int32, s.N())
 	for i, c := range s.Coords() {
 		out[c] = dist[int32(i)]

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spforest/engine"
-	"spforest/internal/wave"
 )
 
 // intraWorkerMatrix is the worker-count matrix of the parallel determinism
@@ -46,13 +45,10 @@ func TestParallelDifferentialHarness(t *testing.T) {
 
 // TestParallelByteIdenticalAcrossWorkerCounts is the direct cross-count
 // comparison: for every scenario × solver, the forest bytes, the simulated
-// rounds and the beep counts at IntraWorkers ∈ {1, 2, GOMAXPROCS} ×
-// WaveLanes ∈ {1, 64} must be identical — zero drift, not merely "all
-// correct". The lane dimension pins that intra-query wave packing
-// (DESIGN.md §10) is pure host execution, orthogonal to worker counts.
+// rounds and the beep counts at IntraWorkers ∈ {1, 2, GOMAXPROCS} must be
+// identical — zero drift, not merely "all correct".
 func TestParallelByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	matrix := intraWorkerMatrix()
-	laneMatrix := []int{1, wave.MaxLanes}
 	for _, sc := range All() {
 		if testing.Short() && sc.S.N() > 200 {
 			continue
@@ -71,30 +67,28 @@ func TestParallelByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			q, _ := QueryFor(algo, srcs, spread, all)
 			var ref *outcome
 			for _, workers := range matrix {
-				for _, lanes := range laneMatrix {
-					cfg := engine.Config{Seed: seed, IntraWorkers: workers, WaveLanes: lanes, AllowHoles: sc.Holed()}
-					e, err := engine.New(sc.S, &cfg)
-					if err != nil {
-						t.Fatalf("%s workers=%d lanes=%d: %v", sc.Name, workers, lanes, err)
-					}
-					res, err := e.Run(q)
-					if err != nil {
-						t.Fatalf("%s/%s workers=%d lanes=%d: %v", sc.Name, algo, workers, lanes, err)
-					}
-					fb, _ := res.Forest.MarshalText()
-					got := &outcome{forest: fb, rounds: res.Stats.Rounds, beeps: res.Stats.Beeps}
-					if ref == nil {
-						ref = got
-						continue
-					}
-					if got.rounds != ref.rounds || got.beeps != ref.beeps {
-						t.Errorf("%s/%s: workers=%d lanes=%d charged %d/%d rounds/beeps, reference charged %d/%d",
-							sc.Name, algo, workers, lanes, got.rounds, got.beeps, ref.rounds, ref.beeps)
-					}
-					if !bytes.Equal(got.forest, ref.forest) {
-						t.Errorf("%s/%s: forest at workers=%d lanes=%d diverges byte-wise from reference",
-							sc.Name, algo, workers, lanes)
-					}
+				cfg := engine.Config{Seed: seed, IntraWorkers: workers, AllowHoles: sc.Holed()}
+				e, err := engine.New(sc.S, &cfg)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", sc.Name, workers, err)
+				}
+				res, err := e.Run(q)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", sc.Name, algo, workers, err)
+				}
+				fb, _ := res.Forest.MarshalText()
+				got := &outcome{forest: fb, rounds: res.Stats.Rounds, beeps: res.Stats.Beeps}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if got.rounds != ref.rounds || got.beeps != ref.beeps {
+					t.Errorf("%s/%s: workers=%d charged %d/%d rounds/beeps, reference charged %d/%d",
+						sc.Name, algo, workers, got.rounds, got.beeps, ref.rounds, ref.beeps)
+				}
+				if !bytes.Equal(got.forest, ref.forest) {
+					t.Errorf("%s/%s: forest at workers=%d diverges byte-wise from reference",
+						sc.Name, algo, workers)
 				}
 			}
 		}

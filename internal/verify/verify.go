@@ -31,12 +31,12 @@ func Forest(s *amoebot.Structure, sources, dests []int32, f *amoebot.Forest) err
 // given region: membership, parents and distances are all interpreted
 // within the region's induced subgraph.
 func ForestInRegion(region *amoebot.Region, sources, dests []int32, f *amoebot.Forest) error {
-	dist, _ := baseline.Exact(region, sources)
+	dist, _ := baseline.ExactExec(nil, region, sources)
 	return ForestInRegionWithDist(region, dist, sources, dests, f)
 }
 
 // ForestInRegionWithDist is ForestInRegion with the nearest-source
-// distances precomputed (baseline.Exact's output for the same region and
+// distances precomputed (baseline.ExactExec's output for the same region and
 // sources), so callers that memoize distances skip the BFS.
 func ForestInRegionWithDist(region *amoebot.Region, dist []int32, sources, dests []int32, f *amoebot.Forest) error {
 	s := region.Structure()

@@ -14,7 +14,7 @@ import (
 // validForest builds a correct S-forest via the BFS baseline.
 func validForest(s *amoebot.Structure, sources []int32) *amoebot.Forest {
 	var clock sim.Clock
-	return baseline.BFSForest(&clock, amoebot.WholeRegion(s), sources)
+	return baseline.BFSForestExec(nil, &clock, amoebot.WholeRegion(s), sources)
 }
 
 func allNodes(s *amoebot.Structure) []int32 {

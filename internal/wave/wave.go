@@ -1,22 +1,21 @@
-// Package wave is the lane-multiplexed wave engine: it packs up to 64
-// concurrent PASC/beep waves of one query into lanes of a single physical
-// execution, the intra-query counterpart of the cross-query sharing in
-// engine.Batch (DESIGN.md §10).
+// Package wave is the PASC executor: it runs up to 64 concurrent PASC waves
+// of one query as lanes of a single physical execution, the intra-query
+// counterpart of the cross-query sharing in engine.Batch (DESIGN.md §10).
+// A single wave is simply a one-lane execution.
 //
 // Feldmann et al. (arXiv:2105.05071) observe that reconfigurable circuits
 // are reusable across waves — one circuit, many signals. The simulator's
-// per-wave execution state (the SoA comparator columns of a pasc.Run, the
-// circuit scratch of a beep round) is the host-side analogue of that
-// physical circuit, and this package shares it the same way: all waves of
-// one Packed run live in one set of flat columns, advance in one fused
-// branch-free pass per iteration, and carry their termination state as
-// single bits of a uint64 mask.
+// per-wave execution state (the comparator columns of one PASC run) is the
+// host-side analogue of that physical circuit, and this package shares it
+// the same way: all waves of one Packed run live in one set of flat
+// columns, advance in one fused branch-free pass per iteration, and carry
+// their termination state as single bits of a uint64 mask.
 //
 // Lane packing is an execution optimization, not a model change: every
 // lane's bits, its iteration count and the rounds/beeps charged to its
-// clock are bit-identical to running the same wave alone through
-// pasc.StepRound (property-pinned against both pasc.Run and the
-// circuit-materialized CircuitChain reference).
+// clock are exactly those of the same wave run alone (property-pinned
+// against the closed form of Lemma 4 and the circuit-materialized
+// pasc.CircuitChain reference).
 package wave
 
 import (
@@ -42,18 +41,20 @@ type Counters struct {
 }
 
 // Packed is one lane-multiplexed tree-PASC execution: up to MaxLanes
-// independent PASC waves (lanes) over one shared slot arena. The lanes'
-// slots are concatenated into shared SoA columns — one parent column, one
-// topological order, one set of byte flag columns — so that every joint
-// iteration is one pass over contiguous memory instead of one pass per
-// pasc.Run, and the per-lane build reuses one set of CSR scratch arrays.
+// independent PASC waves (lanes) over one shared slot arena. Each lane is a
+// rooted forest of slots whose roots act as sources: they always toggle the
+// track and always read bit 0. The lanes' slots are concatenated into
+// shared SoA columns — one parent column, one topological order, one set of
+// byte flag columns — so that every joint iteration is one pass over
+// contiguous memory, and the per-lane build reuses one set of CSR scratch
+// arrays.
 //
 // Per-lane termination lives in a uint64 done mask; lanes that finish
 // early are skipped by later sweeps (their bits are re-zeroed once, which
-// is exactly what a done pasc.Run's sweep computes).
+// is exactly what sweeping a terminated lane would compute).
 //
 // Build with NewPacked + AddLane + Seal; advance with StepRound (all lanes
-// on one clock, mirroring pasc.StepRound) or StepPairs (lane pairs on
+// on one clock, sharing the termination round) or StepPairs (lane pairs on
 // per-pair clocks, mirroring the merge algorithm's per-pair loop).
 type Packed struct {
 	ar  *dense.Arena
@@ -93,8 +94,10 @@ func NewPacked(ar *dense.Arena, ctr *Counters) *Packed {
 // AddLane stages one PASC wave: a rooted forest over local slots
 // 0..len(parent)-1 (parent[i] == -1 marks a root/source) with the given
 // participant flags (nil means every slot participates; roots never count
-// themselves, as in pasc). The caller keeps ownership of the slices but
-// must not mutate them before Seal. Returns the lane index.
+// themselves). Non-participants forward the tracks unchanged and read the
+// value of their nearest participating ancestor. The caller keeps
+// ownership of the slices but must not mutate them before Seal. Returns the
+// lane index.
 func (p *Packed) AddLane(parent []int32, participant []uint8) int {
 	if p.sealed {
 		panic("wave: AddLane after Seal")
@@ -109,9 +112,6 @@ func (p *Packed) AddLane(parent []int32, participant []uint8) int {
 	p.specPart = append(p.specPart, participant)
 	return len(p.specParent) - 1
 }
-
-// Lanes returns the number of lanes added so far.
-func (p *Packed) Lanes() int { return len(p.specParent) }
 
 // Seal builds the shared columns from the staged lanes: one allocation per
 // column for all lanes together, one CSR/topo construction per lane over
@@ -147,8 +147,7 @@ func (p *Packed) Seal() {
 	p.active = make([]int, lanes)
 	p.iters = make([]int, lanes)
 
-	// One set of CSR scratch serves every lane's topo construction (the
-	// per-pair forestPASC path drew these once per run).
+	// One set of CSR scratch serves every lane's topo construction.
 	kidOff := p.ar.Int32s(maxLane + 1)
 	kids := p.ar.Int32s(maxLane)
 	pos := p.ar.Int32s(maxLane)
@@ -227,8 +226,10 @@ func (p *Packed) Release() {
 	p.pidx, p.order, p.part, p.act, p.root, p.bits, p.arrival = nil, nil, nil, nil, nil, nil, nil
 }
 
-// Done reports whether lane l has terminated (mirrors pasc.Run.Done: at
-// least one iteration stepped and no participant still active).
+// Done reports whether lane l has terminated: every participant has turned
+// passive and at least one iteration has run (the amoebots need one silent
+// termination beep to learn that the run is over, even when nothing was
+// marked).
 func (p *Packed) Done(l int) bool { return p.doneMask>>uint(l)&1 == 1 }
 
 // AllDone reports whether every lane has terminated.
@@ -246,15 +247,26 @@ func (p *Packed) PairDone(i int) bool {
 func (p *Packed) Iterations(l int) int { return p.iters[l] }
 
 // Bits returns lane l's bit column: entry i is the bit local slot i read in
-// the last iteration the lane was stepped (all zero once the lane is done,
-// exactly as a done pasc.Run keeps emitting zero bits). Valid until the
-// next step call.
+// the last iteration the lane was stepped (all zero once the lane is done:
+// a terminated wave keeps emitting zero bits). Valid until the next step
+// call.
 func (p *Packed) Bits(l int) []uint8 {
 	return p.bits[p.laneLo[l]:p.laneLo[l+1]]
 }
 
-// sweep advances lane l by one iteration: the same branch-free loop body
-// as pasc.Run.step, over the lane's contiguous slice of the shared order.
+// sweep advances lane l by one PASC iteration over the lane's contiguous
+// slice of the shared order. The loop is branch-free: with a = "active
+// participant" and rt = "root", the three comparator verdicts collapse to
+// mask selects on the arriving track t —
+//
+//	exit = t ^ (a|rt)    (sources and active participants toggle the track)
+//	bit  = (t ^ a ^ 1) &^ rt
+//	       (active participants read t, passive slots and forwarders read
+//	        the inverted track, sources read 0)
+//
+// and an active participant deactivates exactly when its bit is 1
+// (d = a & bit). Every slot executes the same instructions; the verdicts
+// live in the data.
 func (p *Packed) sweep(l int) {
 	deactivated := 0
 	for _, u := range p.order[p.laneLo[l]:p.laneLo[l+1]] {
@@ -280,7 +292,7 @@ func (p *Packed) sweep(l int) {
 
 // stepLane advances lane l within a joint iteration: a live lane sweeps,
 // a finished lane only has its bits re-zeroed (once) — the all-zero sweep
-// a done pasc.Run would have executed, skipped.
+// of a terminated wave, skipped.
 func (p *Packed) stepLane(l int) {
 	if !p.Done(l) {
 		p.sweep(l)
@@ -293,11 +305,12 @@ func (p *Packed) stepLane(l int) {
 }
 
 // StepRound advances every lane by one joint iteration on one clock,
-// charging exactly what pasc.StepRound charges for the same runs: 2 rounds
-// (track beep + shared termination beep, Lemma 4) and, per lane, the
-// still-active participants plus the track beep. Lanes that are already
-// done keep emitting zero bits and keep costing their +1, like done runs
-// passed to pasc.StepRound.
+// charging the model cost of one PASC iteration: 2 rounds (track beep +
+// shared termination beep, Lemma 4) and, per lane, the still-active
+// participants plus the track beep. Lanes stepped together share the
+// termination round, which is how the paper executes PASC instances "in
+// parallel" (e.g. both directions of the line algorithm). Lanes that are
+// already done keep emitting zero bits and keep costing their +1.
 func (p *Packed) StepRound(clock *sim.Clock) {
 	if !p.sealed {
 		panic("wave: StepRound before Seal")
@@ -313,10 +326,10 @@ func (p *Packed) StepRound(clock *sim.Clock) {
 
 // StepPairs advances every unfinished lane pair by one iteration, pair i
 // (lanes 2i, 2i+1) on clocks[i]. Each live pair is charged exactly what
-// its solo merge loop — for !AllDone(r1, r2) { StepRound(clock, r1, r2) }
-// — would have charged this iteration: 2 rounds plus both lanes' actives
-// plus the two track beeps. Pairs whose two lanes are both done are not
-// stepped and not charged (their solo loop has exited).
+// the pair alone — a two-lane execution looping StepRound until both lanes
+// are done — would be charged this iteration: 2 rounds plus both lanes'
+// actives plus the two track beeps. Pairs whose two lanes are both done
+// are not stepped and not charged (their solo loop has exited).
 func (p *Packed) StepPairs(clocks []*sim.Clock) {
 	if !p.sealed {
 		panic("wave: StepPairs before Seal")

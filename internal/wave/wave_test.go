@@ -2,18 +2,17 @@ package wave
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
-	"spforest/internal/circuits"
 	"spforest/internal/dense"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
 // randForest builds a random rooted forest over n slots: each slot's parent
 // is a random earlier slot (or a root), so the parent array is acyclic by
-// construction.
+// construction and index order is a topological order.
 func randForest(rng *rand.Rand, n, roots int) []int32 {
 	parent := make([]int32, n)
 	for i := range parent {
@@ -26,20 +25,79 @@ func randForest(rng *rand.Rand, n, roots int) []int32 {
 	return parent
 }
 
-func randParticipants(rng *rand.Rand, n int) ([]uint8, []bool) {
-	pu := make([]uint8, n)
-	pb := make([]bool, n)
-	for i := range pu {
-		if rng.Intn(4) != 0 {
-			pu[i], pb[i] = 1, true
-		}
-	}
-	return pu, pb
+// laneSpec is one random PASC wave together with its closed-form outcome
+// (Lemma 4, Corollaries 5/6).
+type laneSpec struct {
+	parent []int32
+	part   []uint8  // nil: every slot participates
+	val    []uint64 // participating non-root slots on each slot's root path
+	iters  int      // max(1, bits.Len(max val))
 }
 
-// TestWavePackedMatchesPASC pins the core determinism rule: a Packed run's
-// per-lane bits, termination and joint clock charge are bit-identical to
-// stepping the same waves as individual pasc.Runs through pasc.StepRound.
+// randLane draws a multi-root forest over 1..maxN slots with random
+// participants (every slot participates in a third of the lanes) and
+// derives its closed form.
+func randLane(rng *rand.Rand, maxN int) laneSpec {
+	n := 1 + rng.Intn(maxN)
+	ls := laneSpec{parent: randForest(rng, n, 1+rng.Intn(3)), val: make([]uint64, n)}
+	if rng.Intn(3) != 0 {
+		ls.part = make([]uint8, n)
+		for i := range ls.part {
+			if rng.Intn(4) != 0 {
+				ls.part[i] = 1
+			}
+		}
+	}
+	maxVal := uint64(0)
+	for i, p := range ls.parent {
+		if p >= 0 {
+			ls.val[i] = ls.val[p]
+			if ls.participates(i) {
+				ls.val[i]++
+			}
+		}
+		maxVal = max(maxVal, ls.val[i])
+	}
+	ls.iters = max(1, bits.Len64(maxVal))
+	return ls
+}
+
+// participates reports whether slot i counts (roots never count themselves).
+func (ls laneSpec) participates(i int) bool {
+	return ls.parent[i] >= 0 && (ls.part == nil || ls.part[i] != 0)
+}
+
+// beeps is the lane's charge in iteration it (1-based): the track beep plus
+// the participants still active after it, i.e. those whose value is
+// divisible by 2^it.
+func (ls laneSpec) beeps(it int) int64 {
+	n := int64(1)
+	for i, v := range ls.val {
+		if ls.participates(i) && v%(1<<uint(it)) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// checkBits asserts that iteration it (1-based) delivered bit it-1 of every
+// slot's value.
+func (ls laneSpec) checkBits(t *testing.T, label string, it int, got []uint8) {
+	t.Helper()
+	for i, v := range ls.val {
+		if want := uint8(v >> uint(it-1) & 1); got[i] != want {
+			t.Fatalf("%s iteration %d slot %d: bit %d, want %d (value %d)", label, it, i, got[i], want, v)
+		}
+	}
+}
+
+// TestWavePackedMatchesPASC pins the kernel against the closed form of
+// PASC: on random multi-root forests with random participants, iteration i
+// of every lane delivers bit i-1 of each slot's value (the participating
+// non-root slots on its root path), a lane terminates after
+// max(1, bits.Len(max value)) iterations, and each joint iteration charges
+// 2 rounds plus, per lane, 1 + the participants whose value is divisible
+// by 2^i.
 func TestWavePackedMatchesPASC(t *testing.T) {
 	ar := dense.NewArena()
 	for _, lanes := range []int{1, 2, 3, 7, 64} {
@@ -47,176 +105,108 @@ func TestWavePackedMatchesPASC(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(42 + lanes)))
 			var ctr Counters
 			p := NewPacked(ar, &ctr)
-			refs := make([]*pasc.Run, lanes)
-			for l := 0; l < lanes; l++ {
-				n := 1 + rng.Intn(200)
-				parent := randForest(rng, n, 1)
-				pu, pb := randParticipants(rng, n)
-				if rng.Intn(3) == 0 {
-					pu = nil
-					for i := range pb {
-						pb[i] = true
-					}
-				}
-				p.AddLane(parent, pu)
-				refs[l] = pasc.New(parent, pb)
+			specs := make([]laneSpec, lanes)
+			joint, sweeps := 0, int64(0)
+			for l := range specs {
+				specs[l] = randLane(rng, 200)
+				p.AddLane(specs[l].parent, specs[l].part)
+				joint = max(joint, specs[l].iters)
+				sweeps += int64(specs[l].iters)
 			}
 			p.Seal()
 			if got := ctr.WavesPacked.Load(); got != int64(lanes) {
 				t.Fatalf("WavesPacked = %d, want %d", got, lanes)
 			}
-			var packedClock, refClock sim.Clock
-			for round := 0; !p.AllDone() || !pasc.AllDone(refs...); round++ {
-				if round > 100 {
-					t.Fatal("no convergence")
+			var clock sim.Clock
+			var wantBeeps int64
+			for it := 1; it <= joint; it++ {
+				if p.AllDone() {
+					t.Fatalf("all lanes done before joint iteration %d of %d", it, joint)
 				}
-				p.StepRound(&packedClock)
-				refBits := pasc.StepRound(&refClock, refs...)
-				for l := 0; l < lanes; l++ {
-					got, want := p.Bits(l), refBits[l]
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("round %d lane %d slot %d: bit %d, want %d", round, l, i, got[i], want[i])
-						}
+				p.StepRound(&clock)
+				for l, ls := range specs {
+					ls.checkBits(t, fmt.Sprintf("lane %d", l), it, p.Bits(l))
+					if p.Done(l) != (it >= ls.iters) {
+						t.Fatalf("iteration %d lane %d: Done %v, closed form runs %d iterations", it, l, p.Done(l), ls.iters)
 					}
-					if p.Done(l) != refs[l].Done() {
-						t.Fatalf("round %d lane %d: Done %v, want %v", round, l, p.Done(l), refs[l].Done())
-					}
+					wantBeeps += ls.beeps(it)
 				}
-				if packedClock.Rounds() != refClock.Rounds() || packedClock.Beeps() != refClock.Beeps() {
-					t.Fatalf("round %d: packed clock %d/%d, reference %d/%d", round,
-						packedClock.Rounds(), packedClock.Beeps(), refClock.Rounds(), refClock.Beeps())
+				if clock.Rounds() != int64(2*it) || clock.Beeps() != wantBeeps {
+					t.Fatalf("iteration %d: clock %d/%d, want %d/%d", it, clock.Rounds(), clock.Beeps(), 2*it, wantBeeps)
 				}
 			}
-			if ctr.LanePasses.Load() > ctr.WavesPacked.Load()*(packedClock.Rounds()/2) {
-				t.Fatalf("LanePasses %d exceeds lanes × iterations %d",
-					ctr.LanePasses.Load(), ctr.WavesPacked.Load()*(packedClock.Rounds()/2))
+			if !p.AllDone() {
+				t.Fatalf("not done after %d joint iterations", joint)
+			}
+			for l, ls := range specs {
+				if p.Iterations(l) != ls.iters {
+					t.Fatalf("lane %d: %d iterations, want %d", l, p.Iterations(l), ls.iters)
+				}
+			}
+			if got := ctr.LanePasses.Load(); got != sweeps {
+				t.Fatalf("LanePasses = %d, want %d (one per live lane per iteration)", got, sweeps)
 			}
 			p.Release()
 		})
 	}
 }
 
-// TestWaveStepPairsMatchesSoloMergeLoops pins the merge-level packing rule:
-// lane pairs stepped jointly via StepPairs charge each pair's clock exactly
-// what that pair's solo loop — for !AllDone(a, b) { StepRound(clock, a, b) }
-// — charges, and emit the same bits while the solo loop still runs.
+// TestWaveStepPairsMatchesSoloMergeLoops pins the merge-level packing rule
+// against the same closed form: lane pairs stepped jointly via StepPairs
+// emit the closed-form bits while the pair is live, and each pair's clock
+// is charged exactly its own loop — max of its two lanes' iterations, 2
+// rounds each plus both lanes' beeps — however long the other pairs run.
 func TestWaveStepPairsMatchesSoloMergeLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const pairs = 9
-	var ctr Counters
-	p := NewPacked(nil, &ctr)
-	type side struct {
-		run    *pasc.Run
-		parent []int32
-	}
-	refs := make([]side, 2*pairs)
-	for l := range refs {
-		n := 1 + rng.Intn(120)
-		parent := randForest(rng, n, 1+rng.Intn(2))
-		pu, pb := randParticipants(rng, n)
-		p.AddLane(parent, pu)
-		refs[l] = side{run: pasc.New(parent, pb), parent: parent}
+	p := NewPacked(nil, nil)
+	specs := make([]laneSpec, 2*pairs)
+	for l := range specs {
+		specs[l] = randLane(rng, 120)
+		p.AddLane(specs[l].parent, specs[l].part)
 	}
 	p.Seal()
 
-	packedClocks := make([]sim.Clock, pairs)
-	refClocks := make([]sim.Clock, pairs)
+	clocks := make([]sim.Clock, pairs)
 	clockPtrs := make([]*sim.Clock, pairs)
 	for i := range clockPtrs {
-		clockPtrs[i] = &packedClocks[i]
+		clockPtrs[i] = &clocks[i]
 	}
-	for round := 0; !p.AllDone(); round++ {
-		if round > 100 {
+	pairIters := make([]int, pairs)
+	wantBeeps := make([]int64, pairs)
+	for i := range pairIters {
+		pairIters[i] = max(specs[2*i].iters, specs[2*i+1].iters)
+	}
+	for it := 1; !p.AllDone(); it++ {
+		if it > 64 {
 			t.Fatal("no convergence")
 		}
 		p.StepPairs(clockPtrs)
 		for i := 0; i < pairs; i++ {
-			a, b := refs[2*i].run, refs[2*i+1].run
-			if pasc.AllDone(a, b) {
-				continue // the solo loop has exited; StepPairs must not charge
+			if it > pairIters[i] {
+				continue // the pair's own loop has exited
 			}
-			bits := pasc.StepRound(&refClocks[i], a, b)
-			for s, want := range [][]uint8{bits[0], bits[1]} {
-				got := p.Bits(2*i + s)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("round %d pair %d side %d slot %d: bit %d, want %d",
-							round, i, s, j, got[j], want[j])
-					}
-				}
+			for s := 0; s < 2; s++ {
+				ls := specs[2*i+s]
+				ls.checkBits(t, fmt.Sprintf("pair %d side %d", i, s), it, p.Bits(2*i+s))
+				wantBeeps[i] += ls.beeps(it)
+			}
+			if p.PairDone(i) != (it == pairIters[i]) {
+				t.Fatalf("iteration %d pair %d: PairDone %v, closed form runs %d iterations", it, i, p.PairDone(i), pairIters[i])
 			}
 		}
 	}
 	for i := 0; i < pairs; i++ {
-		if packedClocks[i].Rounds() != refClocks[i].Rounds() || packedClocks[i].Beeps() != refClocks[i].Beeps() {
-			t.Fatalf("pair %d: packed clock %d/%d, solo-loop clock %d/%d", i,
-				packedClocks[i].Rounds(), packedClocks[i].Beeps(), refClocks[i].Rounds(), refClocks[i].Beeps())
+		if clocks[i].Rounds() != int64(2*pairIters[i]) || clocks[i].Beeps() != wantBeeps[i] {
+			t.Fatalf("pair %d: clock %d/%d, want %d/%d", i,
+				clocks[i].Rounds(), clocks[i].Beeps(), 2*pairIters[i], wantBeeps[i])
 		}
-	}
-}
-
-// TestWaveBeepOverlayMatchesSoloNets pins the beep-layer rule: every lane of
-// a Waves overlay observes exactly what its beeps alone would produce on the
-// shared frozen net, while the joint delivery charges one round for all
-// lanes together.
-func TestWaveBeepOverlayMatchesSoloNets(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	net := circuits.New()
-	const nps = 300
-	ps := make([]circuits.PS, nps)
-	for i := range ps {
-		ps[i] = net.NewPartitionSet(int32(i))
-	}
-	for i := 1; i < nps; i++ {
-		if rng.Intn(3) != 0 {
-			net.Link(ps[rng.Intn(i)], ps[i])
-		}
-	}
-	net.Freeze(nil)
-
-	const lanes = 64
-	w := NewWaves(net, lanes)
-	beeped := make([][]int, lanes)
-	totalSent := int64(0)
-	for l := 0; l < lanes; l++ {
-		for k := rng.Intn(5); k > 0; k-- {
-			i := rng.Intn(nps)
-			beeped[l] = append(beeped[l], i)
-			w.Beep(l, ps[i])
-			totalSent++
-		}
-	}
-	var joint sim.Clock
-	w.Deliver(&joint)
-	if joint.Rounds() != 1 || joint.Beeps() != totalSent {
-		t.Fatalf("joint delivery charged %d rounds / %d beeps, want 1 / %d",
-			joint.Rounds(), joint.Beeps(), totalSent)
-	}
-	for l := 0; l < lanes; l++ {
-		var solo sim.Clock
-		for _, i := range beeped[l] {
-			net.Beep(ps[i])
-		}
-		net.Deliver(&solo)
-		for i := range ps {
-			if got, want := w.Received(l, ps[i]), net.Received(ps[i]); got != want {
-				t.Fatalf("lane %d ps %d: Received %v, want %v", l, i, got, want)
-			}
-		}
-		net.NextRound()
-	}
-	w.NextRound()
-	w.Beep(0, ps[0])
-	w.Deliver(&joint)
-	if !w.Received(0, ps[0]) || w.Received(1, ps[0]) {
-		t.Fatal("NextRound did not isolate the fresh round's lanes")
 	}
 }
 
 // TestWavePackedDoneLanesKeepZeroBits pins the done-lane skip: once a lane
 // terminates, its Bits stay all-zero through later joint rounds (exactly
-// what a done pasc.Run's sweep computes), so downstream comparators keep
+// what sweeping a terminated wave computes), so downstream comparators keep
 // seeing the semantically significant zero feed.
 func TestWavePackedDoneLanesKeepZeroBits(t *testing.T) {
 	p := NewPacked(nil, nil)
@@ -232,8 +222,8 @@ func TestWavePackedDoneLanesKeepZeroBits(t *testing.T) {
 	sawDoneRounds := 0
 	for !p.AllDone() {
 		// The transition round itself still carries the final nonzero
-		// deactivation bits (exactly as pasc emits them); the all-zero
-		// contract starts one joint round later.
+		// deactivation bits; the all-zero contract starts one joint round
+		// later.
 		doneBefore := p.Done(0)
 		p.StepRound(&clock)
 		if doneBefore && p.Done(0) && !p.Done(1) {
