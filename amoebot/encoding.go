@@ -101,11 +101,11 @@ func ParseMap(data string) (*Structure, map[rune][]Coord, error) {
 func (f *Forest) MarshalText() ([]byte, error) {
 	var b bytes.Buffer
 	for i := int32(0); i < int32(f.s.N()); i++ {
-		if !f.member[i] {
+		if !f.Member(i) {
 			continue
 		}
 		c := f.s.Coord(i)
-		if p := f.parent[i]; p == None {
+		if p := f.Parent(i); p == None {
 			fmt.Fprintf(&b, "%d %d\n", c.X, c.Z)
 		} else {
 			pc := f.s.Coord(p)

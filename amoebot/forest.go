@@ -1,8 +1,8 @@
 package amoebot
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 )
 
 // Forest is the output representation of the shortest-path-forest problem
@@ -12,28 +12,29 @@ import (
 //
 // The zero value is unusable; construct with NewForest.
 type Forest struct {
-	s      *Structure
-	member []bool
-	parent []int32 // None for roots and non-members
+	s *Structure
+	// cell encodes membership and parent in one column: 0 = not a member,
+	// 1 = root, p+2 = member with parent p. A fresh forest is therefore a
+	// single zeroed allocation and a clone a single copy.
+	cell []int32
 }
+
+// The cell encoding: a member with parent p stores p + cellParent.
+const (
+	cellNone   int32 = 0
+	cellRoot   int32 = 1
+	cellParent int32 = 2
+)
 
 // NewForest returns an empty forest over s (no members).
 func NewForest(s *Structure) *Forest {
-	f := &Forest{
-		s:      s,
-		member: make([]bool, s.N()),
-		parent: make([]int32, s.N()),
-	}
-	for i := range f.parent {
-		f.parent[i] = None
-	}
-	return f
+	return &Forest{s: s, cell: make([]int32, s.N())}
 }
 
 func init() {
-	// parent slices rely on None being representable; keep the constant in
-	// sync with int32 indices.
-	if None != -1 {
+	// SetParent(i, None) must encode a root; keep the constant in sync with
+	// the cell encoding.
+	if None+cellParent != cellRoot {
 		panic("amoebot: None must be -1")
 	}
 }
@@ -42,41 +43,33 @@ func init() {
 func (f *Forest) Structure() *Structure { return f.s }
 
 // SetRoot makes node i a member with no parent.
-func (f *Forest) SetRoot(i int32) {
-	f.member[i] = true
-	f.parent[i] = None
-}
+func (f *Forest) SetRoot(i int32) { f.cell[i] = cellRoot }
 
 // SetParent makes node i a member with parent p (which must be adjacent
-// to i in the structure; this is checked by Check, not here).
-func (f *Forest) SetParent(i, p int32) {
-	f.member[i] = true
-	f.parent[i] = p
-}
+// to i in the structure; this is checked by Check, not here). A parent of
+// None makes i a root.
+func (f *Forest) SetParent(i, p int32) { f.cell[i] = p + cellParent }
 
 // Remove drops node i from the forest.
-func (f *Forest) Remove(i int32) {
-	f.member[i] = false
-	f.parent[i] = None
-}
+func (f *Forest) Remove(i int32) { f.cell[i] = cellNone }
 
 // Member reports whether node i belongs to some tree.
-func (f *Forest) Member(i int32) bool { return f.member[i] }
+func (f *Forest) Member(i int32) bool { return f.cell[i] != cellNone }
 
 // Parent returns the parent of node i, or None for roots and non-members.
 func (f *Forest) Parent(i int32) int32 {
-	if !f.member[i] {
-		return None
+	if c := f.cell[i]; c >= cellParent {
+		return c - cellParent
 	}
-	return f.parent[i]
+	return None
 }
 
 // Roots returns the member nodes without parents, ascending.
 func (f *Forest) Roots() []int32 {
 	var roots []int32
-	for i := int32(0); i < int32(f.s.N()); i++ {
-		if f.member[i] && f.parent[i] == None {
-			roots = append(roots, i)
+	for i, c := range f.cell {
+		if c == cellRoot {
+			roots = append(roots, int32(i))
 		}
 	}
 	return roots
@@ -85,9 +78,9 @@ func (f *Forest) Roots() []int32 {
 // Members returns all member nodes, ascending.
 func (f *Forest) Members() []int32 {
 	var m []int32
-	for i := int32(0); i < int32(f.s.N()); i++ {
-		if f.member[i] {
-			m = append(m, i)
+	for i, c := range f.cell {
+		if c != cellNone {
+			m = append(m, int32(i))
 		}
 	}
 	return m
@@ -96,8 +89,8 @@ func (f *Forest) Members() []int32 {
 // Size returns the number of member nodes.
 func (f *Forest) Size() int {
 	n := 0
-	for _, m := range f.member {
-		if m {
+	for _, c := range f.cell {
+		if c != cellNone {
 			n++
 		}
 	}
@@ -106,23 +99,20 @@ func (f *Forest) Size() int {
 
 // Clone returns a deep copy of the forest.
 func (f *Forest) Clone() *Forest {
-	g := NewForest(f.s)
-	copy(g.member, f.member)
-	copy(g.parent, f.parent)
-	return g
+	return &Forest{s: f.s, cell: slices.Clone(f.cell)}
 }
 
 // RootOf follows parent pointers from i to its tree root. It returns None
 // if i is not a member or if a cycle or non-member parent is encountered.
 func (f *Forest) RootOf(i int32) int32 {
-	if !f.member[i] {
+	if f.cell[i] == cellNone {
 		return None
 	}
 	steps := 0
-	for f.parent[i] != None {
-		i = f.parent[i]
+	for f.cell[i] >= cellParent {
+		i = f.cell[i] - cellParent
 		steps++
-		if !f.member[i] || steps > f.s.N() {
+		if f.cell[i] == cellNone || steps > f.s.N() {
 			return None
 		}
 	}
@@ -132,14 +122,14 @@ func (f *Forest) RootOf(i int32) int32 {
 // Depth returns the number of parent hops from i to its root, or -1 if
 // RootOf would fail.
 func (f *Forest) Depth(i int32) int {
-	if !f.member[i] {
+	if f.cell[i] == cellNone {
 		return -1
 	}
 	d := 0
-	for f.parent[i] != None {
-		i = f.parent[i]
+	for f.cell[i] >= cellParent {
+		i = f.cell[i] - cellParent
 		d++
-		if !f.member[i] || d > f.s.N() {
+		if f.cell[i] == cellNone || d > f.s.N() {
 			return -1
 		}
 	}
@@ -150,9 +140,9 @@ func (f *Forest) Depth(i int32) int {
 // by node.
 func (f *Forest) Children() [][]int32 {
 	ch := make([][]int32, f.s.N())
-	for i := int32(0); i < int32(f.s.N()); i++ {
-		if f.member[i] && f.parent[i] != None {
-			ch[f.parent[i]] = append(ch[f.parent[i]], i)
+	for i, c := range f.cell {
+		if c >= cellParent {
+			ch[c-cellParent] = append(ch[c-cellParent], int32(i))
 		}
 	}
 	return ch
@@ -161,7 +151,8 @@ func (f *Forest) Children() [][]int32 {
 // Check verifies structural sanity: every member's parent chain reaches a
 // root through adjacent member nodes, with no cycles. It does not check
 // shortest-path properties; see the verify package for the full
-// five-property SPF check.
+// five-property SPF check. Membership and parent share one cell, so a
+// non-member never carries a parent and has no case of its own to reject.
 func (f *Forest) Check() error {
 	state := make([]int8, f.s.N()) // 0 unvisited, 1 in progress, 2 ok
 	var walk func(i int32) error
@@ -173,9 +164,8 @@ func (f *Forest) Check() error {
 			return fmt.Errorf("amoebot: forest has a cycle through node %d", i)
 		}
 		state[i] = 1
-		p := f.parent[i]
-		if p != None {
-			if !f.member[p] {
+		if p := f.Parent(i); p != None {
+			if !f.Member(p) {
 				return fmt.Errorf("amoebot: node %d has non-member parent %d", i, p)
 			}
 			if _, ok := DirectionBetween(f.s.Coord(i), f.s.Coord(p)); !ok {
@@ -189,10 +179,7 @@ func (f *Forest) Check() error {
 		return nil
 	}
 	for i := int32(0); i < int32(f.s.N()); i++ {
-		if !f.member[i] {
-			if f.parent[i] != None {
-				return errors.New("amoebot: non-member with parent set")
-			}
+		if !f.Member(i) {
 			continue
 		}
 		if err := walk(i); err != nil {

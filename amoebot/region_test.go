@@ -172,13 +172,19 @@ func TestForestCloneIndependent(t *testing.T) {
 	s := MustStructure(lineCoords(3))
 	f := NewForest(s)
 	f.SetRoot(0)
+	f.SetParent(2, 1)
 	g := f.Clone()
+	if g.Structure() != s || g.Parent(2) != 1 || !g.Member(0) || g.Member(1) {
+		t.Fatal("clone differs from its source")
+	}
 	g.SetParent(1, 0)
-	if f.Member(1) {
+	g.SetRoot(2)
+	if f.Member(1) || f.Parent(2) != 1 {
 		t.Error("clone mutation leaked into original")
 	}
 	f.Remove(0)
-	if !g.Member(0) {
+	f.SetParent(2, 0)
+	if !g.Member(0) || g.Parent(2) != None {
 		t.Error("original mutation leaked into clone")
 	}
 }

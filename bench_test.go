@@ -198,7 +198,7 @@ func BenchmarkE6_Primitives(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var clock sim.Clock
-			treeprim.Elect(&clock, tree, 0, inQ)
+			treeprim.Elect(&clock, ett.BuildTour(tree, 0), inQ)
 			rounds = clock.Rounds()
 		}
 		reportRounds(b, rounds)

@@ -359,7 +359,7 @@ func e6() {
 		start := time.Now()
 		var c1, c2, c3, c4 sim.Clock
 		rp := treeprim.RootAndPrune(&c1, tree, 0, inQ)
-		treeprim.Elect(&c2, tree, 0, inQ)
+		treeprim.Elect(&c2, ett.BuildTour(tree, 0), inQ)
 		treeprim.Centroids(&c3, tree, 0, inQ)
 		aq := treeprim.Augmentation(rp)
 		qp := make([]bool, n)

@@ -21,14 +21,16 @@
 // canonical text ("structure"), or the fingerprint of a structure this
 // server has already seen ("fp" — every scenario, parsed structure and
 // mutation result is registered). Overload is shed with 429 and a
-// Retry-After hint; SIGINT/SIGTERM drain: the listener stops, admitted
-// requests flush and are answered, then the process exits.
+// Retry-After hint; request bodies above 32 MiB are refused with 413;
+// SIGINT/SIGTERM drain: the listener stops, admitted requests flush and
+// are answered, then the process exits.
 package main
 
 import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -78,26 +80,19 @@ func main() {
 		MaxEnginesPerShard: *maxEngines,
 		Engine:             engine.Config{Workers: *workers, IntraWorkers: *intra, AllowHoles: true},
 	})
-	srv := &server{
-		svc: svc,
-		batcher: service.NewBatcher(svc, &service.BatcherConfig{
-			BatchSize:   *batchSize,
-			MaxWait:     *maxWait,
-			QueueDepth:  *queueDepth,
-			MaxInFlight: *maxInFlight,
-		}),
-		rec:        recorder,
-		structures: make(map[string]*list.Element),
-		order:      list.New(),
-		started:    time.Now(),
+	srv := newServer(svc, service.NewBatcher(svc, &service.BatcherConfig{
+		BatchSize:   *batchSize,
+		MaxWait:     *maxWait,
+		QueueDepth:  *queueDepth,
+		MaxInFlight: *maxInFlight,
+	}), recorder)
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", srv.handleQuery)
-	mux.HandleFunc("POST /v1/batch", srv.handleBatch)
-	mux.HandleFunc("POST /v1/mutate", srv.handleMutate)
-	mux.HandleFunc("GET /v1/stats", srv.handleStats)
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -122,6 +117,23 @@ func main() {
 	log.Printf("spfserve: drained (%d requests served)", srv.rec.Records())
 }
 
+// maxBodyBytes bounds a request body. The largest shipped structure, the
+// radius-577 hexagon (about a million amoebots), is 8,519,916 bytes of
+// canonical text, so inline structures of that size fit with room to
+// spare; a larger body is answered with 413 as soon as the limit is read.
+const maxBodyBytes = 32 << 20
+
+// Server timeouts: a client has readHeaderTimeout to send its headers and
+// readTimeout for the whole request, a maximal body included; idle
+// keep-alive connections close after idleTimeout. There is deliberately no
+// write timeout: a million-amoebot solve can take seconds, and the
+// response is written only after it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // server carries the serving state shared by the handlers.
 type server struct {
 	svc     *service.Service
@@ -137,6 +149,39 @@ type server struct {
 	mu         sync.Mutex
 	structures map[string]*list.Element
 	order      *list.List // front = oldest; values are *regEntry
+}
+
+func newServer(svc *service.Service, batcher *service.Batcher, rec *service.Recorder) *server {
+	return &server{
+		svc:        svc,
+		batcher:    batcher,
+		rec:        rec,
+		structures: make(map[string]*list.Element),
+		order:      list.New(),
+		started:    time.Now(),
+	}
+}
+
+// routes returns the handler serving the four endpoints.
+func (sv *server) routes() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", sv.handleQuery)
+	mux.HandleFunc("POST /v1/batch", sv.handleBatch)
+	mux.HandleFunc("POST /v1/mutate", sv.handleMutate)
+	mux.HandleFunc("GET /v1/stats", sv.handleStats)
+	return mux
+}
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it returns the status to answer with: 413 for an oversized
+// body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 type regEntry struct {
@@ -268,8 +313,8 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := service.RequestRecord{Endpoint: "query"}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	rec.Algo = req.Algo
@@ -319,8 +364,8 @@ func (sv *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := service.RequestRecord{Endpoint: "batch"}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -379,8 +424,8 @@ func (sv *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := service.RequestRecord{Endpoint: "mutate"}
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	s, err := sv.resolve(req.structureRef)

@@ -192,7 +192,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		}
 	}
 	// ---- Corollary 57: prune every tree to its destinations.
-	return pruneToDestinations(env, clock, full, sources, dests)
+	return pruneToDestinations(env, clock, full, region.Nodes(), sources, dests)
 }
 
 // regionState is one current region with its (S∩region)-forest.
@@ -260,19 +260,18 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 }
 
 // propagateBothSides extends a forest living on the portal run pnodes to
-// the sides of the run present in the region.
+// the sides of the run present in the region, splitting the region at the
+// run once for both sides.
 func propagateBothSides(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest) *amoebot.Forest {
 	ar := env.Arena()
-	inP := ar.BitSet(region.Structure().N())
-	for _, p := range pnodes {
-		inP.Add(p)
-	}
+	inP := portalRow(region.Structure(), pnodes, ar)
+	defer ar.PutBitSet(inP)
+	sides := splitSides(ar, region, inP)
 	for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
-		if len(sideNodes(region, pnodes, inP, side)) > 0 {
-			f = PropagateEnv(env, clock, region, pnodes, f, side)
+		if len(sides[side]) > 0 {
+			f = propagate(env, clock, region, pnodes, inP, sides[side], f, side)
 		}
 	}
-	ar.PutBitSet(inP)
 	return f
 }
 
@@ -393,11 +392,8 @@ func mergeAlongPortal(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *spli
 func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, p int32, touching []*regionState) *regionState {
 	ar := env.Arena()
 	pnodes := sp.ports.NodesOf(p)
-	inP := ar.BitSet(s.N())
+	inP := portalRow(s, pnodes, ar)
 	defer ar.PutBitSet(inP)
-	for _, u := range pnodes {
-		inP.Add(u)
-	}
 	// Classify each touching region to a side of p: the side of its
 	// non-portal body adjacent to p.
 	var bySide [amoebot.NumSides][]*regionState
@@ -455,10 +451,11 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 		out = north
 	default:
 		whole := north.region.Union(south.region).Union(amoebot.NewRegion(s, pnodes))
-		fN := extendAlongPortal(env.Arena(), clock, s, north.forest, pnodes)
-		fS := extendAlongPortal(env.Arena(), clock, s, south.forest, pnodes)
-		f1 := PropagateEnv(env, clock, whole, pnodes, fN, amoebot.SideB)
-		f2 := PropagateEnv(env, clock, whole, pnodes, fS, amoebot.SideA)
+		fN := extendAlongPortal(ar, clock, s, north.forest, pnodes)
+		fS := extendAlongPortal(ar, clock, s, south.forest, pnodes)
+		sides := splitSides(ar, whole, inP)
+		f1 := propagate(env, clock, whole, pnodes, inP, sides[amoebot.SideB], fN, amoebot.SideB)
+		f2 := propagate(env, clock, whole, pnodes, inP, sides[amoebot.SideA], fS, amoebot.SideA)
 		out = &regionState{region: whole, forest: MergeEnv(env, clock, f1, f2)}
 	}
 	return out
@@ -738,5 +735,5 @@ func ForestSequentialEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sou
 		next := SPTEnv(env, clock, region, src, region.Nodes())
 		acc = MergeEnv(env, clock, acc, next)
 	}
-	return pruneToDestinations(env, clock, acc, sources, dests)
+	return pruneToDestinations(env, clock, acc, region.Nodes(), sources, dests)
 }

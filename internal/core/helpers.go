@@ -28,10 +28,67 @@ import (
 	"spforest/internal/treeprim"
 )
 
+// forestChildren is the children adjacency of a forest over a node set in
+// CSR form: the children of nodes[k] are kids[off[k]:off[k+1]], ascending.
+// All three columns draw from the arena, so a prune costs work in its
+// region, not n slice headers plus one slice per parent.
+type forestChildren struct {
+	slot *dense.Index // node -> k
+	off  []int32
+	kids []int32
+}
+
+// newForestChildren builds the children of f's members among nodes, which
+// must be ascending and hold every member and every member's parent. The
+// counting sort places children in ascending order — the order
+// Forest.Children lists them in. Release with release.
+func newForestChildren(f *amoebot.Forest, nodes []int32, ar *dense.Arena) *forestChildren {
+	fc := &forestChildren{slot: ar.Index(f.Structure().N()), off: ar.Int32s(len(nodes) + 1)}
+	for k, u := range nodes {
+		fc.slot.Set(u, int32(k))
+	}
+	for _, u := range nodes {
+		if p := f.Parent(u); p != amoebot.None {
+			k, ok := fc.slot.Get(p)
+			if !ok {
+				panic(fmt.Sprintf("core: parent %d of %d outside the node set", p, u))
+			}
+			fc.off[k+1]++
+		}
+	}
+	for k := range nodes {
+		fc.off[k+1] += fc.off[k]
+	}
+	fc.kids = ar.Int32s(int(fc.off[len(nodes)]))
+	next := ar.Int32s(len(nodes))
+	defer ar.PutInt32s(next)
+	copy(next, fc.off)
+	for _, u := range nodes {
+		if p := f.Parent(u); p != amoebot.None {
+			k := fc.slot.At(p)
+			fc.kids[next[k]] = u
+			next[k]++
+		}
+	}
+	return fc
+}
+
+// of returns u's children, ascending.
+func (fc *forestChildren) of(u int32) []int32 {
+	k := fc.slot.At(u)
+	return fc.kids[fc.off[k]:fc.off[k+1]]
+}
+
+func (fc *forestChildren) release(ar *dense.Arena) {
+	ar.PutIndex(fc.slot)
+	ar.PutInt32s(fc.off)
+	ar.PutInt32s(fc.kids)
+}
+
 // forestComponent returns the members of f reachable from start via
-// parent/child links, or nil if start is not a member. children must be
-// f.Children() (hoisted by the caller so repeated component walks share it).
-func forestComponent(f *amoebot.Forest, children [][]int32, start int32, ar *dense.Arena) []int32 {
+// parent/child links, or nil if start is not a member. children is shared
+// by the caller so repeated component walks build it once.
+func forestComponent(f *amoebot.Forest, children *forestChildren, start int32, ar *dense.Arena) []int32 {
 	if !f.Member(start) {
 		return nil
 	}
@@ -48,7 +105,7 @@ func forestComponent(f *amoebot.Forest, children [][]int32, start int32, ar *den
 			seen.Add(p)
 			stack = append(stack, p)
 		}
-		for _, c := range children[u] {
+		for _, c := range children.of(u) {
 			if !seen.Has(c) {
 				seen.Add(c)
 				stack = append(stack, c)
@@ -124,8 +181,9 @@ func forestLaneParent(f *amoebot.Forest, members []int32, ar *dense.Arena) ([]in
 // tree of f is pruned to the subtrees containing destinations (sources
 // always stay as roots). Connected components of chosen-parent graphs that
 // contain no source receive no signal and prune themselves entirely.
-// Rounds: the primitive runs on all trees in parallel.
-func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, sources, dests []int32) *amoebot.Forest {
+// Rounds: the primitive runs on all trees in parallel. nodes is the
+// region f lives on (ascending, holding every member of f).
+func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, sources, dests []int32) *amoebot.Forest {
 	s := f.Structure()
 	ar := env.Arena()
 	isDest := ar.BitSet(s.N())
@@ -133,7 +191,8 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, sources,
 	for _, d := range dests {
 		isDest.Add(d)
 	}
-	children := f.Children() // shared read-only by the per-tree walks
+	children := newForestChildren(f, nodes, ar) // shared read-only by the per-tree walks
+	defer children.release(ar)
 	out := amoebot.NewForest(s)
 	branches := make([]*sim.Clock, len(sources))
 	// The trees are vertex-disjoint, so the per-tree prunes run on worker
@@ -181,12 +240,12 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, sources,
 // discoverChildren charges the round in which every amoebot that chose a
 // parent beeps on the shared edge so parents learn their children (needed
 // before any tree-structured circuit can be built on a chosen-parent
-// forest).
-func discoverChildren(clock *sim.Clock, f *amoebot.Forest) {
+// forest). nodes is the region f lives on.
+func discoverChildren(clock *sim.Clock, f *amoebot.Forest, nodes []int32) {
 	clock.Tick(1)
 	n := int64(0)
-	for i := int32(0); i < int32(f.Structure().N()); i++ {
-		if f.Member(i) && f.Parent(i) != amoebot.None {
+	for _, u := range nodes {
+		if f.Parent(u) != amoebot.None {
 			n++
 		}
 	}

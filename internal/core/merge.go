@@ -47,9 +47,9 @@ func MergeManyEnv(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest) []*
 		switch {
 		case pr[1].Structure() != pr[0].Structure():
 			panic("core: merging forests of different structures")
-		case len(pr[0].Members()) == 0:
+		case pr[0].Size() == 0:
 			out[i] = pr[1].Clone()
-		case len(pr[1].Members()) == 0:
+		case pr[1].Size() == 0:
 			out[i] = pr[0].Clone()
 		default:
 			live = append(live, i)
@@ -67,21 +67,25 @@ func MergeManyEnv(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest) []*
 }
 
 // mergePackedPairs runs one packed pass over the given non-trivial pair
-// indices, writing each pair's merged forest into out.
+// indices, writing each pair's merged forest into out. Each forest's
+// member list is taken once and shared by its lane, its comparators and
+// the assembly.
 func mergePackedPairs(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest, idxs []int, out []*amoebot.Forest) {
 	ar := env.Arena()
 	p := wave.NewPacked(ar, env.Waves())
 	locals := make([]*dense.Index, 2*len(idxs))
 	parents := make([][]int32, 2*len(idxs))
+	members := make([][]int32, 2*len(idxs))
 	mcs := make([]*mergeCmps, len(idxs))
 	pairClocks := make([]*sim.Clock, len(idxs))
 	for k, i := range idxs {
 		f1, f2 := pairs[i][0], pairs[i][1]
-		parents[2*k], locals[2*k] = forestLaneParent(f1, f1.Members(), ar)
-		parents[2*k+1], locals[2*k+1] = forestLaneParent(f2, f2.Members(), ar)
+		members[2*k], members[2*k+1] = f1.Members(), f2.Members()
+		parents[2*k], locals[2*k] = forestLaneParent(f1, members[2*k], ar)
+		parents[2*k+1], locals[2*k+1] = forestLaneParent(f2, members[2*k+1], ar)
 		p.AddLane(parents[2*k], nil)
 		p.AddLane(parents[2*k+1], nil)
-		mcs[k] = newMergeCmps(f1, f2, ar)
+		mcs[k] = newMergeCmps(f1, f2, members[2*k], ar)
 		pairClocks[k] = clocks[i]
 	}
 	p.Seal()
@@ -106,7 +110,7 @@ func mergePackedPairs(env *Env, clocks []*sim.Clock, pairs [][2]*amoebot.Forest,
 	}
 	p.Release()
 	for k, i := range idxs {
-		out[i] = mcs[k].assemble(pairs[i][0], pairs[i][1])
+		out[i] = mcs[k].assemble(pairs[i][0], pairs[i][1], members[2*k], members[2*k+1])
 		mcs[k].release(ar)
 		ar.PutIndex(locals[2*k])
 		ar.PutIndex(locals[2*k+1])
@@ -123,9 +127,10 @@ type mergeCmps struct {
 	states []uint8
 }
 
-func newMergeCmps(f1, f2 *amoebot.Forest, ar *dense.Arena) *mergeCmps {
+// newMergeCmps pairs the members of f1 (members1) that f2 covers too.
+func newMergeCmps(f1, f2 *amoebot.Forest, members1 []int32, ar *dense.Arena) *mergeCmps {
 	mc := &mergeCmps{cmpOf: ar.Index(f1.Structure().N())}
-	for _, g := range f1.Members() {
+	for _, g := range members1 {
 		if f2.Member(g) {
 			mc.cmpOf.Set(g, int32(len(mc.both)))
 			mc.both = append(mc.both, g)
@@ -154,10 +159,10 @@ func (mc *mergeCmps) feed(ex *par.Exec, local1, local2 *dense.Index, b1, b2 []ui
 }
 
 // assemble builds the merged forest from the settled comparators (Lemma 41;
-// ties towards f1).
-func (mc *mergeCmps) assemble(f1, f2 *amoebot.Forest) *amoebot.Forest {
+// ties towards f1); members1 and members2 are the forests' member lists.
+func (mc *mergeCmps) assemble(f1, f2 *amoebot.Forest, members1, members2 []int32) *amoebot.Forest {
 	out := amoebot.NewForest(f1.Structure())
-	for _, g := range f1.Members() {
+	for _, g := range members1 {
 		if ci := mc.cmpOf.At(g); ci >= 0 && bitstream.CmpOrdering(mc.states[ci]) == bitstream.Greater {
 			continue // f2 strictly nearer: handled below
 		}
@@ -167,7 +172,7 @@ func (mc *mergeCmps) assemble(f1, f2 *amoebot.Forest) *amoebot.Forest {
 			out.SetRoot(g)
 		}
 	}
-	for _, g := range f2.Members() {
+	for _, g := range members2 {
 		if ci := mc.cmpOf.At(g); ci >= 0 && bitstream.CmpOrdering(mc.states[ci]) != bitstream.Greater {
 			continue // f1 at most as far: already placed
 		}

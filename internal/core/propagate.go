@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"spforest/amoebot"
 	"spforest/internal/bitstream"
 	"spforest/internal/dense"
-	"spforest/internal/portal"
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
@@ -28,87 +26,70 @@ import (
 //
 // Runs in O(log n) rounds. An empty forest propagates to an empty forest.
 //
-// The two visibility decompositions (y- and z-portals of P ∪ B) compute
-// concurrently, the per-probe comparator feeds of each PASC iteration fan
-// out over index chunks, and the phase-2 invisible components — disjoint
-// sub-regions by construction — run on worker goroutines with their branch
-// clocks joined in component order.
+// The per-probe comparator feeds of each PASC iteration fan out over index
+// chunks, and the phase-2 invisible components — disjoint sub-regions by
+// construction — run on worker goroutines with their branch clocks joined
+// in component order.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
-	ar := env.Arena()
-	s := region.Structure()
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
 	}
 	if f.Size() == 0 {
 		return f.Clone()
 	}
-	zP := s.Coord(pnodes[0]).Z
-	inP := ar.BitSet(s.N())
+	ar := env.Arena()
+	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
+	return propagate(env, clock, region, pnodes, inP, splitSides(ar, region, inP)[into], f, into)
+}
+
+// portalRow returns the set of the portal's nodes, checking that they lie
+// on one row (an x-portal). Release it with ar.PutBitSet.
+func portalRow(s *amoebot.Structure, pnodes []int32, ar *dense.Arena) *dense.BitSet {
+	inP := ar.BitSet(s.N())
+	zP := s.Coord(pnodes[0]).Z
 	for _, p := range pnodes {
 		if s.Coord(p).Z != zP {
 			panic("core: portal nodes not on one row")
 		}
 		inP.Add(p)
 	}
+	return inP
+}
 
-	// B = components of region \ P on the requested side.
-	bNodes := sideNodes(region, pnodes, inP, into)
-	if len(bNodes) == 0 {
+// propagate is PropagateEnv with the portal set inP and the side's nodes
+// bNodes (see splitSides) supplied by the caller, which splits the region
+// once for both sides.
+func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, inP *dense.BitSet, bNodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
+	if len(bNodes) == 0 || f.Size() == 0 {
 		return f.Clone()
 	}
+	ar := env.Arena()
+	s := region.Structure()
+	zP := s.Coord(pnodes[0]).Z
 	out := f.Clone()
-
-	// Directions from B towards P along the y- and z-axes.
-	var towardY, towardZ amoebot.Direction
-	if into == amoebot.SideA { // B north of P: move south
-		towardY, towardZ = amoebot.DirSW, amoebot.DirSE
-	} else {
-		towardY, towardZ = amoebot.DirNE, amoebot.DirNW
-	}
+	towardY, towardZ := towardPortal(into)
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	// The two decompositions are independent read-only computations over
-	// the same sub-region, so they run concurrently.
-	pb := amoebot.NewRegion(s, append(append([]int32{}, pnodes...), bNodes...))
-	var portsY, portsZ *portal.Portals
-	env.Exec().For(2, func(i int) {
-		if i == 0 {
-			portsY = portal.Compute(pb, amoebot.AxisY)
-		} else {
-			portsZ = portal.Compute(pb, amoebot.AxisZ)
-		}
-	})
-	containsP := func(ports *portal.Portals) []bool {
-		mask := make([]bool, ports.Len())
-		for _, p := range pnodes {
-			mask[ports.ID[p]] = true
-		}
-		return mask
-	}
-	visYPortal := containsP(portsY)
-	visZPortal := containsP(portsZ)
+	visY, visZ := visibility(ar, s, pnodes, bNodes, into)
+	defer ar.PutBitSet(visY)
+	defer ar.PutBitSet(visZ)
 	clock.Tick(1)
 	clock.AddBeeps(2 * int64(len(pnodes)))
 
 	var bothVisible []int32
-	visible := ar.BitSet(s.N())
-	defer ar.PutBitSet(visible)
 	for _, u := range bNodes {
-		vy := visYPortal[portsY.ID[u]]
-		vz := visZPortal[portsZ.ID[u]]
-		switch {
+		switch vy, vz := visY.Has(u), visZ.Has(u); {
 		case vy && vz:
-			visible.Add(u)
 			bothVisible = append(bothVisible, u)
 		case vy:
-			visible.Add(u)
 			out.SetParent(u, mustNeighbor(region, u, towardY))
 		case vz:
-			visible.Add(u)
 			out.SetParent(u, mustNeighbor(region, u, towardZ))
 		}
 	}
+	visible := visY // B': visible along either axis
+	visible.Or(visZ)
 
 	// Both-visible amoebots compare the streamed distances of their two
 	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
@@ -206,41 +187,89 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	return out
 }
 
-// sideNodes returns the nodes of region \ P lying on the given side of the
-// x-portal P. Every component of region \ P touches P from exactly one side
-// (the portal graph is a tree); a component touching from the wrong side
-// belongs to A.
-func sideNodes(region *amoebot.Region, pnodes []int32, inP *dense.BitSet, side amoebot.Side) []int32 {
-	s := region.Structure()
-	rest := region.Filter(func(i int32) bool { return !inP.Has(i) })
-	var out []int32
-	for _, comp := range amoebot.NewRegion(s, rest).Components() {
-		compSide, found := amoebot.Side(0), false
-		for _, p := range pnodes {
+// towardPortal returns the directions from B towards P along the y- and
+// z-axes, for B on the given side of the x-portal P.
+func towardPortal(into amoebot.Side) (towardY, towardZ amoebot.Direction) {
+	if into == amoebot.SideA { // B north of P: move south
+		return amoebot.DirSW, amoebot.DirSE
+	}
+	return amoebot.DirNE, amoebot.DirNW
+}
+
+// visibility returns the amoebots of B (on the given side of the x-portal
+// P) that see P along the y-axis and along the z-axis: those whose y- (z-)
+// portal of P ∪ B contains an amoebot of P (Lemma 47). An axis line
+// crosses P's row once, so that portal holds a P amoebot exactly when
+// walking from the P amoebot away from P along the axis stays inside B up
+// to the amoebot. The walks cost O(|P| + |B|); portal decompositions of
+// P ∪ B would cost the whole structure. Release both sets with
+// ar.PutBitSet.
+func visibility(ar *dense.Arena, s *amoebot.Structure, pnodes, bNodes []int32, into amoebot.Side) (visY, visZ *dense.BitSet) {
+	inB := ar.BitSet(s.N())
+	defer ar.PutBitSet(inB)
+	for _, u := range bNodes {
+		inB.Add(u)
+	}
+	towardY, towardZ := towardPortal(into)
+	visY, visZ = ar.BitSet(s.N()), ar.BitSet(s.N())
+	for _, p := range pnodes {
+		for v := s.Neighbor(p, towardY.Opposite()); v != amoebot.None && inB.Has(v); v = s.Neighbor(v, towardY.Opposite()) {
+			visY.Add(v)
+		}
+		for v := s.Neighbor(p, towardZ.Opposite()); v != amoebot.None && inB.Has(v); v = s.Neighbor(v, towardZ.Opposite()) {
+			visZ.Add(v)
+		}
+	}
+	return visY, visZ
+}
+
+// splitSides returns the nodes of region \ P on each side of the x-portal
+// P, from one walk over the components of region \ P (in its fixed walk
+// order; propagation treats B as a set). Every component touches P from
+// exactly one side (the portal graph is a tree); a component touching from
+// the other side belongs to A.
+func splitSides(ar *dense.Arena, region *amoebot.Region, inP *dense.BitSet) [amoebot.NumSides][]int32 {
+	seen := ar.BitSet(region.Structure().N())
+	defer ar.PutBitSet(seen)
+	var sides [amoebot.NumSides][]int32
+	var comp, stack []int32
+	for _, start := range region.Nodes() {
+		if inP.Has(start) || seen.Has(start) {
+			continue
+		}
+		side, found := amoebot.Side(0), false
+		comp = comp[:0]
+		seen.Add(start)
+		stack = append(stack[:0], start)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, u)
 			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				if d.Axis() == amoebot.AxisX {
-					continue
+				v := region.Neighbor(u, d)
+				switch {
+				case v == amoebot.None:
+				case inP.Has(v):
+					if d.Axis() != amoebot.AxisX {
+						// u lies on the side the edge (v, u) points to.
+						ds, _ := amoebot.AxisX.SideOf(d.Opposite())
+						if found && ds != side {
+							panic("core: component touches the portal from both sides")
+						}
+						side, found = ds, true
+					}
+				case !seen.Has(v):
+					seen.Add(v)
+					stack = append(stack, v)
 				}
-				v := region.Neighbor(p, d)
-				if v == amoebot.None || !comp.Contains(v) {
-					continue
-				}
-				ds, _ := amoebot.AxisX.SideOf(d)
-				if found && ds != compSide {
-					panic("core: component touches the portal from both sides")
-				}
-				compSide, found = ds, true
 			}
 		}
 		if !found {
 			panic("core: component not adjacent to the portal")
 		}
-		if compSide == side {
-			out = append(out, comp.Nodes()...)
-		}
+		sides[side] = append(sides[side], comp...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sides
 }
 
 func mustNeighbor(region *amoebot.Region, u int32, d amoebot.Direction) int32 {

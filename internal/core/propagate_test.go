@@ -30,7 +30,7 @@ func propagateSetup(t *testing.T, rng *rand.Rand, s *amoebot.Structure, portalId
 	}
 	// A∪P = region minus the components on the `into` side (the exact set
 	// Propagate will extend into).
-	b := sideNodes(region, pnodes, inP, into)
+	b := splitSides(nil, region, inP)[into]
 	if len(b) == 0 {
 		return nil, nil, nil, nil, false // nothing to propagate into
 	}

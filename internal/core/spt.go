@@ -164,6 +164,6 @@ func sptExtract(env *Env, clock *sim.Clock, region *amoebot.Region,
 	// Parents announce themselves so the chosen-parent forest becomes a
 	// usable tree structure, then the final root-and-prune with (s, D)
 	// extracts the destination tree and silences stray components (§4).
-	discoverChildren(clock, chosen)
-	return pruneToDestinations(env, clock, chosen, []int32{source}, dests)
+	discoverChildren(clock, chosen, nodes)
+	return pruneToDestinations(env, clock, chosen, nodes, []int32{source}, dests)
 }

@@ -160,7 +160,9 @@ func ElectPortal(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) int32 
 		}
 		return -1
 	}
-	elected := treeprim.Elect(clock, v.tree, v.Local(v.P.Rep(rootPortal)), hatQ(v, inQ))
+	// The election scans the view's memoized tour at the root portal's
+	// representative, usually the one RootPrune or Centroids just built.
+	elected := treeprim.Elect(clock, v.TourAt(v.Local(v.P.Rep(rootPortal))), hatQ(v, inQ))
 	clock.Tick(1) // the elected representative beeps on its portal circuit
 	if elected < 0 {
 		return -1

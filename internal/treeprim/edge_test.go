@@ -27,10 +27,10 @@ func TestSingleNodeRootAndPrune(t *testing.T) {
 
 func TestSingleNodeElect(t *testing.T) {
 	var clock sim.Clock
-	if got := Elect(&clock, singleNode(), 0, []bool{true}); got != 0 {
+	if got := Elect(&clock, ett.BuildTour(singleNode(), 0), []bool{true}); got != 0 {
 		t.Fatalf("elected %d", got)
 	}
-	if got := Elect(&clock, singleNode(), 0, []bool{false}); got != -1 {
+	if got := Elect(&clock, ett.BuildTour(singleNode(), 0), []bool{false}); got != -1 {
 		t.Fatalf("elected %d from empty Q", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestTwoNodePrimitives(t *testing.T) {
 	if rp.Parent[1] != 0 {
 		t.Fatalf("parent[1] = %d", rp.Parent[1])
 	}
-	if got := Elect(&clock, tree, 0, []bool{false, true}); got != 1 {
+	if got := Elect(&clock, ett.BuildTour(tree, 0), []bool{false, true}); got != 1 {
 		t.Fatalf("elected %d", got)
 	}
 	c := Centroids(&clock, tree, 0, []bool{true, true})

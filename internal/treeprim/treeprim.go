@@ -8,7 +8,6 @@ package treeprim
 
 import (
 	"spforest/internal/bitstream"
-	"spforest/internal/circuits"
 	"spforest/internal/ett"
 	"spforest/internal/sim"
 )
@@ -103,46 +102,25 @@ func Augmentation(rp *RootPruneResult) []bool {
 	return a
 }
 
-// Elect elects a single node of Q (Lemma 21, §3.3): the Euler tour is split
-// at the marked edges into circuit subpaths; the root beeps into the first
-// subpath; the owner of the first marked edge is elected. One round.
-// Returns -1 if Q is empty (silence on every marked instance).
-func Elect(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) int32 {
-	n := tree.Len()
-	if n == 1 {
-		clock.Tick(1)
-		if inQ[0] {
-			return 0
-		}
-		return -1
+// Elect elects a single node of Q (Lemma 21, §3.3) on the Euler tour of
+// the tree: the tour is split at the marked edges (the first instance of
+// each Q node) into circuit subpaths, the root beeps into the first
+// subpath, and the owner of the first marked edge hears it and is elected.
+// One round, one beep (none on a single-node tour, where the root decides
+// locally). Returns -1 if Q is empty (silence on every marked instance).
+//
+// A beep's outcome depends only on circuit connectivity: the root's subpath
+// runs from instance 0 to the first marked edge, so the elected node is the
+// first tour instance whose node is in Q, found in one scan of the tour.
+// The circuit construction itself is the oracle of the package tests.
+func Elect(clock *sim.Clock, tour *ett.Tour, inQ []bool) int32 {
+	clock.Tick(1)
+	if tour.Edges() > 0 {
+		clock.AddBeeps(1)
 	}
-	tour := ett.BuildTour(tree, root)
-	// Mark the first instance of each Q node (the same weight function the
-	// ETT uses).
-	marked := make([]bool, tour.Edges())
-	done := make([]bool, n)
-	for i := 0; i < tour.Edges(); i++ {
-		u := tour.Node(int32(i))
-		if inQ[u] && !done[u] {
-			done[u] = true
-			marked[i] = true
-		}
-	}
-	net := circuits.New()
-	ps := make([]circuits.PS, tour.Len())
-	for i := range ps {
-		ps[i] = net.NewPartitionSet(tour.Node(int32(i)))
-	}
-	for i := 0; i < tour.Edges(); i++ {
-		if !marked[i] {
-			net.Link(ps[i], ps[i+1])
-		}
-	}
-	net.Beep(ps[0])
-	net.Deliver(clock)
-	for i := 0; i < tour.Edges(); i++ {
-		if marked[i] && net.Received(ps[i]) {
-			return tour.Node(int32(i))
+	for i := int32(0); i < int32(tour.Len()); i++ {
+		if u := tour.Node(i); inQ[u] {
+			return u
 		}
 	}
 	return -1
@@ -287,7 +265,7 @@ func Decompose(clock *sim.Clock, tree *ett.Tree, root int32, inQPrime []bool) *D
 				continue // defensive; regions without Q' are not recursed into
 			}
 			cent := Centroids(branch, sub, toLocal[reg.root], subQ)
-			elected := Elect(branch, sub, toLocal[reg.root], cent.IsCentroid)
+			elected := Elect(branch, ett.BuildTour(sub, toLocal[reg.root]), cent.IsCentroid)
 			if elected < 0 {
 				// Q' was not properly augmented; Corollary 28 rules this
 				// out for Q' = Q ∪ A_Q.

@@ -136,7 +136,7 @@ func TestElect(t *testing.T) {
 		root := int32(rng.Intn(n))
 		inQ, sizeQ := randomQ(rng, n, 20)
 		var clock sim.Clock
-		got := Elect(&clock, tree, root, inQ)
+		got := Elect(&clock, ett.BuildTour(tree, root), inQ)
 		if clock.Rounds() != 1 {
 			t.Fatalf("election took %d rounds", clock.Rounds())
 		}
@@ -151,7 +151,7 @@ func TestElect(t *testing.T) {
 		}
 		// Determinism.
 		var clock2 sim.Clock
-		if again := Elect(&clock2, tree, root, inQ); again != got {
+		if again := Elect(&clock2, ett.BuildTour(tree, root), inQ); again != got {
 			t.Fatalf("election not deterministic: %d then %d", got, again)
 		}
 	}
