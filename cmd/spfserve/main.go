@@ -21,7 +21,8 @@
 // canonical text ("structure"), or the fingerprint of a structure this
 // server has already seen ("fp" — every scenario, parsed structure and
 // mutation result is registered). Overload is shed with 429 and a
-// Retry-After hint; request bodies above 32 MiB are refused with 413;
+// Retry-After hint; request bodies above 32 MiB and inline structures of
+// more than maxInlineAmoebots amoebots are refused with 413;
 // SIGINT/SIGTERM drain: the listener stops, admitted requests flush and
 // are answered, then the process exits.
 package main
@@ -38,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -122,6 +124,12 @@ func main() {
 // canonical text, so inline structures of that size fit with room to
 // spare; a larger body is answered with 413 as soon as the limit is read.
 const maxBodyBytes = 32 << 20
+
+// maxInlineAmoebots bounds the amoebot count of an inline structure: a body
+// within maxBodyBytes can still name about 8M amoebots ("0 0" lines). The
+// bound admits the radius-577 hexagon's 1,000,519 amoebots with room to
+// spare; a larger inline structure is answered with 413 before parsing.
+const maxInlineAmoebots = 1 << 21
 
 // Server timeouts: a client has readHeaderTimeout to send its headers and
 // readTimeout for the whole request, a maximal body included; idle
@@ -228,32 +236,51 @@ type structureRef struct {
 	FP string `json:"fp,omitempty"`
 }
 
-// resolve maps a structure reference to a registered structure.
-func (sv *server) resolve(ref structureRef) (*amoebot.Structure, error) {
+// resolve maps a structure reference to a registered structure. On
+// failure it returns the status to answer with: 413 for an inline
+// structure above maxInlineAmoebots, 400 otherwise.
+func (sv *server) resolve(ref structureRef) (*amoebot.Structure, int, error) {
 	switch {
 	case ref.FP != "":
 		s, ok := sv.byFingerprint(ref.FP)
 		if !ok {
-			return nil, fmt.Errorf("unknown fingerprint %q (not seen by this server)", ref.FP)
+			return nil, http.StatusBadRequest, fmt.Errorf("unknown fingerprint %q (not seen by this server)", ref.FP)
 		}
-		return s, nil
+		return s, 0, nil
 	case ref.Scenario != "":
 		sc, ok := scenario.ByName(ref.Scenario)
 		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q", ref.Scenario)
+			return nil, http.StatusBadRequest, fmt.Errorf("unknown scenario %q", ref.Scenario)
 		}
 		sv.register(sc.S)
-		return sc.S, nil
+		return sc.S, 0, nil
 	case ref.Structure != "":
+		if n := inlineAmoebots(ref.Structure); n > maxInlineAmoebots {
+			return nil, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("inline structure has %d amoebots, more than %d", n, maxInlineAmoebots)
+		}
 		s, err := amoebot.ParseStructure([]byte(ref.Structure))
 		if err != nil {
-			return nil, err
+			return nil, http.StatusBadRequest, err
 		}
 		sv.register(s)
-		return s, nil
+		return s, 0, nil
 	default:
-		return nil, fmt.Errorf("no structure given (one of scenario, structure, fp)")
+		return nil, http.StatusBadRequest, fmt.Errorf("no structure given (one of scenario, structure, fp)")
 	}
+}
+
+// inlineAmoebots counts the coordinate lines of inline canonical text —
+// the lines amoebot.ParseStructure turns into amoebots — without parsing
+// them.
+func inlineAmoebots(text string) int {
+	n := 0
+	for line := range strings.Lines(text) {
+		if t := strings.TrimSpace(line); t != "" && !strings.HasPrefix(t, "#") {
+			n++
+		}
+	}
+	return n
 }
 
 // wireQuery is one query on the wire.
@@ -318,9 +345,9 @@ func (sv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.Algo = req.Algo
-	s, err := sv.resolve(req.structureRef)
+	s, status, err := sv.resolve(req.structureRef)
 	if err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	rec.Fingerprint = s.Fingerprint()
@@ -372,9 +399,9 @@ func (sv *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, &rec, start, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	s, err := sv.resolve(req.structureRef)
+	s, status, err := sv.resolve(req.structureRef)
 	if err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	rec.Fingerprint = s.Fingerprint()
@@ -428,9 +455,9 @@ func (sv *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, &rec, start, status, err)
 		return
 	}
-	s, err := sv.resolve(req.structureRef)
+	s, status, err := sv.resolve(req.structureRef)
 	if err != nil {
-		sv.fail(w, &rec, start, http.StatusBadRequest, err)
+		sv.fail(w, &rec, start, status, err)
 		return
 	}
 	rec.Fingerprint = s.Fingerprint()

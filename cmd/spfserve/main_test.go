@@ -58,6 +58,53 @@ func TestOversizedBodyIsRefused(t *testing.T) {
 	}
 }
 
+// TestOversizedInlineStructureIsRefused sends, to every endpoint that takes
+// a structure, an inline structure one amoebot above maxInlineAmoebots in
+// a body well within maxBodyBytes: each must answer 413 before parsing,
+// and the server must keep serving — the next query is answered.
+func TestOversizedInlineStructureIsRefused(t *testing.T) {
+	svc := service.New(&service.Config{})
+	batcher := service.NewBatcher(svc, &service.BatcherConfig{})
+	defer batcher.Close()
+	ts := httptest.NewServer(newServer(svc, batcher, service.NewRecorder(nil)).routes())
+	defer ts.Close()
+
+	structure, err := json.Marshal(strings.Repeat("0 0\n", maxInlineAmoebots+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, fields := range map[string]string{
+		"/v1/query":  `"algo":"spt","sources":[[0,0]]`,
+		"/v1/batch":  `"queries":[{"algo":"spt","sources":[[0,0]]}]`,
+		"/v1/mutate": `"add":[[1,0]]`,
+	} {
+		body := `{` + fields + `,"structure":` + string(structure) + `}`
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized inline structure answered %d (%s), want 413", path, resp.StatusCode, msg)
+		}
+	}
+
+	ok := `{"structure":"0 0\n1 0\n0 1\n","algo":"spt","sources":[[0,0]],"dests":[[1,0]]}`
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(ok))
+	if err != nil {
+		t.Fatalf("follow-up request: %v", err)
+	}
+	defer resp.Body.Close()
+	var out wireResult
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("follow-up answer: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || out.Err != "" || out.Forest == "" {
+		t.Fatalf("follow-up query answered %d: %+v", resp.StatusCode, out)
+	}
+}
+
 // TestMalformedBodyIsBadRequest keeps the 400 answer for bodies within the
 // limit that do not decode.
 func TestMalformedBodyIsBadRequest(t *testing.T) {

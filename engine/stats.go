@@ -22,7 +22,8 @@ type Stats struct {
 	// WavesPacked counts the logical PASC/BFS waves this query executed as
 	// lanes of shared physical passes (DESIGN.md §10): the waves of merges,
 	// line sweeps and bfs group sweeps. Single-wave PASC executions
-	// (propagation, Euler tours) are not shared passes and are not counted.
+	// (propagation) and the closed-form Euler-tour charges are not shared
+	// passes and are not counted.
 	// Host-side execution telemetry only: it never feeds Rounds or Beeps.
 	WavesPacked int64
 	// LanePasses counts the shared physical passes those waves rode on;

@@ -25,7 +25,6 @@ import (
 	"spforest/internal/dense"
 	"spforest/internal/ett"
 	"spforest/internal/sim"
-	"spforest/internal/treeprim"
 )
 
 // forestChildren is the children adjacency of a forest over a node set in
@@ -85,71 +84,6 @@ func (fc *forestChildren) release(ar *dense.Arena) {
 	ar.PutInt32s(fc.kids)
 }
 
-// forestComponent returns the members of f reachable from start via
-// parent/child links, or nil if start is not a member. children is shared
-// by the caller so repeated component walks build it once.
-func forestComponent(f *amoebot.Forest, children *forestChildren, start int32, ar *dense.Arena) []int32 {
-	if !f.Member(start) {
-		return nil
-	}
-	seen := ar.BitSet(f.Structure().N())
-	defer ar.PutBitSet(seen)
-	seen.Add(start)
-	stack := []int32{start}
-	var nodes []int32
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes = append(nodes, u)
-		if p := f.Parent(u); p != amoebot.None && !seen.Has(p) {
-			seen.Add(p)
-			stack = append(stack, p)
-		}
-		for _, c := range children.of(u) {
-			if !seen.Has(c) {
-				seen.Add(c)
-				stack = append(stack, c)
-			}
-		}
-	}
-	return nodes
-}
-
-// forestTree builds an ett.Tree over the given forest members (which must
-// form one tree component), with neighbor order following the grid's
-// counterclockwise direction order. Returns the tree and the local index of
-// each global node; the caller releases the index with ar.PutIndex.
-func forestTree(f *amoebot.Forest, members []int32, ar *dense.Arena) (*ett.Tree, *dense.Index) {
-	s := f.Structure()
-	toLocal := ar.Index(s.N())
-	for li, g := range members {
-		toLocal.Set(g, int32(li))
-	}
-	isLink := func(u, v int32) bool {
-		return f.Parent(u) == v || f.Parent(v) == u
-	}
-	// The neighbor lists share one flat backing array: a tree over m
-	// members has exactly 2(m-1) directed edges.
-	flat := make([]int32, 0, 2*len(members))
-	nbrs := make([][]int32, len(members))
-	for li, g := range members {
-		start := len(flat)
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			v := s.Neighbor(g, d)
-			if v == amoebot.None {
-				continue
-			}
-			lv, ok := toLocal.Get(v)
-			if !ok || !isLink(g, v) {
-				continue
-			}
-			flat = append(flat, lv)
-		}
-		nbrs[li] = flat[start:len(flat):len(flat)]
-	}
-	return ett.MustTree(nbrs), toLocal
-}
-
 // forestLaneParent builds the local parent column of f over its members:
 // the lane spec of a multi-root tree-distance PASC wave, where slot i is
 // members[i], the roots are the forest roots, and each member's streamed
@@ -199,28 +133,9 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, s
 	// goroutines (each writes only its own tree's entries of out).
 	env.Exec().For(len(sources), func(si int) {
 		src := sources[si]
-		if !f.Member(src) {
-			out.SetRoot(src)
-			return
-		}
-		members := forestComponent(f, children, src, ar)
-		branch := clock.Fork()
-		branches[si] = branch
-		tree, toLocal := forestTree(f, members, ar)
-		defer ar.PutIndex(toLocal)
-		inQ := make([]bool, len(members))
-		for li, g := range members {
-			inQ[li] = isDest.Has(g)
-		}
-		rp := treeprim.RootAndPrune(branch, tree, toLocal.At(src), inQ)
-		for li, g := range members {
-			if rp.InVQ[li] {
-				if g == src {
-					out.SetRoot(g)
-				} else {
-					out.SetParent(g, f.Parent(g))
-				}
-			}
+		if f.Member(src) {
+			branches[si] = clock.Fork()
+			pruneTree(branches[si], f, children, src, isDest, out, ar)
 		}
 		out.SetRoot(src) // sources always remain roots of (possibly empty) trees
 	})
@@ -235,6 +150,63 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, s
 	// and drop out.
 	clock.Tick(1)
 	return out
+}
+
+// pruneTree runs the root-and-prune primitive (Lemma 20) on the tree of f
+// containing src, rooted at src, and writes the surviving non-source
+// members to out with their parents in f. It is evaluated in closed form
+// (DESIGN.md §2): one walk over the parent/child links from src lists the
+// members, each after the member it was reached from, so one pass in
+// reverse walk order accumulates every subtree's destination count, and a
+// member survives iff its count is positive — the sign test the ETT's
+// streamed prefix differences feed. The ETT itself is charged with
+// ett.Charge (a one-member tree decides locally). Panics unless the
+// component is a tree.
+func pruneTree(clock *sim.Clock, f *amoebot.Forest, children *forestChildren, src int32, isDest *dense.BitSet, out *amoebot.Forest, ar *dense.Arena) {
+	seen := ar.BitSet(f.Structure().N())
+	defer ar.PutBitSet(seen)
+	walk := []int32{src} // members in walk order
+	from := []int32{-1}  // walk index each member was reached from
+	links := 0
+	reach := func(v int32, i int) {
+		if !seen.Has(v) {
+			seen.Add(v)
+			walk = append(walk, v)
+			from = append(from, int32(i))
+		}
+	}
+	seen.Add(src)
+	for i := 0; i < len(walk); i++ {
+		u := walk[i]
+		if p := f.Parent(u); p != amoebot.None {
+			links++
+			reach(p, i)
+		}
+		for _, c := range children.of(u) {
+			reach(c, i)
+		}
+	}
+	if links != len(walk)-1 {
+		panic(fmt.Sprintf("core: component of source %d has %d members but %d parent links, not a tree", src, len(walk), links))
+	}
+	if len(walk) == 1 {
+		return
+	}
+	sub := make([]int32, len(walk))
+	for i := len(walk) - 1; i >= 0; i-- {
+		if isDest.Has(walk[i]) {
+			sub[i]++
+		}
+		if i > 0 {
+			sub[from[i]] += sub[i]
+		}
+	}
+	ett.Charge(clock, int(sub[0]))
+	for i, g := range walk[1:] {
+		if sub[i+1] > 0 {
+			out.SetParent(g, f.Parent(g))
+		}
+	}
 }
 
 // discoverChildren charges the round in which every amoebot that chose a

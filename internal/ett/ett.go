@@ -10,10 +10,16 @@
 // Q; a prefix-sum PASC over the instance sequence then delivers, bit by bit
 // and LSB first, prefixsum(u,v) and prefixsum(v,u) for every incident edge
 // of every node, plus |Q| at the root (Corollary 15).
+//
+// The primitives built on the ETT only ever read subtree counts of Q off
+// it, so they evaluate those counts in closed form and charge the run with
+// Charge; Run executes the prefix-sum PASC bit by bit and is the reference
+// the package tests (and the tree primitives' oracle tests) drive.
 package ett
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spforest/internal/pasc"
 	"spforest/internal/sim"
@@ -188,6 +194,20 @@ func (t *Tour) OutInstance(u int32, j int) int32 { return t.outInst[t.off[u]+int
 // InInstance returns the instance of u whose incoming edge arrives from its
 // j-th neighbor.
 func (t *Tour) InInstance(u int32, j int) int32 { return t.inInst[t.off[u]+int32(j)] }
+
+// Charge charges the clock exactly what one ETT execution (a Run stepped
+// to completion) over any tour with m marked instances costs, and returns
+// its iteration count. The marked prefix sums are exactly 1..m, so the
+// PASC runs I = max(1, bits.Len(m)) iterations of 2 rounds (Lemma 4); each
+// iteration costs the track beep plus one termination beep per participant
+// still active after it — ⌊m/2ⁱ⌋ after iteration i — which sums to
+// I + m − popcount(m) beeps.
+func Charge(clock *sim.Clock, m int) (iterations int) {
+	iterations = max(1, bits.Len(uint(m)))
+	clock.Tick(int64(2 * iterations))
+	clock.AddBeeps(int64(iterations + m - bits.OnesCount(uint(m))))
+	return iterations
+}
 
 // Run is one ETT execution: a prefix-sum PASC over the tour instances with
 // the weight function w_Q (each node of Q marks the outgoing edge of its

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spforest/internal/bitstream"
+	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -249,6 +250,36 @@ func TestETTEmptyQ(t *testing.T) {
 			if d != 0 {
 				t.Fatal("nonzero diff with empty Q")
 			}
+		}
+	}
+}
+
+// TestChargeMatchesPrefixSumOracle checks the closed-form ETT charge
+// against the PASC it stands for: a prefix-sum run over a chain whose m
+// marked slots are interleaved with unmarked ones, stepped to completion,
+// must take the same iterations, rounds and beeps as Charge(m), for every
+// m in 0..1024.
+func TestChargeMatchesPrefixSumOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for m := 0; m <= 1024; m++ {
+		var weights []bool
+		for marked := 0; marked < m; {
+			w := rng.Intn(3) == 0
+			weights = append(weights, w)
+			if w {
+				marked++
+			}
+		}
+		weights = append(weights, false)
+		run := pasc.NewPrefixSum(weights)
+		var want, got sim.Clock
+		for !run.Done() {
+			run.Step(&want)
+		}
+		iters := Charge(&got, m)
+		if iters != run.Iterations() || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
+			t.Fatalf("m=%d: Charge %d iterations (%d rounds, %d beeps), PASC %d iterations (%d rounds, %d beeps)",
+				m, iters, got.Rounds(), got.Beeps(), run.Iterations(), want.Rounds(), want.Beeps())
 		}
 	}
 }

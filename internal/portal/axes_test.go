@@ -2,11 +2,14 @@ package portal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spforest/amoebot"
+	"spforest/internal/ett"
 	"spforest/internal/shapes"
 	"spforest/internal/sim"
+	"spforest/internal/treeprim"
 )
 
 // The main primitive tests run on x-portals; these repeat the core checks
@@ -160,9 +163,84 @@ func TestSubViewOnSubtrees(t *testing.T) {
 			if !v.Contains(b) {
 				continue
 			}
-			lu, ord := v.crossingOrdinal(a, b)
+			lu, ord := crossingOrdinal(v, a, b)
 			if v.Global(v.Tree().Neighbors[lu][ord]) != p.Connector(b, a) {
 				t.Fatal("crossing ordinal inconsistent in subview")
+			}
+		}
+	}
+}
+
+// crossingOrdinal returns, for the crossing edge between adjacent view
+// portals (from, to), the local index of the connector c_from(to) and the
+// neighbor ordinal of the edge within the view's implicit tree.
+func crossingOrdinal(v *View, from, to int32) (local int32, ord int) {
+	lu, lw := v.Local(v.P.Connector(from, to)), v.Local(v.P.Connector(to, from))
+	for j, x := range v.Tree().Neighbors[lu] {
+		if x == lw {
+			return lu, j
+		}
+	}
+	panic("portal: crossing edge missing from view tree")
+}
+
+// TestPrimitivesMatchPortalGraphOracle checks Lemma 32 on whole views and
+// split-off sub-views along every axis: RootPrune and Centroids over the
+// implicit tree must agree with the tree primitives run on the view's
+// portal graph itself (view portals as nodes, P.Nbr within the view as
+// edges) — the same |Q|, V_Q, parents and centroids, and, on views of two
+// or more portals, the tree primitives' ETT rounds (a function of |Q|
+// alone) plus Lemma 33's two beep rounds and Lemma 36's final round.
+func TestPrimitivesMatchPortalGraphOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	for trial := 0; trial < 30; trial++ {
+		s := shapes.RandomBlob(rng, 2+rng.Intn(150))
+		p := Compute(amoebot.WholeRegion(s), amoebot.Axis(trial%int(amoebot.NumAxes)))
+		views := []*View{p.WholeView()}
+		for _, c := range splitPortalTree(views[0], int32(rng.Intn(p.Len()))) {
+			views = append(views, p.SubView(c.ids))
+		}
+		for _, v := range views {
+			local := make(map[int32]int32, len(v.IDs))
+			for li, id := range v.IDs {
+				local[id] = int32(li)
+			}
+			nbrs := make([][]int32, len(v.IDs))
+			q := make([]bool, len(v.IDs))
+			inQ := make([]bool, p.Len())
+			for li, id := range v.IDs {
+				for _, w := range p.Nbr[id] {
+					if v.Contains(w) {
+						nbrs[li] = append(nbrs[li], local[w])
+					}
+				}
+				inQ[id] = rng.Intn(3) == 0
+				q[li] = inQ[id]
+			}
+			graph := ett.MustTree(nbrs)
+			root := v.IDs[rng.Intn(len(v.IDs))]
+			var pc, tc sim.Clock
+			got := Centroids(&pc, v, root, inQ)
+			want := treeprim.Centroids(&tc, graph, local[root], q)
+			if got.RP.QSize != want.RP.QSize {
+				t.Fatalf("trial %d: QSize %d, portal graph %d", trial, got.RP.QSize, want.RP.QSize)
+			}
+			for li, id := range v.IDs {
+				wantParent := int32(-1)
+				if pl := want.RP.Parent[li]; pl >= 0 {
+					wantParent = v.IDs[pl]
+				}
+				if got.RP.InVQ[id] != want.RP.InVQ[li] || got.RP.Parent[id] != wantParent ||
+					got.IsCentroid[id] != want.IsCentroid[li] {
+					t.Fatalf("trial %d: portal %d differs from the portal-graph primitives", trial, id)
+				}
+			}
+			var rc sim.Clock
+			if rp := RootPrune(&rc, v, root, inQ); !reflect.DeepEqual(rp, got.RP) {
+				t.Fatalf("trial %d: RootPrune differs from Centroids' root-and-prune", trial)
+			}
+			if len(v.IDs) >= 2 && pc.Rounds() != tc.Rounds()+3 {
+				t.Fatalf("trial %d: Centroids %d rounds, portal graph %d + 3", trial, pc.Rounds(), tc.Rounds())
 			}
 		}
 	}

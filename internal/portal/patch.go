@@ -109,13 +109,12 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
 
 	np := &Portals{
-		Axis:    p.Axis,
-		Region:  sp.Region,
-		ID:      make([]int32, n2),
-		nodes:   make([]int32, 0, n2),
-		off:     make([]int32, 1, p.Len()+len(starts)+1),
-		conn:    make(map[[2]int32]connEnds, len(p.conn)),
-		oldIDof: make([]int32, 0, p.Len()+len(starts)),
+		Axis:   p.Axis,
+		Region: sp.Region,
+		ID:     make([]int32, n2),
+		nodes:  make([]int32, 0, n2),
+		off:    make([]int32, 1, p.Len()+len(starts)+1),
+		conn:   make(map[[2]int32]connEnds, len(p.conn)),
 	}
 	// Merge surviving portals (ascending old id — their new starts ascend
 	// with them, the remap being monotonic) with the dirty-zone runs
@@ -131,14 +130,12 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 			for _, g := range p.NodesOf(id) {
 				np.nodes = append(np.nodes, sp.Remap[g])
 			}
-			np.oldIDof = append(np.oldIDof, id)
 		} else {
 			w := starts[di]
 			di++
 			for v := w; v != amoebot.None; v = sp.Region.Neighbor(v, pos) {
 				np.nodes = append(np.nodes, v)
 			}
-			np.oldIDof = append(np.oldIDof, -1)
 		}
 		np.off = append(np.off, int32(len(np.nodes)))
 	}
@@ -187,16 +184,9 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 // decomposition from the pre-patch whole-structure view, reusing every
 // column the delta did not touch: implicit-tree rows of non-footprint
 // nodes are copied through the remap (the local tree-edge rule guarantees
-// them unchanged), only footprint rows are re-probed; and if the old view
-// had materialized its frozen crossing-edge table, rows between two
-// surviving portals migrate by index translation — their connector and
-// its neighbor ordinal are untouched — while rows incident to rebuilt
-// portals are re-resolved. The receiver must be the result of
-// old.P.Patch(sp), and old a whole-structure view.
+// them unchanged), only footprint rows are re-probed. The receiver must be
+// the result of old.P.Patch(sp), and old a whole-structure view.
 func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
-	if np.oldIDof == nil {
-		panic("portal: PatchWholeView requires a Patch-built decomposition")
-	}
 	if len(old.nodes) != len(sp.Remap) {
 		panic("portal: PatchWholeView requires the pre-patch whole view")
 	}
@@ -256,50 +246,5 @@ func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
 	// The new structure is valid (Apply verified hole-freeness), so the
 	// patched rows form a tree by Lemma 9 — skip MustTree's O(n) walk.
 	v.tree = &ett.Tree{Neighbors: rows}
-
-	if old.crossReady.Load() {
-		oct := old.cross
-		ct := &crossTab{}
-		for _, p1 := range v.IDs {
-			a0 := np.oldIDof[p1]
-			for _, p2 := range np.Nbr[p1] {
-				b0 := int32(-1)
-				if a0 >= 0 {
-					b0 = np.oldIDof[p2]
-				}
-				var lu int32
-				var ord int32
-				if b0 >= 0 {
-					// Both portals survive untouched: the old row exists
-					// (the connector, a node of a clean portal, kept its
-					// edge) and its ordinal is unchanged.
-					row := oct.find(a0, b0)
-					lu = sp.Remap[oct.local[row]]
-					ord = oct.ord[row]
-				} else {
-					l, o := v.crossingOrdinal(p1, p2)
-					lu, ord = l, int32(o)
-				}
-				ct.from = append(ct.from, p1)
-				ct.to = append(ct.to, p2)
-				ct.local = append(ct.local, lu)
-				ct.ord = append(ct.ord, ord)
-			}
-		}
-		v.crossOnce.Do(func() { v.cross = ct })
-		v.crossReady.Store(true)
-	}
 	return v
-}
-
-// find returns the row index of the directed pair (from, to); the table is
-// sorted lexicographically by (from, to).
-func (ct *crossTab) find(from, to int32) int {
-	i := sort.Search(len(ct.from), func(i int) bool {
-		return ct.from[i] > from || (ct.from[i] == from && ct.to[i] >= to)
-	})
-	if i == len(ct.from) || ct.from[i] != from || ct.to[i] != to {
-		panic(fmt.Sprintf("portal: crossing row (%d,%d) not found", from, to))
-	}
-	return i
 }

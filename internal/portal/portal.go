@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"spforest/amoebot"
 	"spforest/internal/ett"
@@ -45,12 +44,6 @@ type Portals struct {
 	// neighbor in "to". Storing both endpoints lets Patch remap surviving
 	// entries without re-probing the grid.
 	conn map[[2]int32]connEnds
-
-	// oldIDof maps each portal id to the id of the identical portal in the
-	// pre-patch decomposition, -1 for portals rebuilt from the delta's dirty
-	// zone. Only set on decompositions produced by Patch; PatchWholeView
-	// uses it to reuse untouched crossing-table columns.
-	oldIDof []int32
 }
 
 // connEnds is a directed crossing tree edge (u in "from", v in "to").
@@ -224,14 +217,6 @@ type View struct {
 	toLocal    []int32
 	toLocalMap map[int32]int32
 
-	// Frozen crossing-edge table, built once per view on first use (see
-	// crossings). crossReady is set after the table exists so PatchWholeView
-	// can observe — without racing the once — whether the parent view ever
-	// materialized its table and is worth migrating.
-	crossOnce  sync.Once
-	cross      *crossTab
-	crossReady atomic.Bool
-
 	// Canonical Euler tours of the implicit tree, memoized per root local
 	// index (see TourAt). Bounded; guarded by tourMu.
 	tourMu sync.Mutex
@@ -375,58 +360,3 @@ func (v *View) Local(g int32) int32 {
 
 // Global returns the structure node id of a local index.
 func (v *View) Global(l int32) int32 { return v.nodes[l] }
-
-// crossTab is the frozen circuit table of a view's directed crossing
-// edges, in SoA layout: row i is the crossing edge from[i] → to[i],
-// operated by the connector amoebot at local index local[i] via neighbor
-// ordinal ord[i] of the implicit tree. The table is a pure function of the
-// view, so it is resolved once (the connector map lookups and neighbor
-// scans of crossingOrdinal) and every primitive execution on the view —
-// every root-and-prune of every query sharing the decomposition — streams
-// over the same frozen rows, exactly like re-beeping an already
-// constructed circuit instead of rebuilding it.
-type crossTab struct {
-	from, to []int32
-	local    []int32
-	ord      []int32
-}
-
-// crossings returns the view's frozen crossing-edge table, building it on
-// first use. Rows are ordered by (ascending portal id, ascending neighbor
-// id) — the iteration order every primitive previously rebuilt per call —
-// so results are bit-identical to the unfrozen path.
-func (v *View) crossings() *crossTab {
-	v.crossOnce.Do(func() {
-		ct := &crossTab{}
-		for _, p1 := range v.IDs {
-			for _, p2 := range v.P.Nbr[p1] {
-				if !v.inView[p2] {
-					continue
-				}
-				lu, ord := v.crossingOrdinal(p1, p2)
-				ct.from = append(ct.from, p1)
-				ct.to = append(ct.to, p2)
-				ct.local = append(ct.local, lu)
-				ct.ord = append(ct.ord, int32(ord))
-			}
-		}
-		v.cross = ct
-		v.crossReady.Store(true)
-	})
-	return v.cross
-}
-
-// crossingOrdinal returns, for the crossing edge between adjacent view
-// portals (from, to), the local index of the connector c_from(to) and the
-// neighbor ordinal of the edge within the implicit tree.
-func (v *View) crossingOrdinal(from, to int32) (local int32, ord int) {
-	u := v.P.Connector(from, to)
-	w := v.P.Connector(to, from)
-	lu, lw := v.Local(u), v.Local(w)
-	for j, x := range v.tree.Neighbors[lu] {
-		if x == lw {
-			return lu, j
-		}
-	}
-	panic("portal: crossing edge missing from view tree")
-}

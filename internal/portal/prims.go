@@ -3,7 +3,6 @@ package portal
 import (
 	"math/bits"
 
-	"spforest/internal/bitstream"
 	"spforest/internal/dense"
 	"spforest/internal/ett"
 	"spforest/internal/sim"
@@ -44,55 +43,119 @@ func hatQ(v *View, inQ []bool) []bool {
 // marking the representatives Q̂, sign tests at the connector amoebots, one
 // beep round on the per-portal circuits (membership in V_Q, Fig. 4a) and
 // one on the per-directed-edge circuits (parent identification, Fig. 4b).
+// The connectors' prefix differences are portal-subtree counts (see
+// rootPortalTree), evaluated with one traversal of the portal tree; the
+// ETT is charged with ett.Charge (DESIGN.md §2).
 func RootPrune(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *RootPruneResult {
-	res := &RootPruneResult{
-		InVQ:   make([]bool, v.P.Len()),
-		Parent: make([]int32, v.P.Len()),
-	}
-	for i := range res.Parent {
-		res.Parent[i] = -1
-	}
 	if len(v.nodes) == 1 {
+		res := newRootPruneResult(v.P.Len())
 		res.InVQ[rootPortal] = inQ[rootPortal]
 		if inQ[rootPortal] {
 			res.QSize = 1
 		}
 		return res
 	}
-	tour := v.TourAt(v.Local(v.P.Rep(rootPortal)))
-	run := ett.NewRun(tour, hatQ(v, inQ))
-	// One streaming subtractor per directed crossing edge, operated by the
-	// connector amoebot (Lemma 32: the implicit-tree prefix difference
-	// equals the portal-graph prefix difference). The edge table itself is
-	// frozen per view (crossings); only the subtractor state is per call.
-	ct := v.crossings()
-	subs := make([]bitstream.Subtractor, len(ct.from))
-	var total bitstream.Accumulator
-	for !run.Done() {
-		run.Step(clock)
-		for i := range subs {
-			out, in := run.EdgeBits(ct.local[i], int(ct.ord[i]))
-			subs[i].Feed(out, in)
-		}
-		total.Feed(run.TotalBit())
+	t := rootPortalTree(v, rootPortal, inQ)
+	defer t.release()
+	return t.rootPrune(clock)
+}
+
+func newRootPruneResult(n int) *RootPruneResult {
+	res := &RootPruneResult{InVQ: make([]bool, n), Parent: make([]int32, n)}
+	for i := range res.Parent {
+		res.Parent[i] = -1
 	}
-	res.QSize = total.Value()
-	res.InVQ[rootPortal] = res.QSize > 0
-	beeps := int64(0)
-	for i := range subs {
-		if subs[i].NonZero() {
-			res.InVQ[ct.from[i]] = true
-			beeps++
+	return res
+}
+
+// portalTree is a view's portal tree rooted at a portal, with the Q count
+// of every portal subtree. parent and sub are indexed by portal id and
+// meaningful for the view's portals only; order lists those portals
+// breadth-first from the root.
+type portalTree struct {
+	parent, sub []int32
+	order       []int32
+}
+
+// rootPortalTree roots the view's portal tree — P.Nbr restricted to the
+// view, a tree by Lemma 9 — at root with one breadth-first traversal and
+// counts sub(P) = |Q ∩ subtree(P)|. Cutting the crossing edge between P
+// and its parent splits the implicit tree into the unions of the portals on
+// either side, so the prefix difference the connector c_P(parent) streams
+// in the ETT (Lemma 32) is sub(P), and the parent's connector towards P
+// streams −sub(P). Panics unless the view's portal graph is a tree.
+func rootPortalTree(v *View, root int32, inQ []bool) *portalTree {
+	n := v.P.Len()
+	t := &portalTree{
+		parent: dense.Shared.Int32s(n),
+		sub:    dense.Shared.Int32s(n),
+		order:  make([]int32, 1, len(v.IDs)),
+	}
+	seen := dense.Shared.BitSet(n)
+	defer dense.Shared.PutBitSet(seen)
+	t.order[0], t.parent[root] = root, -1
+	seen.Add(root)
+	for i := 0; i < len(t.order); i++ {
+		u := t.order[i]
+		for _, w := range v.P.Nbr[u] {
+			if w == t.parent[u] || !v.inView[w] {
+				continue
+			}
+			if seen.Has(w) {
+				panic("portal: view's portal graph has a cycle")
+			}
+			seen.Add(w)
+			t.parent[w] = u
+			t.order = append(t.order, w)
 		}
-		if subs[i].Sign() == bitstream.Greater && ct.from[i] != rootPortal {
-			res.Parent[ct.from[i]] = ct.to[i]
-			beeps++
+	}
+	if len(t.order) != len(v.IDs) {
+		panic("portal: view's portal graph is not connected")
+	}
+	for i := len(t.order) - 1; i >= 0; i-- {
+		u := t.order[i]
+		if inQ[u] {
+			t.sub[u]++
+		}
+		if i > 0 {
+			t.sub[t.parent[u]] += t.sub[u]
+		}
+	}
+	return t
+}
+
+// m returns |Q ∩ view|, the number of marked instances of the ETT.
+func (t *portalTree) m() int32 { return t.sub[t.order[0]] }
+
+func (t *portalTree) release() {
+	dense.Shared.PutInt32s(t.parent)
+	dense.Shared.PutInt32s(t.sub)
+}
+
+// rootPrune charges Lemma 33's execution and reads its result off the
+// subtree counts: P survives iff sub(P) > 0, and a surviving non-root
+// portal's parent is its tree parent.
+func (t *portalTree) rootPrune(clock *sim.Clock) *RootPruneResult {
+	res := newRootPruneResult(len(t.parent))
+	res.QSize = uint64(t.m())
+	ett.Charge(clock, int(t.m()))
+	beeps := int64(0)
+	for i, id := range t.order {
+		if t.sub[id] == 0 {
+			continue
+		}
+		res.InVQ[id] = true
+		if i > 0 {
+			res.Parent[id] = t.parent[id]
+			// Its connector towards the parent streams sub(P) > 0 (one
+			// nonzero beep, one positive beep), the parent's connector
+			// towards P streams −sub(P) (one nonzero beep).
+			beeps += 3
 		}
 	}
 	// Round 1: per-portal circuits, connectors with nonzero difference beep
-	// (plus the root's representative if |Q| > 0) — V_Q membership.
-	// Round 2: per-directed-edge circuits, connectors with positive
-	// difference beep — parent identification.
+	// — V_Q membership. Round 2: per-directed-edge circuits, connectors with
+	// positive difference beep — parent identification.
 	clock.Tick(2)
 	clock.AddBeeps(beeps)
 	return res
@@ -161,7 +224,7 @@ func ElectPortal(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) int32 
 		return -1
 	}
 	// The election scans the view's memoized tour at the root portal's
-	// representative, usually the one RootPrune or Centroids just built.
+	// representative.
 	elected := treeprim.Elect(clock, v.TourAt(v.Local(v.P.Rep(rootPortal))), hatQ(v, inQ))
 	clock.Tick(1) // the elected representative beeps on its portal circuit
 	if elected < 0 {
@@ -181,66 +244,41 @@ type CentroidResult struct {
 // root-and-prune execution, a second ETT with the root broadcasting |Q|
 // bit-interleaved (3 rounds per iteration), streamed component-size
 // comparisons at the connector amoebots against |Q|/2, and one "cannot be a
-// centroid" beep round on the portal circuits.
+// centroid" beep round on the portal circuits. The component behind each
+// connector is a portal subtree, or the rest of the view towards the
+// parent, so its size is read off the root-and-prune traversal's counts.
 func Centroids(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *CentroidResult {
 	res := &CentroidResult{IsCentroid: make([]bool, v.P.Len())}
-	res.RP = RootPrune(clock, v, rootPortal, inQ)
 	if len(v.nodes) == 1 {
+		res.RP = RootPrune(clock, v, rootPortal, inQ)
 		res.IsCentroid[rootPortal] = inQ[rootPortal]
 		return res
 	}
-	// Shares the root-and-prune execution's memoized tour (TourAt): the
-	// second ETT of Lemma 36 runs over the same canonical tour.
-	tour := v.TourAt(v.Local(v.P.Rep(rootPortal)))
-	run := ett.NewRun(tour, hatQ(v, inQ))
-	type crossing struct {
-		from, to int32
-		local    int32
-		ord      int
-		diff     bitstream.Subtractor
-		size     bitstream.Subtractor
-		half     bitstream.HalfComparator
-	}
-	// Rows of the frozen table filtered to Q-portal tails (only Q-portals
-	// evaluate sizes); the filter preserves the table's row order, so the
-	// streamed comparisons match the unfrozen iteration exactly.
-	ct := v.crossings()
-	var crossings []crossing
-	for i := range ct.from {
-		if !inQ[ct.from[i]] {
+	t := rootPortalTree(v, rootPortal, inQ)
+	defer t.release()
+	res.RP = t.rootPrune(clock)
+	m := t.m()
+	treeprim.ChargeBroadcastETT(clock, int(m))
+	// One beep per (Q portal, view neighbor) connector whose component
+	// exceeds ⌊|Q|/2⌋.
+	beeps := int64(0)
+	for _, p1 := range v.IDs {
+		if !inQ[p1] {
 			continue
 		}
-		crossings = append(crossings, crossing{
-			from: ct.from[i], to: ct.to[i], local: ct.local[i], ord: int(ct.ord[i]),
-		})
-	}
-	for !run.Done() {
-		run.Step(clock)
-		clock.Tick(1) // |Q| bit broadcast (Lemma 36)
-		clock.AddBeeps(1)
-		qBit := run.TotalBit()
-		for i := range crossings {
-			c := &crossings[i]
-			out, in := run.EdgeBits(c.local, c.ord)
-			var sizeBit uint8
-			if c.to == res.RP.Parent[c.from] {
-				dBit := c.diff.Feed(out, in)
-				sizeBit = c.size.Feed(qBit, dBit)
-			} else {
-				sizeBit = c.diff.Feed(in, out)
+		res.IsCentroid[p1] = true
+		for _, p2 := range v.P.Nbr[p1] {
+			if !v.inView[p2] {
+				continue
 			}
-			c.half.Feed(sizeBit, qBit)
-		}
-	}
-	for _, id := range v.IDs {
-		res.IsCentroid[id] = inQ[id]
-	}
-	beeps := int64(0)
-	for i := range crossings {
-		c := &crossings[i]
-		if c.half.Result() == bitstream.Greater {
-			res.IsCentroid[c.from] = false
-			beeps++
+			size := t.sub[p2] // a child's subtree
+			if p2 == t.parent[p1] {
+				size = m - t.sub[p1]
+			}
+			if size > m/2 {
+				res.IsCentroid[p1] = false
+				beeps++
+			}
 		}
 	}
 	clock.Tick(1) // "cannot be a centroid" beep on the portal circuits

@@ -7,7 +7,6 @@
 package treeprim
 
 import (
-	"spforest/internal/bitstream"
 	"spforest/internal/ett"
 	"spforest/internal/sim"
 )
@@ -32,9 +31,55 @@ type RootPruneResult struct {
 // RootAndPrune runs the root-and-prune primitive on the tree rooted at
 // root for the set Q (Lemma 20): one ETT execution with weight function
 // w_Q; every node compares, with O(1)-state streaming subtractors, the
-// prefix-sum difference of each incident edge against zero.
+// prefix-sum difference of each incident edge against zero. By Lemma 17
+// that difference is sub(u) = |Q ∩ subtree(u)| towards u's parent and
+// −sub(c) towards a child c, so the primitive evaluates the subtree counts
+// with one traversal and charges the execution with ett.Charge — the same
+// rounds and beeps as the streamed run (DESIGN.md §2).
 func RootAndPrune(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *RootPruneResult {
-	n := tree.Len()
+	res, _, _ := rootAndPrune(clock, tree, root, inQ)
+	return res
+}
+
+// rootAndPrune is RootAndPrune also returning the traversal it evaluated
+// (parentOrd and sub of subtreeCounts; nil on a single-node tree). The
+// result is read off the subtree counts: u survives iff sub(u) > 0 (its
+// parent-edge difference is nonzero, or it is the root and |Q| > 0), its
+// parent is the neighbor with positive difference (Corollary 18), and
+// deg_Q(u) counts its nonzero differences.
+func rootAndPrune(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) (res *RootPruneResult, parentOrd, sub []int32) {
+	res = newRootPruneResult(tree.Len())
+	if tree.Len() == 1 {
+		// Degenerate single-node tree: everything is local knowledge.
+		res.InVQ[0] = inQ[0]
+		if inQ[0] {
+			res.QSize = 1
+		}
+		return res, nil, nil
+	}
+	parentOrd, sub = subtreeCounts(tree, root, inQ)
+	ett.Charge(clock, int(sub[root]))
+	res.QSize = uint64(sub[root])
+	for u, ns := range tree.Neighbors {
+		if sub[u] == 0 {
+			continue
+		}
+		res.InVQ[u] = true
+		if j := parentOrd[u]; j >= 0 {
+			res.Parent[u] = ns[j]
+			res.ParentOrd[u] = int(j)
+			res.DegQ[u]++
+		}
+		for j, v := range ns {
+			if int32(j) != parentOrd[u] && sub[v] > 0 {
+				res.DegQ[u]++
+			}
+		}
+	}
+	return res, parentOrd, sub
+}
+
+func newRootPruneResult(n int) *RootPruneResult {
 	res := &RootPruneResult{
 		InVQ:      make([]bool, n),
 		Parent:    make([]int32, n),
@@ -45,50 +90,60 @@ func RootAndPrune(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *Roo
 		res.Parent[i] = -1
 		res.ParentOrd[i] = -1
 	}
-	if n == 1 {
-		// Degenerate single-node tree: everything is local knowledge.
-		res.InVQ[0] = inQ[0]
-		if inQ[0] {
-			res.QSize = 1
-		}
-		return res
-	}
-	tour := ett.BuildTour(tree, root)
-	run := ett.NewRun(tour, inQ)
-	subs := make([][]bitstream.Subtractor, n)
-	for u := 0; u < n; u++ {
-		subs[u] = make([]bitstream.Subtractor, tree.Degree(int32(u)))
-	}
-	var total bitstream.Accumulator
-	for !run.Done() {
-		run.Step(clock)
-		for u := int32(0); u < int32(n); u++ {
-			for j := range subs[u] {
-				out, in := run.EdgeBits(u, j)
-				subs[u][j].Feed(out, in)
-			}
-		}
-		total.Feed(run.TotalBit())
-	}
-	res.QSize = total.Value()
-	for u := int32(0); u < int32(n); u++ {
-		if u == root {
-			res.InVQ[u] = res.QSize > 0
-		}
-		for j := range subs[u] {
-			if subs[u][j].NonZero() {
-				res.InVQ[u] = true
-				res.DegQ[u]++
-			}
-			if u != root && subs[u][j].Sign() == bitstream.Greater {
-				// Corollary 18: the neighbor with positive difference is
-				// the parent.
-				res.Parent[u] = tree.Neighbors[u][j]
-				res.ParentOrd[u] = j
-			}
-		}
-	}
 	return res
+}
+
+// subtreeCounts roots the tree at root with one breadth-first traversal and
+// returns, per node u, the ordinal of u's parent among its neighbors (-1 at
+// the root) and sub(u) = |Q ∩ subtree(u)|. It panics unless the adjacency
+// is a tree: a repeated visit, an asymmetric edge or an unreached node
+// would otherwise miscount.
+func subtreeCounts(tree *ett.Tree, root int32, inQ []bool) (parentOrd, sub []int32) {
+	n := tree.Len()
+	parentOrd = make([]int32, n)
+	sub = make([]int32, n)
+	for i := range parentOrd {
+		parentOrd[i] = -2 // unvisited
+	}
+	parentOrd[root] = -1
+	order := make([]int32, 1, n)
+	order[0] = root
+	for i := 0; i < len(order); i++ {
+		u := order[i]
+		for j, v := range tree.Neighbors[u] {
+			if int32(j) == parentOrd[u] {
+				continue
+			}
+			if parentOrd[v] != -2 {
+				panic("treeprim: adjacency is not a tree (cycle)")
+			}
+			parentOrd[v] = ordinalOf(tree.Neighbors[v], u)
+			order = append(order, v)
+		}
+	}
+	if len(order) != n {
+		panic("treeprim: adjacency is not a tree (disconnected)")
+	}
+	for i := n - 1; i >= 0; i-- {
+		u := order[i]
+		if inQ[u] {
+			sub[u]++
+		}
+		if j := parentOrd[u]; j >= 0 {
+			sub[tree.Neighbors[u][j]] += sub[u]
+		}
+	}
+	return parentOrd, sub
+}
+
+// ordinalOf returns the position of v in ns, panicking if it is absent.
+func ordinalOf(ns []int32, v int32) int32 {
+	for j, w := range ns {
+		if w == v {
+			return int32(j)
+		}
+	}
+	panic("treeprim: adjacency is not symmetric")
 }
 
 // Augmentation returns the augmentation set A_Q = {u ∈ V_Q : deg_Q(u) ≥ 3}
@@ -139,67 +194,42 @@ type CentroidResult struct {
 // root-and-prune execution to learn parents, then a second ETT during which
 // the root broadcasts |Q| bit-interleaved (3 rounds per iteration); every
 // candidate compares each component size against |Q|/2 with O(1)-state
-// machines.
+// machines. The components of u are subtree(c) for each child c and the
+// rest of the tree through its parent, of sizes sub(c) and |Q| − sub(u),
+// evaluated from the subtree counts of the root-and-prune traversal.
 func Centroids(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *CentroidResult {
-	n := tree.Len()
-	res := &CentroidResult{IsCentroid: make([]bool, n)}
-	res.RP = RootAndPrune(clock, tree, root, inQ)
-	if n == 1 {
+	res := &CentroidResult{IsCentroid: make([]bool, tree.Len())}
+	var parentOrd, sub []int32
+	res.RP, parentOrd, sub = rootAndPrune(clock, tree, root, inQ)
+	if tree.Len() == 1 {
 		res.IsCentroid[0] = inQ[0]
 		return res
 	}
-	tour := ett.BuildTour(tree, root)
-	run := ett.NewRun(tour, inQ)
-	// Per node and neighbor: the prefix difference (for children, reversed)
-	// chained into a size stream, compared against |Q|/2.
-	type edgeState struct {
-		diff bitstream.Subtractor // prefix difference along the edge
-		size bitstream.Subtractor // |Q| − diff (parent edges only)
-		half bitstream.HalfComparator
-	}
-	states := make([][]edgeState, n)
-	for u := 0; u < n; u++ {
-		states[u] = make([]edgeState, tree.Degree(int32(u)))
-	}
-	for !run.Done() {
-		run.Step(clock)
-		clock.Tick(1) // the root broadcasts the current bit of |Q| (Lemma 23)
-		clock.AddBeeps(1)
-		qBit := run.TotalBit()
-		for u := int32(0); u < int32(n); u++ {
-			if !inQ[u] {
-				continue // only candidates evaluate sizes
-			}
-			for j := range states[u] {
-				st := &states[u][j]
-				out, in := run.EdgeBits(u, j)
-				var sizeBit uint8
-				if j == res.RP.ParentOrd[u] {
-					// Component of the parent: |Q| − (prefix(u,p) − prefix(p,u)).
-					dBit := st.diff.Feed(out, in)
-					sizeBit = st.size.Feed(qBit, dBit)
-				} else {
-					// Component of a child: prefix(v,u) − prefix(u,v).
-					sizeBit = st.diff.Feed(in, out)
-				}
-				st.half.Feed(sizeBit, qBit)
-			}
-		}
-	}
-	for u := int32(0); u < int32(n); u++ {
+	m := sub[root]
+	ChargeBroadcastETT(clock, int(m))
+	for u, ns := range tree.Neighbors {
 		if !inQ[u] {
-			continue
+			continue // only candidates evaluate sizes
 		}
-		ok := true
-		for j := range states[u] {
-			if states[u][j].half.Result() == bitstream.Greater {
+		ok := m-sub[u] <= m/2 // the parent's component; empty at the root
+		for j, v := range ns {
+			if int32(j) != parentOrd[u] && sub[v] > m/2 {
 				ok = false
-				break
 			}
 		}
 		res.IsCentroid[u] = ok
 	}
 	return res
+}
+
+// ChargeBroadcastETT charges the second ETT of the centroid primitives
+// (Lemmas 23 and 36) over m marked instances: the ETT itself plus, per
+// iteration, one round and one beep in which the root broadcasts the
+// current bit of |Q|.
+func ChargeBroadcastETT(clock *sim.Clock, m int) {
+	iters := ett.Charge(clock, m)
+	clock.Tick(int64(iters))
+	clock.AddBeeps(int64(iters))
 }
 
 // DecompResult is the outcome of the centroid decomposition (§3.4).
