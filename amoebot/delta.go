@@ -3,6 +3,7 @@ package amoebot
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -124,82 +125,114 @@ func NeighborArcs(occ func(Coord) bool, c Coord) (deg, arcs int) {
 // Validate on the result (differentially tested).
 //
 // An empty delta returns the receiver. Malformed deltas — duplicate
-// coordinates, adding an occupied or removing an unoccupied cell, a
-// coordinate both added and removed, removing every amoebot — are
-// rejected before any structure is built.
+// coordinates, adding an occupied, invalid or out-of-range (beyond
+// MaxCoord) cell or removing an unoccupied one, a coordinate both added
+// and removed, removing every amoebot — are rejected before any structure
+// is built.
 func (s *Structure) Apply(d Delta) (*Structure, error) {
+	ns, _, _, err := s.ApplyRemap(d)
+	return ns, err
+}
+
+// ApplyRemap is Apply that also hands over the index translations the
+// copy-on-write merge builds: remap maps each old index to its new index
+// (None for a removed cell) and oldOf maps each new index to its old one
+// (None for an added cell). Both are nil for an empty delta, which returns
+// the receiver.
+func (s *Structure) ApplyRemap(d Delta) (ns *Structure, remap, oldOf []int32, err error) {
 	if d.IsEmpty() {
-		return s, nil
+		return s, nil, nil, nil
 	}
-	removeSet := make(map[Coord]bool, len(d.Remove))
+	addSet, removeSet, err := s.checkDelta(d)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ns, remap, oldOf = s.applyCOW(d)
+	if err := s.checkResult(ns, addSet, removeSet); err != nil {
+		return nil, nil, nil, err
+	}
+	return ns, remap, oldOf, nil
+}
+
+// checkDelta rejects a malformed delta and returns its add and remove
+// sets.
+func (s *Structure) checkDelta(d Delta) (addSet, removeSet map[Coord]bool, err error) {
+	removeSet = make(map[Coord]bool, len(d.Remove))
 	for _, c := range d.Remove {
 		if !s.Occupied(c) {
-			return nil, fmt.Errorf("amoebot: delta removes unoccupied %v", c)
+			return nil, nil, fmt.Errorf("amoebot: delta removes unoccupied %v", c)
 		}
 		if removeSet[c] {
-			return nil, fmt.Errorf("amoebot: delta removes %v twice", c)
+			return nil, nil, fmt.Errorf("amoebot: delta removes %v twice", c)
 		}
 		removeSet[c] = true
 	}
-	addSet := make(map[Coord]bool, len(d.Add))
+	addSet = make(map[Coord]bool, len(d.Add))
 	for _, c := range d.Add {
+		if !c.inRange() {
+			return nil, nil, fmt.Errorf("amoebot: delta adds out-of-range coordinate %v (|X| or |Z| above %d)", c, MaxCoord)
+		}
 		if !c.Valid() {
-			return nil, fmt.Errorf("amoebot: delta adds invalid coordinate %v (X+Y+Z != 0)", c)
+			return nil, nil, fmt.Errorf("amoebot: delta adds invalid coordinate %v (X+Y+Z != 0)", c)
 		}
 		if s.Occupied(c) {
-			return nil, fmt.Errorf("amoebot: delta adds occupied %v", c)
+			return nil, nil, fmt.Errorf("amoebot: delta adds occupied %v", c)
 		}
 		if removeSet[c] {
-			return nil, fmt.Errorf("amoebot: delta both adds and removes %v", c)
+			return nil, nil, fmt.Errorf("amoebot: delta both adds and removes %v", c)
 		}
 		if addSet[c] {
-			return nil, fmt.Errorf("amoebot: delta adds %v twice", c)
+			return nil, nil, fmt.Errorf("amoebot: delta adds %v twice", c)
 		}
 		addSet[c] = true
 	}
-	n2 := s.N() + len(d.Add) - len(d.Remove)
-	if n2 == 0 {
-		return nil, errors.New("amoebot: delta removes every amoebot")
+	if s.N()+len(d.Add)-len(d.Remove) == 0 {
+		return nil, nil, errors.New("amoebot: delta removes every amoebot")
 	}
+	return addSet, removeSet, nil
+}
 
-	ns := s.applyCOW(d, addSet, removeSet, n2)
-
-	// Validity: incremental when the base is valid, full otherwise.
+// checkResult decides whether the mutated structure ns is connected and
+// hole-free: incrementally when the base is valid, by a full pass
+// otherwise.
+func (s *Structure) checkResult(ns *Structure, addSet, removeSet map[Coord]bool) error {
 	if s.Validate() != nil {
 		if err := ns.Validate(); err != nil {
-			return nil, fmt.Errorf("amoebot: delta result invalid: %w", err)
+			return fmt.Errorf("amoebot: delta result invalid: %w", err)
 		}
-		return ns, nil
+		return nil
 	}
 	if !s.eulerAfter(addSet, removeSet, ns) {
 		// χ ≠ 1 rules validity out without touching the n untouched
 		// amoebots; the full pass only runs to name the failure.
-		return nil, fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
+		return fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
 	}
 	// χ = 1 leaves connectivity: c − holes = 1, so connected ⇒ hole-free.
-	if s.peelDelta(addSet, removeSet) {
+	if s.peelDelta(addSet, removeSet) || ns.IsConnected() {
 		ns.markValid()
-	} else if ns.IsConnected() {
-		ns.markValid()
-	} else {
-		return nil, fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
+		return nil
 	}
-	return ns, nil
+	return fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
 }
 
-// applyCOW builds the mutated structure: merged canonical coordinates,
-// fresh index, and adjacency rows remapped from the old structure wherever
-// no neighbor changed.
-func (s *Structure) applyCOW(d Delta, addSet, removeSet map[Coord]bool, n2 int) *Structure {
-	adds := make([]Coord, 0, len(addSet))
-	for c := range addSet {
-		adds = append(adds, c)
-	}
+// applyCOW builds the mutated structure of a well-formed delta — merged
+// canonical coordinates, their row table, and adjacency rows remapped from
+// the old structure wherever no neighbor changed — and returns it with the
+// translations remap (old → new) and oldOf (new → old).
+func (s *Structure) applyCOW(d Delta) (ns *Structure, remap, oldOf []int32) {
+	adds := slices.Clone(d.Add)
 	sort.Slice(adds, func(i, j int) bool { return lessCoord(adds[i], adds[j]) })
 
+	n2 := s.N() + len(d.Add) - len(d.Remove)
 	coords2 := make([]Coord, 0, n2)
-	remap := make([]int32, s.N()) // old index -> new index, None for removed
-	oldOf := make([]int32, 0, n2) // new index -> old index, None for added
+	// remap doubles as the removed mark: removed cells hold None before
+	// the merge fills in the survivors.
+	remap = make([]int32, s.N())
+	for _, c := range d.Remove {
+		i, _ := s.Index(c)
+		remap[i] = None
+	}
+	oldOf = make([]int32, 0, n2)
 	ai := 0
 	for i, c := range s.coords {
 		for ai < len(adds) && lessCoord(adds[ai], c) {
@@ -207,8 +240,7 @@ func (s *Structure) applyCOW(d Delta, addSet, removeSet map[Coord]bool, n2 int) 
 			coords2 = append(coords2, adds[ai])
 			ai++
 		}
-		if removeSet[c] {
-			remap[i] = None
+		if remap[i] == None {
 			continue
 		}
 		remap[i] = int32(len(coords2))
@@ -220,32 +252,26 @@ func (s *Structure) applyCOW(d Delta, addSet, removeSet map[Coord]bool, n2 int) 
 		coords2 = append(coords2, adds[ai])
 	}
 
-	ns := &Structure{
-		coords: coords2,
-		index:  make(map[Coord]int32, n2),
-		nbr:    make([][NumDirections]int32, n2),
-	}
-	for i, c := range coords2 {
-		ns.index[c] = int32(i)
-	}
+	ns = &Structure{coords: coords2, nbr: make([][NumDirections]int32, n2)}
+	ns.rowZ, ns.rowOff = rowTable(coords2)
 
 	// Amoebots adjacent to a delta cell need their row recomputed; every
 	// other surviving row is the old row with indices remapped.
 	touched := make([]bool, n2)
 	markAround := func(c Coord) {
-		if j, ok := ns.index[c]; ok {
+		if j, ok := ns.Index(c); ok {
 			touched[j] = true
 		}
 		for dir := Direction(0); dir < NumDirections; dir++ {
-			if j, ok := ns.index[c.Neighbor(dir)]; ok {
+			if j, ok := ns.Index(c.Neighbor(dir)); ok {
 				touched[j] = true
 			}
 		}
 	}
-	for c := range addSet {
+	for _, c := range d.Add {
 		markAround(c)
 	}
-	for c := range removeSet {
+	for _, c := range d.Remove {
 		markAround(c)
 	}
 	for i := range coords2 {
@@ -261,14 +287,10 @@ func (s *Structure) applyCOW(d Delta, addSet, removeSet map[Coord]bool, n2 int) 
 		}
 		c := coords2[i]
 		for dir := Direction(0); dir < NumDirections; dir++ {
-			if j, ok := ns.index[c.Neighbor(dir)]; ok {
-				ns.nbr[i][dir] = j
-			} else {
-				ns.nbr[i][dir] = None
-			}
+			ns.nbr[i][dir], _ = ns.Index(c.Neighbor(dir))
 		}
 	}
-	return ns
+	return ns, remap, oldOf
 }
 
 // eulerAfter reports whether the mutated structure has Euler characteristic

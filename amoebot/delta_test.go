@@ -128,6 +128,11 @@ func TestApplyMalformedDeltas(t *testing.T) {
 		{"remove everything", amoebot.Delta{
 			Remove: []amoebot.Coord{amoebot.XZ(0, 0), amoebot.XZ(1, 0), amoebot.XZ(2, 0)},
 		}},
+		// The result would be one valid amoebot, but past the bound.
+		{"add out of range", amoebot.Delta{
+			Add:    []amoebot.Coord{amoebot.XZ(amoebot.MaxCoord+1, 0)},
+			Remove: []amoebot.Coord{amoebot.XZ(0, 0), amoebot.XZ(1, 0), amoebot.XZ(2, 0)},
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := s.Apply(tc.d); err == nil {
@@ -260,15 +265,16 @@ func TestFingerprint(t *testing.T) {
 // TestApplyDifferentialRandom drives Apply with random deltas — valid,
 // hole-creating, disconnecting — and checks that its verdict and its
 // structure agree exactly with rebuilding from scratch and running the
-// full Validate. On success the chain continues from the mutated
-// structure, exercising long delta sequences.
+// full Validate, and that ApplyRemap's translations agree with coordinate
+// lookups. On success the chain continues from the mutated structure,
+// exercising long delta sequences.
 func TestApplyDifferentialRandom(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		s := shapes.RandomBlob(rng, 60)
 		for step := 0; step < 120; step++ {
 			d := randomDelta(rng, s)
-			got, gotErr := s.Apply(d)
+			got, remap, oldOf, gotErr := s.ApplyRemap(d)
 			want, wantErr := applyByRebuild(s, d)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d step %d: Apply err = %v, rebuild err = %v (delta %v)",
@@ -285,6 +291,13 @@ func TestApplyDifferentialRandom(t *testing.T) {
 			}
 			if got.Fingerprint() != want.Fingerprint() {
 				t.Fatalf("seed %d step %d: fingerprint mismatch", seed, step)
+			}
+			if d.IsEmpty() {
+				if got != s || remap != nil || oldOf != nil {
+					t.Fatalf("seed %d step %d: empty delta did not return the receiver with nil translations", seed, step)
+				}
+			} else if err := amoebot.RemapErr(s, got, remap, oldOf); err != nil {
+				t.Fatalf("seed %d step %d: ApplyRemap(%v): %v", seed, step, d, err)
 			}
 			s = got
 		}

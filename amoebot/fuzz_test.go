@@ -1,6 +1,9 @@
 package amoebot
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -23,7 +26,9 @@ func fuzzCoords(data []byte) []Coord {
 // FuzzValidate differentially tests the O(n) Euler-characteristic hole
 // counter and the connectivity check against the brute-force flood fill on
 // arbitrary coordinate sets: Holes must equal holesByFloodFill and
-// Validate must succeed exactly on connected hole-free inputs.
+// Validate must succeed exactly on connected hole-free inputs. It also
+// checks the row table against a map oracle (see checkIndexOracle); the
+// int8 coordinates give gapped rows, gap-free rows and one-row structures.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1})                         // small triangle
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 1, 2, 1, 0, 2, 1, 2}) // ring with hole
@@ -38,6 +43,7 @@ func FuzzValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewStructure rejected deduplicated valid coords: %v", err)
 		}
+		checkIndexOracle(t, s, cs)
 		holes := s.Holes()
 		if brute := s.holesByFloodFill(); holes != brute {
 			t.Fatalf("Holes() = %d, flood fill says %d (n=%d)", holes, brute, s.N())
@@ -48,6 +54,68 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("Validate() = %v with connected=%v holes=%d", err, connected, holes)
 		}
 	})
+}
+
+// checkIndexOracle checks Index and Occupied against a map from each input
+// cell to its rank in canonical order, on every cell of the padded bounding
+// box, and checks that each amoebot's X and Z with a wrong Y miss.
+func checkIndexOracle(t *testing.T, s *Structure, cs []Coord) {
+	t.Helper()
+	sorted := slices.Clone(cs)
+	sort.Slice(sorted, func(i, j int) bool { return lessCoord(sorted[i], sorted[j]) })
+	want := make(map[Coord]int32, len(sorted))
+	for i, c := range sorted {
+		want[c] = int32(i)
+	}
+	minX, maxX, minZ, maxZ := s.Bounds()
+	for z := minZ - 1; z <= maxZ+1; z++ {
+		for x := minX - 1; x <= maxX+1; x++ {
+			c := XZ(x, z)
+			wi, wok := want[c]
+			if !wok {
+				wi = None
+			}
+			if i, ok := s.Index(c); i != wi || ok != wok || s.Occupied(c) != wok {
+				t.Fatalf("Index(%v) = %d, %v; the map says %d, %v", c, i, ok, wi, wok)
+			}
+		}
+	}
+	for _, c := range cs {
+		for _, dy := range []int{-1, 1} {
+			p := Coord{X: c.X, Y: c.Y + dy, Z: c.Z}
+			if i, ok := s.Index(p); ok || i != None || s.Occupied(p) {
+				t.Fatalf("Index(%+v) = %d, %v for a cell off the X+Y+Z = 0 plane", p, i, ok)
+			}
+		}
+	}
+}
+
+// RemapErr reports the first disagreement of ApplyRemap's translations
+// with coordinate lookups: remap[i] must be ns.Index(s.Coord(i)) and
+// oldOf[j] must be s.Index(ns.Coord(j)), None when absent, and the two
+// must be inverse on the surviving amoebots. It is exported for the
+// external test package.
+func RemapErr(s, ns *Structure, remap, oldOf []int32) error {
+	if len(remap) != s.N() || len(oldOf) != ns.N() {
+		return fmt.Errorf("translation lengths %d, %d for %d, %d amoebots", len(remap), len(oldOf), s.N(), ns.N())
+	}
+	for i, j := range remap {
+		if want, _ := ns.Index(s.Coord(int32(i))); j != want {
+			return fmt.Errorf("remap[%d] = %d, want %d", i, j, want)
+		}
+		if j != None && oldOf[j] != int32(i) {
+			return fmt.Errorf("oldOf[remap[%d]] = %d", i, oldOf[j])
+		}
+	}
+	for j, i := range oldOf {
+		if want, _ := s.Index(ns.Coord(int32(j))); i != want {
+			return fmt.Errorf("oldOf[%d] = %d, want %d", j, i, want)
+		}
+		if i != None && remap[i] != int32(j) {
+			return fmt.Errorf("remap[oldOf[%d]] = %d", j, remap[i])
+		}
+	}
+	return nil
 }
 
 // fuzzBase is the fixed structure FuzzApplyDelta mutates: a radius-3
@@ -70,7 +138,8 @@ func fuzzBase() *Structure {
 // adjacency reuse plus incremental Euler/peeling validation — against a
 // from-scratch rebuild: whenever Apply accepts a delta, the result must
 // equal NewStructure of the mutated coordinate set (same fingerprint, same
-// adjacency) and be valid; whenever Apply rejects a structurally
+// adjacency) and be valid, and ApplyRemap's translations must agree with
+// coordinate lookups (RemapErr); whenever Apply rejects a structurally
 // well-formed delta, the rebuilt result must really be invalid.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0, 4, 0})                   // add one east cell
@@ -88,7 +157,7 @@ func FuzzApplyDelta(f *testing.F) {
 				d.Remove = append(d.Remove, c)
 			}
 		}
-		ns, err := s.Apply(d)
+		ns, remap, oldOf, err := s.ApplyRemap(d)
 		if err != nil {
 			if !wellFormed(s, d) {
 				return // malformed deltas must be rejected; nothing to cross-check
@@ -108,6 +177,13 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		if verr := ns.Validate(); verr != nil {
 			t.Fatalf("Apply accepted %v but result invalid: %v", d, verr)
+		}
+		if d.IsEmpty() {
+			if ns != s || remap != nil || oldOf != nil {
+				t.Fatal("empty delta did not return the receiver with nil translations")
+			}
+		} else if rerr := RemapErr(s, ns, remap, oldOf); rerr != nil {
+			t.Fatalf("ApplyRemap(%v): %v", d, rerr)
 		}
 		rebuilt := MustStructure(mutatedCoords(s, d))
 		if ns.Fingerprint() != rebuilt.Fingerprint() {

@@ -1,8 +1,10 @@
 package amoebot
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,11 @@ const None int32 = -1
 // once built; algorithms operate on (sub-)Regions of a Structure.
 type Structure struct {
 	coords []Coord
-	index  map[Coord]int32
+	// The row table over the canonical order: row r holds the amoebots
+	// with Z = rowZ[r] (ascending), at coords[rowOff[r]:rowOff[r+1]] in
+	// ascending X. len(rowOff) = len(rowZ)+1.
+	rowZ   []int
+	rowOff []int32
 	nbr    [][NumDirections]int32
 
 	// Validity and fingerprint are derived from the immutable coordinate
@@ -30,9 +36,20 @@ type Structure struct {
 	fp        string
 }
 
-// NewStructure builds a structure from the given coordinates. Duplicates are
-// rejected. The structure is not required to be connected or hole-free;
-// use Validate to check the paper's preconditions.
+// MaxCoord bounds the axial coordinates of a structure's cells: every
+// amoebot has |X| ≤ MaxCoord and |Z| ≤ MaxCoord. With X+Y+Z = 0 the bound
+// keeps every Y, neighbor and Dist sum far inside int, so grid arithmetic
+// on a structure never wraps.
+const MaxCoord = 1 << 40
+
+// inRange reports whether c's X and Z lie within ±MaxCoord.
+func (c Coord) inRange() bool {
+	return c.X >= -MaxCoord && c.X <= MaxCoord && c.Z >= -MaxCoord && c.Z <= MaxCoord
+}
+
+// NewStructure builds a structure from the given coordinates. Duplicates and
+// coordinates beyond MaxCoord are rejected. The structure is not required to
+// be connected or hole-free; use Validate to check the paper's preconditions.
 func NewStructure(coords []Coord) (*Structure, error) {
 	if len(coords) == 0 {
 		return nil, errors.New("amoebot: empty structure")
@@ -41,36 +58,40 @@ func NewStructure(coords []Coord) (*Structure, error) {
 	// compare and render deterministically regardless of input order.
 	cs := make([]Coord, len(coords))
 	copy(cs, coords)
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Z != cs[j].Z {
-			return cs[i].Z < cs[j].Z
-		}
-		return cs[i].X < cs[j].X
-	})
-	s := &Structure{
-		coords: cs,
-		index:  make(map[Coord]int32, len(cs)),
-		nbr:    make([][NumDirections]int32, len(cs)),
-	}
+	sort.Slice(cs, func(i, j int) bool { return lessCoord(cs[i], cs[j]) })
 	for i, c := range cs {
+		if !c.inRange() {
+			return nil, fmt.Errorf("amoebot: coordinate %v out of range (|X| or |Z| above %d)", c, MaxCoord)
+		}
 		if !c.Valid() {
 			return nil, fmt.Errorf("amoebot: invalid coordinate %v (X+Y+Z != 0)", c)
 		}
-		if _, dup := s.index[c]; dup {
+		// Valid cells with equal X and Z are equal, and sort next to each other.
+		if i > 0 && cs[i-1] == c {
 			return nil, fmt.Errorf("amoebot: duplicate coordinate %v", c)
 		}
-		s.index[c] = int32(i)
 	}
+	s := &Structure{coords: cs, nbr: make([][NumDirections]int32, len(cs))}
+	s.rowZ, s.rowOff = rowTable(cs)
 	for i, c := range cs {
 		for d := Direction(0); d < NumDirections; d++ {
-			if j, ok := s.index[c.Neighbor(d)]; ok {
-				s.nbr[i][d] = j
-			} else {
-				s.nbr[i][d] = None
-			}
+			s.nbr[i][d], _ = s.Index(c.Neighbor(d))
 		}
 	}
 	return s, nil
+}
+
+// rowTable returns the row table of coordinates in canonical order: the
+// distinct Z values, ascending, and the offset at which each row starts,
+// closed by len(cs).
+func rowTable(cs []Coord) (rowZ []int, rowOff []int32) {
+	for i, c := range cs {
+		if i == 0 || c.Z != cs[i-1].Z {
+			rowZ = append(rowZ, c.Z)
+			rowOff = append(rowOff, int32(i))
+		}
+	}
+	return rowZ, append(rowOff, int32(len(cs)))
 }
 
 // MustStructure is NewStructure that panics on error; for tests and examples.
@@ -96,17 +117,33 @@ func (s *Structure) Coords() []Coord {
 }
 
 // Index returns the node index of coordinate c, or (None, false) if c is
-// unoccupied.
+// unoccupied. It binary-searches the row table for c.Z; within the row, a
+// gap-free run holds c.X at its offset from the row's first X, and a row
+// with gaps is binary-searched. Only a stored coordinate equal to c in all
+// three components answers, so an invalid c (X+Y+Z ≠ 0) always misses.
 func (s *Structure) Index(c Coord) (int32, bool) {
-	i, ok := s.index[c]
+	r, ok := slices.BinarySearch(s.rowZ, c.Z)
 	if !ok {
 		return None, false
 	}
-	return i, true
+	lo := s.rowOff[r]
+	row := s.coords[lo:s.rowOff[r+1]]
+	// The offset may wrap for far-off probes; the slot check catches that.
+	k := c.X - row[0].X
+	if k < 0 || k >= len(row) || row[k].X != c.X {
+		k, _ = slices.BinarySearchFunc(row, c.X, func(e Coord, x int) int { return cmp.Compare(e.X, x) })
+		if k == len(row) {
+			return None, false
+		}
+	}
+	if row[k] != c {
+		return None, false
+	}
+	return lo + int32(k), true
 }
 
 // Occupied reports whether coordinate c is part of the structure.
-func (s *Structure) Occupied(c Coord) bool { _, ok := s.index[c]; return ok }
+func (s *Structure) Occupied(c Coord) bool { _, ok := s.Index(c); return ok }
 
 // Neighbor returns the index of node i's neighbor in direction d, or None.
 func (s *Structure) Neighbor(i int32, d Direction) int32 { return s.nbr[i][d] }

@@ -1,7 +1,10 @@
 package amoebot
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"spforest/internal/par"
@@ -27,14 +30,32 @@ func ringCoords() []Coord {
 }
 
 func TestNewStructureErrors(t *testing.T) {
-	if _, err := NewStructure(nil); err == nil {
-		t.Error("empty structure accepted")
+	cases := []struct {
+		name   string
+		coords []Coord
+	}{
+		{"empty structure", nil},
+		{"invalid coordinate", []Coord{{X: 1, Y: 1, Z: 1}}},
+		{"duplicate coordinate", []Coord{XZ(0, 0), XZ(0, 0)}},
+		// X = MaxInt64's east neighbor wraps to MinInt64: without the
+		// bound the pair is "connected" at distance 1.
+		{"wrapping pair", []Coord{XZ(math.MaxInt64, 0), XZ(math.MinInt64, 0)}},
+		{"X past MaxCoord", []Coord{XZ(MaxCoord+1, 0)}},
+		{"Z past -MaxCoord", []Coord{XZ(0, -MaxCoord-1)}},
 	}
-	if _, err := NewStructure([]Coord{{X: 1, Y: 1, Z: 1}}); err == nil {
-		t.Error("invalid coordinate accepted")
+	for _, tc := range cases {
+		if _, err := NewStructure(tc.coords); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := NewStructure([]Coord{XZ(0, 0), XZ(0, 0)}); err == nil {
-		t.Error("duplicate coordinate accepted")
+	// The error names the first offending cell in canonical order.
+	if _, err := ParseStructure([]byte("9223372036854775807 0\n-9223372036854775808 0\n")); err == nil ||
+		!strings.Contains(err.Error(), "(-9223372036854775808,0)") {
+		t.Errorf("ParseStructure of the wrapping pair: err = %v, want one naming (-9223372036854775808,0)", err)
+	}
+	// The bound itself is inclusive.
+	if _, err := NewStructure([]Coord{XZ(MaxCoord, -MaxCoord), XZ(-MaxCoord, MaxCoord)}); err != nil {
+		t.Errorf("cells on the bound rejected: %v", err)
 	}
 }
 
@@ -57,18 +78,33 @@ func TestStructureAdjacency(t *testing.T) {
 }
 
 func TestStructureIndexRoundTrip(t *testing.T) {
-	s := MustStructure(lineCoords(5))
-	for i := int32(0); i < int32(s.N()); i++ {
-		j, ok := s.Index(s.Coord(i))
-		if !ok || j != i {
-			t.Fatalf("index round trip failed for %d", i)
+	gapped := []Coord{XZ(-4, 0), XZ(-1, 0), XZ(0, 0), XZ(3, 0), XZ(7, 0), XZ(2, 1), XZ(5, 1), XZ(0, 2)}
+	farRows := []Coord{XZ(0, 0), XZ(1, 0), XZ(-5, 1<<39), XZ(9, 1<<39), XZ(3, -1<<39), XZ(4, -1<<39)}
+	for _, cs := range [][]Coord{lineCoords(5), gapped, farRows, {XZ(MaxCoord, -MaxCoord)}} {
+		s := MustStructure(cs)
+		for i := int32(0); i < int32(s.N()); i++ {
+			j, ok := s.Index(s.Coord(i))
+			if !ok || j != i {
+				t.Fatalf("index round trip failed for %d of %v", i, cs)
+			}
 		}
-	}
-	if _, ok := s.Index(XZ(100, 100)); ok {
-		t.Error("Index found unoccupied coordinate")
-	}
-	if s.Occupied(XZ(100, 100)) {
-		t.Error("Occupied true for unoccupied coordinate")
+		for _, c := range cs {
+			// Cells along the row hit exactly when occupied.
+			for dx := -9; dx <= 9; dx++ {
+				p := XZ(c.X+dx, c.Z)
+				if _, ok := s.Index(p); ok != slices.Contains(cs, p) || s.Occupied(p) != ok {
+					t.Fatalf("Index(%v) = %v in %v", p, ok, cs)
+				}
+			}
+			// Far-off probes, whose offset from the row start wraps, and
+			// off-plane probes miss.
+			for _, p := range []Coord{XZ(math.MaxInt64, c.Z), XZ(math.MinInt64, c.Z), XZ(-math.MaxInt64, c.Z),
+				XZ(c.X, math.MaxInt64), XZ(c.X, math.MinInt64), {X: c.X, Y: c.Y + 1, Z: c.Z}} {
+				if _, ok := s.Index(p); ok || s.Occupied(p) {
+					t.Fatalf("Index found %+v in %v", p, cs)
+				}
+			}
+		}
 	}
 }
 

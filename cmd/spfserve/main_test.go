@@ -105,6 +105,44 @@ func TestOversizedInlineStructureIsRefused(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeInlineStructureIsBadRequest sends an inline structure whose
+// X = MaxInt64 cell has, by wrapping int arithmetic, the X = MinInt64 cell
+// as east neighbor: it must be refused with 400 as out of range, and the
+// server must keep serving — the next query is answered.
+func TestOutOfRangeInlineStructureIsBadRequest(t *testing.T) {
+	svc := service.New(&service.Config{})
+	batcher := service.NewBatcher(svc, &service.BatcherConfig{})
+	defer batcher.Close()
+	ts := httptest.NewServer(newServer(svc, batcher, service.NewRecorder(nil)).routes())
+	defer ts.Close()
+
+	bad := `{"structure":"9223372036854775807 0\n-9223372036854775808 0\n","algo":"spt",` +
+		`"sources":[[9223372036854775807,0]],"dests":[[-9223372036854775808,0]]}`
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatalf("out-of-range request: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "out of range") {
+		t.Fatalf("out-of-range inline structure answered %d (%s), want 400 naming the range", resp.StatusCode, msg)
+	}
+
+	ok := `{"structure":"0 0\n1 0\n0 1\n","algo":"spt","sources":[[0,0]],"dests":[[1,0]]}`
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(ok))
+	if err != nil {
+		t.Fatalf("follow-up request: %v", err)
+	}
+	defer resp.Body.Close()
+	var out wireResult
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("follow-up answer: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || out.Err != "" || out.Forest == "" {
+		t.Fatalf("follow-up query answered %d: %+v", resp.StatusCode, out)
+	}
+}
+
 // TestMalformedBodyIsBadRequest keeps the 400 answer for bodies within the
 // limit that do not decode.
 func TestMalformedBodyIsBadRequest(t *testing.T) {

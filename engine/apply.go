@@ -11,9 +11,10 @@ import (
 // delta, reusing the receiver's memoized preprocessing wherever it
 // survives the mutation instead of rebuilding from scratch:
 //
-//   - the structure itself is mutated with amoebot.Structure.Apply
+//   - the structure itself is mutated with amoebot.Structure.ApplyRemap
 //     (copy-on-write adjacency, incremental validation — no O(n)
-//     re-validate on the common path);
+//     re-validate on the common path), which also hands over the old↔new
+//     index translations the migrations below share;
 //   - the leader survives whenever its amoebot does: the derived engine is
 //     primed with it and no query is ever charged a re-election. Only a
 //     delta that removes the leader (or a configured Config.Leader) sends
@@ -33,7 +34,7 @@ import (
 // PortalsRebuilt) and its Generation is the receiver's plus one. An empty
 // delta returns the receiver itself, every memo intact.
 func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
-	ns, err := e.s.Apply(d)
+	ns, remap, oldOf, err := e.s.ApplyRemap(d)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +60,8 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 	ne.env = core.NewEnv(ne.exec, (*enginePortalSource)(ne))
 
 	// Leader survival: a configured leader that was removed falls back to
-	// lazy election; an elected (or inherited) leader is carried over by
-	// coordinate whenever it still exists. The election cost stays with
+	// lazy election; an elected (or inherited) leader is carried over
+	// whenever its amoebot survives. The election cost stays with
 	// the ancestor that paid it — no query on the derived engine is
 	// charged preprocessing.
 	if e.cfg.Leader != nil {
@@ -70,23 +71,12 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 			ne.cfg.Leader = nil
 		}
 	} else if e.leaderKnown.Load() {
-		if i, ok := ns.Index(e.s.Coord(e.leaderIdx)); ok {
+		if i := remap[e.leaderIdx]; i != amoebot.None {
 			ne.setLeader(i)
 		}
 	}
-
-	// Index translation old -> new, shared by the distance and portal
-	// migrations.
-	remap := make([]int32, e.s.N())
-	for i := range remap {
-		if j, ok := ns.Index(e.s.Coord(int32(i))); ok {
-			remap[i] = j
-		} else {
-			remap[i] = amoebot.None
-		}
-	}
 	ne.migrateDistances(e, d, remap)
-	ne.migratePortals(e, d, remap)
+	ne.migratePortals(e, d, remap, oldOf)
 	return ne, nil
 }
 
@@ -99,7 +89,7 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 // large for the patch to beat a rebuild — or either engine is holed, where
 // views don't exist — the built axes are invalidated and the counters
 // record the decision (CacheStats.PortalsPatched / PortalsRebuilt).
-func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
+func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap, oldOf []int32) {
 	built := 0
 	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 		if e.inspect.portalBuilt[axis].Load() {
@@ -118,14 +108,6 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 	if e.holed || ne.holed || fp.Size() > ne.s.N()/4 {
 		ne.distStats.PortalsRebuilt += int64(built)
 		return
-	}
-	oldOf := make([]int32, ne.s.N())
-	for i := range oldOf {
-		if j, ok := e.s.Index(ne.s.Coord(int32(i))); ok {
-			oldOf[i] = j
-		} else {
-			oldOf[i] = amoebot.None
-		}
 	}
 	footOld := make([]int32, 0, len(fp.Coords))
 	footNew := make([]int32, 0, len(fp.Coords))
