@@ -68,8 +68,9 @@ type BatchStats struct {
 	// queries. It is nil when no query succeeded (and empty, non-nil, for
 	// an empty batch).
 	Phases map[string]int64
-	// WavesPacked and LanePasses sum the per-query lane-packing telemetry
-	// (Stats.WavesPacked, Stats.LanePasses) over all successful queries.
+	// WavesPacked and LanePasses sum the per-query MS-BFS lane telemetry
+	// (Stats.WavesPacked, Stats.LanePasses) over all successful queries;
+	// they count bfs lanes only.
 	WavesPacked int64
 	LanePasses  int64
 	// Wall is the host wall-clock time of the whole batch.

@@ -406,3 +406,44 @@ func checkBFSBatchMatchesSolo(t *testing.T, s *amoebot.Structure, queries []engi
 	}
 	return batch
 }
+
+// TestLaneTelemetryCountsBFSOnly: Stats.WavesPacked and LanePasses count
+// MS-BFS lanes only. Forest and sequential queries evaluate their PASC
+// executions in closed form and report 0, alone and inside a Batch, while
+// the batch's bfs queries still count one wave each.
+func TestLaneTelemetryCountsBFSOnly(t *testing.T) {
+	s := spforest.RandomBlob(43, 300)
+	var queries []engine.Query
+	for i := 0; i < 3; i++ {
+		srcs := spforest.RandomCoords(int64(200+i), s, 4)
+		queries = append(queries,
+			engine.Query{Algo: engine.AlgoForest, Sources: srcs, Dests: s.Coords()},
+			engine.Query{Algo: engine.AlgoSequential, Sources: srcs, Dests: s.Coords()},
+			engine.Query{Algo: engine.AlgoBFS, Sources: srcs})
+	}
+	e, err := engine.New(s, &engine.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range e.Batch(queries).Results {
+		if r.Err != nil {
+			t.Fatalf("query %d: %v", i, r.Err)
+		}
+		want := int64(0)
+		if r.Query.Algo == engine.AlgoBFS {
+			want = 1
+		}
+		if st := r.Result.Stats; st.WavesPacked != want || (want == 0) != (st.LanePasses == 0) {
+			t.Fatalf("query %d (%s): WavesPacked %d, LanePasses %d; want %d waves", i, r.Query.Algo, st.WavesPacked, st.LanePasses, want)
+		}
+	}
+	for _, q := range queries[:2] {
+		res, err := e.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.WavesPacked != 0 || res.Stats.LanePasses != 0 {
+			t.Fatalf("%s run: WavesPacked %d, LanePasses %d; want 0", q.Algo, res.Stats.WavesPacked, res.Stats.LanePasses)
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"spforest/internal/par"
 	"spforest/internal/sim"
 	"spforest/internal/verify"
-	"spforest/internal/wave"
 )
 
 // Config tunes an Engine.
@@ -244,19 +243,9 @@ func (e *Engine) runPlanned(pq *plannedQuery) (*Result, error) {
 	return &Result{Forest: f, Stats: ctx.stats()}, nil
 }
 
-// newContext builds one query's execution context: the engine's environment
-// derived with a fresh set of wave-sharing counters, so Stats attributes
-// packing activity per query.
+// newContext builds one query's execution context.
 func (e *Engine) newContext(clock *sim.Clock, srcs, dests []int32) *Context {
-	ctr := &wave.Counters{}
-	return &Context{
-		Engine:  e,
-		Clock:   clock,
-		Sources: srcs,
-		Dests:   dests,
-		env:     e.env.WithWaves(ctr),
-		waves:   ctr,
-	}
+	return &Context{Engine: e, Clock: clock, Sources: srcs, Dests: dests}
 }
 
 // leaderFor returns the memoized leader index, running the randomized

@@ -11,7 +11,6 @@ import (
 	"spforest/internal/dense"
 	"spforest/internal/par"
 	"spforest/internal/sim"
-	"spforest/internal/wave"
 )
 
 // Context carries the per-query execution state handed to a Solver: the
@@ -24,12 +23,16 @@ type Context struct {
 	Sources []int32
 	Dests   []int32 // nil when the query gave no destinations
 
-	// env is the engine environment derived with the query's wave-sharing
-	// counters; nil falls back to the engine's base environment (no
-	// counters).
-	env *core.Env
-	// waves collects this query's lane-packing counters for Stats.
-	waves *wave.Counters
+	// lanes collects this query's MS-BFS lane telemetry for Stats.
+	lanes laneCounts
+}
+
+// laneCounts is one query's MS-BFS lane telemetry (Stats.WavesPacked,
+// Stats.LanePasses): the bfs waves it ran as lanes of a shared sweep and
+// the sweep layers its lane was live in. The bfs group solve that owns the
+// query's context writes it; stats reads it after the solve returns.
+type laneCounts struct {
+	waves, passes int64
 }
 
 // Region returns the whole-structure region the engine memoizes.
@@ -47,23 +50,15 @@ func (ctx *Context) Arena() *dense.Arena { return ctx.Engine.arena }
 // worker count (see internal/par for the determinism rules).
 func (ctx *Context) Exec() *par.Exec { return ctx.Engine.exec }
 
-// Env returns the query's core execution environment: the executor plus
-// the engine's memoized portal decompositions, reporting into the query's
-// wave-sharing counters, ready to hand to the core algorithm entry points.
-func (ctx *Context) Env() *core.Env {
-	if ctx.env != nil {
-		return ctx.env
-	}
-	return ctx.Engine.env
-}
+// Env returns the engine's core execution environment: the executor plus
+// the engine's memoized portal decompositions, ready to hand to the core
+// algorithm entry points.
+func (ctx *Context) Env() *core.Env { return ctx.Engine.env }
 
-// stats snapshots the query's clock plus its wave-sharing counters.
+// stats snapshots the query's clock plus its MS-BFS lane telemetry.
 func (ctx *Context) stats() Stats {
 	st := statsOf(ctx.Clock)
-	if ctx.waves != nil {
-		st.WavesPacked = ctx.waves.WavesPacked.Load()
-		st.LanePasses = ctx.waves.LanePasses.Load()
-	}
+	st.WavesPacked, st.LanePasses = ctx.lanes.waves, ctx.lanes.passes
 	return st
 }
 

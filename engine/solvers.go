@@ -223,10 +223,8 @@ func (b bfsSolver) SolveShared(ctxs []*Context) ([]*amoebot.Forest, []error) {
 				fs[i] = packed[k]
 				dr := ctxs[i].Clock.Rounds() - startR[i]
 				ctxs[i].Clock.AttributePhase("bfs", dr)
-				if w := ctxs[i].waves; w != nil {
-					w.WavesPacked.Add(1)
-					w.LanePasses.Add(dr)
-				}
+				ctxs[i].lanes.waves++
+				ctxs[i].lanes.passes += dr
 			}
 		}
 	} else {

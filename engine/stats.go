@@ -19,15 +19,15 @@ type Stats struct {
 	// Phases attributes rounds to named algorithm phases ("preprocess",
 	// "spt", "forest", ...).
 	Phases map[string]int64
-	// WavesPacked counts the logical PASC/BFS waves this query executed as
-	// lanes of shared physical passes (DESIGN.md §10): the waves of merges,
-	// line sweeps and bfs group sweeps. Single-wave PASC executions
-	// (propagation) and the closed-form Euler-tour charges are not shared
-	// passes and are not counted.
+	// WavesPacked counts the bfs waves this query ran as lanes of a shared
+	// MS-BFS sweep (DESIGN.md §10): 1 for a bfs query a Batch answered as a
+	// lane, 0 otherwise. Only bfs lanes are counted. Every other query,
+	// forest and sequential ones included, reports 0: its PASC executions
+	// are evaluated in closed form and run no lanes.
 	// Host-side execution telemetry only: it never feeds Rounds or Beeps.
 	WavesPacked int64
-	// LanePasses counts the shared physical passes those waves rode on;
-	// WavesPacked/LanePasses is the achieved packing factor.
+	// LanePasses counts the layers of the shared MS-BFS sweep the query's
+	// bfs lane was live in (0 without a lane).
 	LanePasses int64
 }
 

@@ -5,7 +5,6 @@ import (
 	"spforest/internal/dense"
 	"spforest/internal/par"
 	"spforest/internal/portal"
-	"spforest/internal/wave"
 )
 
 // PortalSource supplies memoized portal decompositions. The engine
@@ -19,41 +18,18 @@ type PortalSource interface {
 }
 
 // Env bundles the per-engine execution state threaded through the
-// algorithms: the deterministic parallel executor (with its scratch arena),
-// an optional portal-decomposition memo and optional wave-sharing
-// counters. A nil *Env — and every omitted part — degrades to serial,
-// compute-fresh, shared-arena, uncounted execution, so internal code never
-// branches.
+// algorithms: the deterministic parallel executor (with its scratch arena)
+// and an optional portal-decomposition memo. A nil *Env — and every
+// omitted part — degrades to serial, compute-fresh, shared-arena
+// execution, so internal code never branches.
 type Env struct {
-	ex    *par.Exec
-	src   PortalSource
-	waves *wave.Counters // wave-sharing counters, usually per query; may be nil
+	ex  *par.Exec
+	src PortalSource
 }
 
 // NewEnv returns an Env executing on ex and consulting src for memoized
 // portal decompositions. Both may be nil.
 func NewEnv(ex *par.Exec, src PortalSource) *Env { return &Env{ex: ex, src: src} }
-
-// WithWaves derives an Env whose lane-packed PASC executions report into
-// ctr (DESIGN.md §10). The engine derives one such Env per query so the
-// counters attribute per query; the receiver is not modified.
-func (env *Env) WithWaves(ctr *wave.Counters) *Env {
-	var cp Env
-	if env != nil {
-		cp = *env
-	}
-	cp.waves = ctr
-	return &cp
-}
-
-// Waves returns the wave-sharing counters lane-packed executions report
-// into; nil (always safe to pass on) disables counting.
-func (env *Env) Waves() *wave.Counters {
-	if env == nil {
-		return nil
-	}
-	return env.waves
-}
 
 // Exec returns the executor (nil-safe; a nil Env executes serially).
 func (env *Env) Exec() *par.Exec {

@@ -269,7 +269,7 @@ func propagateBothSides(env *Env, clock *sim.Clock, region *amoebot.Region, pnod
 	sides := splitSides(ar, region, inP)
 	for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
 		if len(sides[side]) > 0 {
-			f = propagate(env, clock, region, pnodes, inP, sides[side], f, side)
+			f = propagate(env, clock, region, pnodes, sides[side], f, side)
 		}
 	}
 	return f
@@ -411,8 +411,7 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 	}
 
 	// Phase 1: per side, merge across the marked amoebots by PASC parity,
-	// each pairing round's independent pair merges packed as lanes of one
-	// shared tree-PASC pass (mergeParityRound).
+	// one pairing round at a time (mergeParityRound).
 	marks := sp.marksOf[p]
 	for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
 		regions := bySide[side]
@@ -454,8 +453,8 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 		fN := extendAlongPortal(ar, clock, s, north.forest, pnodes)
 		fS := extendAlongPortal(ar, clock, s, south.forest, pnodes)
 		sides := splitSides(ar, whole, inP)
-		f1 := propagate(env, clock, whole, pnodes, inP, sides[amoebot.SideB], fN, amoebot.SideB)
-		f2 := propagate(env, clock, whole, pnodes, inP, sides[amoebot.SideA], fS, amoebot.SideA)
+		f1 := propagate(env, clock, whole, pnodes, sides[amoebot.SideB], fN, amoebot.SideB)
+		f2 := propagate(env, clock, whole, pnodes, sides[amoebot.SideA], fS, amoebot.SideA)
 		out = &regionState{region: whole, forest: MergeEnv(env, clock, f1, f2)}
 	}
 	return out
@@ -496,123 +495,40 @@ func regionSideOf(r *amoebot.Region, pnodes []int32, inP *dense.BitSet) (amoebot
 }
 
 // mergeParityRound executes one PASC-parity pairing round over one side's
-// current regions: the serial reference walks the round's odd marks in
-// order, at each mark pairing the current regions containing it and merging
-// them through the cut (mergePairAtCut), rewriting the region list as it
-// goes. When every pair formed involves only round-start regions — the
-// generic case: a region merged at one mark spans that mark, so it can
-// re-pair only at a different mark in a LATER round — the pairs are
-// provably independent, and the round instead discovers them all by a
-// symbolic walk, extends each pair's forests on its own branch clock, and
-// merges every pair as lanes of one shared tree-PASC pass (MergeManyEnv).
-// The resulting region list — [unpaired regions, original order] + [merged
-// regions, mark order] — and every branch's accounting are bit-identical
-// to the serial walk, which remains the execution for dependent rounds.
+// current regions: it walks the round's odd marks in order, at each mark
+// pairing the current regions containing it and merging them through the
+// cut (mergePairAtCut) on a branch clock of its own, rewriting the region
+// list as it goes. The model runs the round's merges simultaneously, so the
+// branch clocks join by their maximum.
 func mergeParityRound(env *Env, clock *sim.Clock, odd []int32, regions []*regionState) []*regionState {
-	serial := func() []*regionState {
-		branches := make([]*sim.Clock, 0, len(odd))
-		for _, m := range odd {
-			var a, b *regionState
-			for _, st := range regions {
-				if st.region.Contains(m) {
-					if a == nil {
-						a = st
-					} else if st != a {
-						b = st
-					}
-				}
-			}
-			if a == nil || b == nil {
-				continue // the mark no longer separates two regions here
-			}
-			branch := clock.Fork()
-			branches = append(branches, branch)
-			merged := mergePairAtCut(env, branch, a, b, m)
-			var next []*regionState
-			for _, st := range regions {
-				if st != a && st != b {
-					next = append(next, st)
-				}
-			}
-			regions = append(next, merged)
-		}
-		clock.JoinMax(branches...)
-		return regions
-	}
-	// Symbolic walk: groups stand in for the serial walk's evolving region
-	// list; a group contains a mark when any merged-in original does.
-	type group struct {
-		st     *regionState // round-start region; nil for a merged group
-		member []*regionState
-	}
-	cur := make([]*group, len(regions))
-	for i, st := range regions {
-		cur[i] = &group{st: st, member: []*regionState{st}}
-	}
-	contains := func(g *group, m int32) bool {
-		for _, st := range g.member {
-			if st.region.Contains(m) {
-				return true
-			}
-		}
-		return false
-	}
-	type pairing struct {
-		a, b *regionState
-		m    int32
-	}
-	var pairs []pairing
-	paired := make(map[*regionState]bool)
+	branches := make([]*sim.Clock, 0, len(odd))
 	for _, m := range odd {
-		var a, b *group
-		for _, g := range cur {
-			if contains(g, m) {
+		var a, b *regionState
+		for _, st := range regions {
+			if st.region.Contains(m) {
 				if a == nil {
-					a = g
-				} else if g != a {
-					b = g
+					a = st
+				} else if st != a {
+					b = st
 				}
 			}
 		}
 		if a == nil || b == nil {
-			continue // the mark no longer separates two groups here
+			continue // the mark no longer separates two regions here
 		}
-		if a.st == nil || b.st == nil {
-			return serial() // depends on a merge earlier this round
-		}
-		pairs = append(pairs, pairing{a.st, b.st, m})
-		paired[a.st], paired[b.st] = true, true
-		mg := &group{member: append(append([]*regionState(nil), a.member...), b.member...)}
-		var next []*group
-		for _, g := range cur {
-			if g != a && g != b {
-				next = append(next, g)
+		branch := clock.Fork()
+		branches = append(branches, branch)
+		merged := mergePairAtCut(env, branch, a, b, m)
+		var next []*regionState
+		for _, st := range regions {
+			if st != a && st != b {
+				next = append(next, st)
 			}
 		}
-		cur = append(next, mg)
-	}
-	if len(pairs) == 0 {
-		return regions
-	}
-	branches := make([]*sim.Clock, len(pairs))
-	fpairs := make([][2]*amoebot.Forest, len(pairs))
-	for i, pr := range pairs {
-		branches[i] = clock.Fork()
-		fpairs[i][0] = extendThroughCut(env, branches[i], pr.a, pr.b.region, pr.m)
-		fpairs[i][1] = extendThroughCut(env, branches[i], pr.b, pr.a.region, pr.m)
-	}
-	mergedF := MergeManyEnv(env, branches, fpairs)
-	out := make([]*regionState, 0, len(regions))
-	for _, st := range regions {
-		if !paired[st] {
-			out = append(out, st)
-		}
-	}
-	for i, pr := range pairs {
-		out = append(out, &regionState{region: pr.a.region.Union(pr.b.region), forest: mergedF[i]})
+		regions = append(next, merged)
 	}
 	clock.JoinMax(branches...)
-	return out
+	return regions
 }
 
 // mergePairAtCut merges two regions sharing exactly the cut amoebot m

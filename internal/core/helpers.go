@@ -15,7 +15,7 @@
 // All algorithms operate on a Region (sub-structure) and account their
 // synchronous rounds on a sim.Clock exactly as the paper's lemmas do. Each
 // takes an *Env — the execution environment (parallel executor, scratch
-// arena, portal memo, wave counters); a nil Env runs serially.
+// arena, portal memo); a nil Env runs serially.
 package core
 
 import (
@@ -24,6 +24,7 @@ import (
 	"spforest/amoebot"
 	"spforest/internal/dense"
 	"spforest/internal/ett"
+	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -84,31 +85,44 @@ func (fc *forestChildren) release(ar *dense.Arena) {
 	ar.PutInt32s(fc.kids)
 }
 
-// forestLaneParent builds the local parent column of f over its members:
-// the lane spec of a multi-root tree-distance PASC wave, where slot i is
-// members[i], the roots are the forest roots, and each member's streamed
-// value is its tree depth = dist(S, ·). The caller releases the column with
-// ar.PutInt32s (after Seal) and the index with ar.PutIndex; both draw from
-// the arena, so the per-level merge cascade of a forest query recycles one
-// set of backing arrays.
-func forestLaneParent(f *amoebot.Forest, members []int32, ar *dense.Arena) ([]int32, *dense.Index) {
-	toLocal := ar.Index(f.Structure().N())
-	for li, g := range members {
-		toLocal.Set(g, int32(li))
-	}
-	parent := ar.Int32s(len(members))
-	for li, g := range members {
-		if p := f.Parent(g); p != amoebot.None {
-			lp, ok := toLocal.Get(p)
-			if !ok {
-				panic(fmt.Sprintf("core: member %d has parent outside member set", g))
+// forestDepths returns the depth of every member of f (its parent hops to
+// its root) plus one, indexed by node, with 0 for non-members; members
+// lists f's members. One walk up the parent links resolves each member
+// once, memoized. The depths are what the tree-distance PASC on f
+// (Corollary 5) streams, dist(S, ·): every non-root member is a participant
+// with its depth as value, and forestDepths adds each to vals. Panics when
+// a member's parent is no member or a parent cycle makes f no forest.
+// Release the column with ar.PutInt32s.
+func forestDepths(f *amoebot.Forest, members []int32, ar *dense.Arena, vals *pasc.Tally) []int32 {
+	const onPath = -1
+	depth := ar.Int32s(f.Structure().N())
+	var path []int32
+	for _, g := range members {
+		u := g
+		for depth[u] == 0 {
+			p := f.Parent(u)
+			if p == amoebot.None {
+				depth[u] = 1
+				break
 			}
-			parent[li] = lp
-		} else {
-			parent[li] = -1
+			if !f.Member(p) {
+				panic(fmt.Sprintf("core: member %d has parent outside member set", u))
+			}
+			depth[u] = onPath
+			path = append(path, u)
+			u = p
 		}
+		if depth[u] == onPath {
+			panic(fmt.Sprintf("core: parent cycle through %d, not a forest", u))
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			v := path[i]
+			depth[v] = depth[f.Parent(v)] + 1
+			vals.Add(int(depth[v]) - 1)
+		}
+		path = path[:0]
 	}
-	return parent, toLocal
+	return depth
 }
 
 // pruneToDestinations applies the final root-and-prune of §4/§5.4.4: every

@@ -2,9 +2,8 @@ package core
 
 import (
 	"spforest/amoebot"
-	"spforest/internal/bitstream"
+	"spforest/internal/pasc"
 	"spforest/internal/sim"
-	"spforest/internal/wave"
 )
 
 // LineForestEnv computes an S-shortest path forest for a chain of amoebots
@@ -17,13 +16,11 @@ import (
 // chain lists the amoebot node ids in chain order; sources must be a subset
 // of the chain. Runs in O(log n) rounds.
 //
-// The east and west runs execute as two lanes of one packed wave execution
-// (DESIGN.md §10). The per-amoebot comparator feeds of each PASC iteration
-// and the final parent sweep fan out over index chunks (each slot owns its
-// comparator and its forest entry, so chunks write disjoint state). All
-// per-slot scratch — flag columns, direction parent columns, comparator
-// states, the packed wave columns — draws from the arena, so a stream of
-// line queries runs allocation-free here.
+// The two PASC executions are evaluated in closed form (DESIGN.md §2): one
+// sweep per direction yields every slot's streamed distance, the slot
+// compares the two integers its comparator would have settled on, and
+// pasc.Charge bills the joint two-lane run. The per-slot scratch draws from
+// the arena, so a stream of line queries allocates only the output forest.
 func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
 	ar := env.Arena()
 	n := len(chain)
@@ -38,12 +35,14 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 	for i, g := range chain {
 		pos.Set(g, int32(i))
 	}
+	first, last := n, -1 // westernmost and easternmost source slots
 	for _, src := range sources {
 		i, ok := pos.Get(src)
 		if !ok {
 			panic("core: line source outside chain")
 		}
 		isSource[i] = true
+		first, last = min(first, int(i)), max(last, int(i))
 	}
 	if len(sources) == 0 {
 		return f
@@ -51,91 +50,41 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 
 	// One beep round per direction on the chain circuit cut at sources:
 	// every amoebot learns whether a source exists on its west/east side.
-	hasWest := ar.Bools(n)
-	defer ar.PutBools(hasWest)
-	hasEast := ar.Bools(n)
-	defer ar.PutBools(hasEast)
-	{
-		seen := false
-		for i := 0; i < n; i++ {
-			hasWest[i] = seen
-			if isSource[i] {
-				seen = true
-			}
-		}
-		seen = false
-		for i := n - 1; i >= 0; i-- {
-			hasEast[i] = seen
-			if isSource[i] {
-				seen = true
-			}
-		}
-		clock.Tick(2)
-		clock.AddBeeps(2 * int64(len(sources)))
-	}
+	clock.Tick(2)
+	clock.AddBeeps(2 * int64(len(sources)))
 
-	// Eastward run: every source is a root; slot i's value is the distance
-	// to the nearest source on its west. Westward run symmetric.
-	parentE := ar.Int32s(n)
-	parentW := ar.Int32s(n)
-	for i := 0; i < n; i++ {
-		if isSource[i] {
-			parentE[i], parentW[i] = -1, -1
+	// The eastward run's roots are the sources plus slot 0 (a dummy root
+	// when it is no source), and slot i streams distE(i), its distance to
+	// the nearest root at or west of it. The westward run is symmetric with
+	// slot n−1, and the backward sweep resolves each slot as it goes.
+	var vals pasc.Tally
+	distE := ar.Int32s(n)
+	defer ar.PutInt32s(distE)
+	for i := 1; i < n; i++ {
+		if !isSource[i] {
+			distE[i] = distE[i-1] + 1
+			vals.Add(int(distE[i]))
+		}
+	}
+	distW := int32(0)
+	for i := n - 1; i >= 0; i-- {
+		g := chain[i]
+		switch {
+		case isSource[i]:
+			distW = 0
+			f.SetRoot(g)
 			continue
+		case i < n-1:
+			distW++
+			vals.Add(int(distW))
 		}
-		parentE[i] = int32(i) - 1 // may be -1 at the chain start: acts as a dummy root
-		parentW[i] = int32(i) + 1
-		if parentW[i] == int32(n) {
-			parentW[i] = -1
+		hasWest, hasEast := i > first, i < last
+		if hasWest && (!hasEast || distE[i] <= distW) {
+			f.SetParent(g, chain[i-1]) // west distance ≤ east distance
+		} else {
+			f.SetParent(g, chain[i+1])
 		}
 	}
-	// cmps[i] is slot i's byte-encoded O(1)-state comparator.
-	cmps := ar.Bytes(n)
-	defer ar.PutBytes(cmps)
-	ex := env.Exec()
-	feed := func(bitsE, bitsW []uint8) {
-		ex.Range(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				switch {
-				case !hasWest[i] && !hasEast[i]:
-					continue
-				case !hasWest[i]:
-					cmps[i] = bitstream.CmpFeed(cmps[i], 1, 0) // west side invalid: force the east side
-				case !hasEast[i]:
-					cmps[i] = bitstream.CmpFeed(cmps[i], 0, 1) // east side invalid: force the west side
-				default:
-					cmps[i] = bitstream.CmpFeed(cmps[i], bitsE[i], bitsW[i])
-				}
-			}
-		})
-	}
-	p := wave.NewPacked(ar, env.Waves())
-	p.AddLane(parentE, nil)
-	p.AddLane(parentW, nil)
-	p.Seal()
-	ar.PutInt32s(parentE)
-	ar.PutInt32s(parentW)
-	for !p.AllDone() {
-		p.StepRound(clock)
-		feed(p.Bits(0), p.Bits(1))
-	}
-	p.Release()
-	ex.Range(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := chain[i]
-			if isSource[i] {
-				f.SetRoot(g)
-				continue
-			}
-			switch {
-			case !hasWest[i] && !hasEast[i]:
-				continue // no source on the chain at all (empty S was rejected above)
-			case hasWest[i] && (!hasEast[i] || bitstream.CmpOrdering(cmps[i]) != bitstream.Greater):
-				f.SetParent(g, chain[i-1]) // west distance ≤ east distance
-			default:
-				f.SetParent(g, chain[i+1])
-			}
-		}
-	})
+	pasc.Charge(clock, 2, vals)
 	return f
 }

@@ -23,12 +23,12 @@ func lineFixture(n int) (chain, srcs []int32) {
 
 // TestLaneLineForestScratchRecycled pins the line algorithm's allocation
 // profile in bytes: with a warmed arena, every per-slot scratch column —
-// flag columns, direction parents, comparator states, the packed wave
-// columns — is recycled, so the steady-state bytes per call stay near the
-// ~5n of the output forest itself. Before the sweep the call allocated
-// ~69n (three bool columns, two parent columns, two participant slices,
-// the comparator slice and two full non-arena PASC builds), so the 24n
-// bound cleanly separates recycled from reintroduced per-slot makes.
+// the source flags, the chain position index and the eastward distance
+// column — is recycled, so the steady-state bytes per call stay near the
+// ~4n of the output forest itself. Before its scratch moved to the arena
+// the call allocated ~69n (flag, parent, participant and comparator
+// columns and two non-arena PASC builds), so the 24n bound cleanly
+// separates recycled from reintroduced per-slot makes of that kind.
 func TestLaneLineForestScratchRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the allocation profile")

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"spforest/amoebot"
-	"spforest/internal/bitstream"
 	"spforest/internal/dense"
+	"spforest/internal/pasc"
 	"spforest/internal/sim"
-	"spforest/internal/wave"
 )
 
 // PropagateEnv extends an S-shortest path forest f covering A ∪ P to the
@@ -25,11 +24,15 @@ import (
 // shortest path tree algorithm inside Z (Lemmas 48/49).
 //
 // Runs in O(log n) rounds. An empty forest propagates to an empty forest.
+// pnodes must be a contiguous run of one row, ascending in x.
 //
-// The per-probe comparator feeds of each PASC iteration fan out over index
-// chunks, and the phase-2 invisible components — disjoint sub-regions by
-// construction — run on worker goroutines with their branch clocks joined
-// in component order.
+// The tree-PASC of phase 1 is evaluated in closed form (DESIGN.md §2): one
+// memoized walk up f's parent links yields every member's depth, a
+// both-visible amoebot compares its projections' depths, and pasc.Charge
+// bills the one-lane run. The phase-2 invisible components — disjoint
+// sub-regions by construction — run on worker goroutines with their branch
+// clocks joined in component order. Panics unless f is a forest over its
+// members.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
@@ -40,27 +43,33 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	ar := env.Arena()
 	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
-	return propagate(env, clock, region, pnodes, inP, splitSides(ar, region, inP)[into], f, into)
+	return propagate(env, clock, region, pnodes, splitSides(ar, region, inP)[into], f, into)
 }
 
-// portalRow returns the set of the portal's nodes, checking that they lie
-// on one row (an x-portal). Release it with ar.PutBitSet.
+// portalRow returns the set of the portal's nodes, checking that they form
+// a contiguous run of one row (an x-portal), ascending in x: propagation
+// finds a projection at its x offset into the run. Release the set with
+// ar.PutBitSet.
 func portalRow(s *amoebot.Structure, pnodes []int32, ar *dense.Arena) *dense.BitSet {
 	inP := ar.BitSet(s.N())
-	zP := s.Coord(pnodes[0]).Z
-	for _, p := range pnodes {
-		if s.Coord(p).Z != zP {
+	c0 := s.Coord(pnodes[0])
+	for i, p := range pnodes {
+		c := s.Coord(p)
+		if c.Z != c0.Z {
 			panic("core: portal nodes not on one row")
+		}
+		if c.X != c0.X+i {
+			panic("core: portal nodes not a contiguous run ascending in x")
 		}
 		inP.Add(p)
 	}
 	return inP
 }
 
-// propagate is PropagateEnv with the portal set inP and the side's nodes
-// bNodes (see splitSides) supplied by the caller, which splits the region
-// once for both sides.
-func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, inP *dense.BitSet, bNodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
+// propagate is PropagateEnv with the side's nodes bNodes (see splitSides)
+// supplied by the caller, which checks the run with portalRow and splits
+// the region once for both sides.
+func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	if len(bNodes) == 0 || f.Size() == 0 {
 		return f.Clone()
 	}
@@ -93,56 +102,32 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int3
 
 	// Both-visible amoebots compare the streamed distances of their two
 	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
-	// on the portal circuits in the same cadence).
+	// on the portal circuits in the same cadence): n_y if
+	// dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46). The
+	// projections sit at x = −Y_u − z_P (along y) and x = X_u (along z) of
+	// the run.
 	if len(bothVisible) > 0 {
-		// One tree-distance wave over all members of f: slot i is members[i],
-		// the roots are the forest roots, so each member streams its tree
-		// depth = dist(S, ·). The wave is a single lane; it is not a shared
-		// pass, so it reports no wave-sharing counters.
-		parent, toLocal := forestLaneParent(f, f.Members(), ar)
-		run := wave.NewPacked(ar, nil)
-		run.AddLane(parent, nil)
-		run.Seal()
-		ar.PutInt32s(parent)
-		type probe struct {
-			u            int32
-			projY, projZ int32
-			cmp          bitstream.Comparator
+		var vals pasc.Tally
+		depth := forestDepths(f, f.Members(), ar, &vals)
+		defer ar.PutInt32s(depth)
+		pasc.Charge(clock, 1, vals)
+		x0 := s.Coord(pnodes[0]).X
+		projDepth := func(x int) int32 {
+			if k := x - x0; k >= 0 && k < len(pnodes) {
+				if p := pnodes[k]; s.Coord(p).X == x && depth[p] != 0 {
+					return depth[p]
+				}
+			}
+			panic("core: projection of a visible amoebot missed the portal")
 		}
-		probes := make([]probe, 0, len(bothVisible))
 		for _, u := range bothVisible {
 			cu := s.Coord(u)
-			py, okY := s.Index(amoebot.Coord{X: -cu.Y - zP, Y: cu.Y, Z: zP})
-			pz, okZ := s.Index(amoebot.XZ(cu.X, zP))
-			if !okY || !okZ || !inP.Has(py) || !inP.Has(pz) {
-				panic("core: projection of a visible amoebot missed the portal")
+			if projDepth(-cu.Y-zP) <= projDepth(cu.X) {
+				out.SetParent(u, mustNeighbor(region, u, towardY))
+			} else {
+				out.SetParent(u, mustNeighbor(region, u, towardZ))
 			}
-			probes = append(probes, probe{u: u, projY: py, projZ: pz})
 		}
-		ex := env.Exec()
-		for !run.Done(0) {
-			run.StepRound(clock)
-			bits := run.Bits(0)
-			ex.Range(len(probes), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					pr := &probes[i]
-					pr.cmp.Feed(bits[toLocal.At(pr.projY)], bits[toLocal.At(pr.projZ)])
-				}
-			})
-		}
-		ar.PutIndex(toLocal)
-		run.Release()
-		ex.Range(len(probes), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pr := &probes[i]
-				// n_y if dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46).
-				if pr.cmp.Result() != bitstream.Greater {
-					out.SetParent(pr.u, mustNeighbor(region, pr.u, towardY))
-				} else {
-					out.SetParent(pr.u, mustNeighbor(region, pr.u, towardZ))
-				}
-			}
-		})
 	}
 
 	// Phase 2: invisible components. Each component Z elects s_Z (the

@@ -21,7 +21,7 @@ func TestLanePackedPASCMatchesCircuitChain(t *testing.T) {
 	for _, lanes := range []int{1, 64} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(lanes)))
-			p := wave.NewPacked(nil, nil)
+			p := wave.NewPacked(nil)
 			chains := make([]*pasc.CircuitChain, lanes)
 			sizes := make([]int, lanes)
 			for l := 0; l < lanes; l++ {

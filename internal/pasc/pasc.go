@@ -19,17 +19,59 @@
 // terminates after ⌊log₂ max⌋ + 1 iterations.
 //
 // This package holds the paper-level configurations (chain distance, tree
-// distance, prefix sums) and the circuit-materialized reference
-// CircuitChain. Execution belongs to the one PASC kernel, wave.Packed: a
-// Run is a one-lane view over it, which propagates the arriving track
-// directly (an XOR along the tree) instead of materializing the two
-// circuits — observationally identical and linear per iteration.
+// distance, prefix sums), the closed form Charge and the
+// circuit-materialized reference CircuitChain. The algorithms of
+// internal/core evaluate their PASC executions in closed form: one
+// traversal yields the streamed values, the values are compared as
+// integers, and Charge bills the clock what the bit-level execution costs
+// (DESIGN.md §2). Bit-level execution belongs to wave.Packed: a Run is a
+// one-lane view over it, which propagates the arriving track directly (an
+// XOR along the tree) instead of materializing the two circuits —
+// observationally identical and linear per iteration.
 package pasc
 
 import (
+	"math/bits"
+
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
+
+// Tally collects, for Charge, the participant values of PASC waves stepped
+// jointly on one clock. A participant's value is the number of
+// participating non-root slots on its root path, itself included.
+type Tally struct {
+	max   uint
+	zeros int64 // Σ tz(v) over the participants
+}
+
+// Add records one participant's value. A value below 1 panics: roots and
+// non-participants are not participants.
+func (t *Tally) Add(v int) {
+	if v < 1 {
+		panic("pasc: participant value below 1")
+	}
+	t.max = max(t.max, uint(v))
+	t.zeros += int64(bits.TrailingZeros(uint(v)))
+}
+
+// Charge charges the clock exactly what stepping the given number of lanes
+// jointly to completion (wave.Packed.StepRound until every lane is done)
+// costs when t holds all their participants, and returns the iteration
+// count. A participant with value v turns passive in iteration tz(v)+1,
+// and the values on a root path are 1..v, so the run lasts
+// I = max(1, bits.Len(max v)) iterations of 2 rounds (Lemma 4). Every lane
+// beeps its track once per iteration, finished lanes included, and a
+// participant beeps on the termination circuit in the tz(v) iterations
+// that end with it still active: lanes·I + Σ tz(v) beeps. All bits of
+// every value arrive within the I iterations, so an LSB-first comparator
+// fed by the run ends on the integer comparison of its two values.
+func Charge(clock *sim.Clock, lanes int, t Tally) (iterations int) {
+	iterations = max(1, bits.Len(t.max))
+	clock.Tick(int64(2 * iterations))
+	clock.AddBeeps(int64(lanes*iterations) + t.zeros)
+	return iterations
+}
 
 // Run is one PASC execution over a forest of slots: a one-lane wave.Packed.
 // Roots act as sources: they always toggle the track and always read bit 0.
@@ -58,7 +100,7 @@ func New(parent []int32, participant []bool) *Run {
 // newRun seals a one-lane execution; a nil participant column means every
 // slot participates.
 func newRun(parent []int32, part []uint8) *Run {
-	p := wave.NewPacked(nil, nil)
+	p := wave.NewPacked(nil)
 	p.AddLane(parent, part)
 	p.Seal()
 	return &Run{p: p}

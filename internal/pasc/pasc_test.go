@@ -140,7 +140,7 @@ func TestJointStepping(t *testing.T) {
 	// the termination round: rounds = 2·max iters, while each lane counts
 	// only its own iterations.
 	var clock sim.Clock
-	p := wave.NewPacked(nil, nil)
+	p := wave.NewPacked(nil)
 	p.AddLane(chainParent(3), nil)    // values ≤ 2 → 2 iterations
 	p.AddLane(chainParent(1000), nil) // values ≤ 999 → 10 iterations
 	p.Seal()

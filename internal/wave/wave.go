@@ -1,26 +1,25 @@
-// Package wave is the PASC executor: it runs up to 64 concurrent PASC waves
-// of one query as lanes of a single physical execution, the intra-query
-// counterpart of the cross-query sharing in engine.Batch (DESIGN.md §10).
-// A single wave is simply a one-lane execution.
+// Package wave is the bit-level PASC executor: it runs up to 64 PASC waves
+// as lanes of a single execution, stepping every slot's track bit
+// iteration by iteration. A single wave is simply a one-lane execution.
+//
+// The algorithms of internal/core evaluate PASC in closed form (pasc.Charge,
+// DESIGN.md §2): a wave's rounds and beeps depend only on the values it
+// streams, and an LSB-first comparator fed by it ends on the integer
+// comparison. This package remains the execution those closed forms are
+// checked against, and it is what pasc.Run steps for the paper-level
+// configurations (E12, ett.Run, the benchmark's PASC probe).
 //
 // Feldmann et al. (arXiv:2105.05071) observe that reconfigurable circuits
-// are reusable across waves — one circuit, many signals. The simulator's
-// per-wave execution state (the comparator columns of one PASC run) is the
-// host-side analogue of that physical circuit, and this package shares it
-// the same way: all waves of one Packed run live in one set of flat
-// columns, advance in one fused branch-free pass per iteration, and carry
-// their termination state as single bits of a uint64 mask.
-//
-// Lane packing is an execution optimization, not a model change: every
-// lane's bits, its iteration count and the rounds/beeps charged to its
-// clock are exactly those of the same wave run alone (property-pinned
-// against the closed form of Lemma 4 and the circuit-materialized
-// pasc.CircuitChain reference).
+// are reusable across waves — one circuit, many signals. All waves of one
+// Packed run live in one set of flat columns, advance in one fused
+// branch-free pass per iteration, and carry their termination state as
+// single bits of a uint64 mask. Every lane's bits, its iteration count and
+// the rounds/beeps charged to its clock are exactly those of the same wave
+// run alone (property-pinned against the closed form of Lemma 4 and the
+// circuit-materialized pasc.CircuitChain reference).
 package wave
 
 import (
-	"sync/atomic"
-
 	"spforest/internal/dense"
 	"spforest/internal/sim"
 )
@@ -28,17 +27,6 @@ import (
 // MaxLanes is the number of waves one Packed execution can carry: one per
 // bit of the done/zeroed masks.
 const MaxLanes = 64
-
-// Counters aggregates wave-sharing activity for engine.Stats. All fields
-// are updated atomically; a nil *Counters disables counting.
-type Counters struct {
-	// WavesPacked counts the PASC waves executed through a packed run.
-	WavesPacked atomic.Int64
-	// LanePasses counts the per-lane column sweeps executed (one per live
-	// lane per joint iteration); comparing it against WavesPacked ×
-	// iterations shows how much sweeping the done-lane skip saved.
-	LanePasses atomic.Int64
-}
 
 // Packed is one lane-multiplexed tree-PASC execution: up to MaxLanes
 // independent PASC waves (lanes) over one shared slot arena. Each lane is a
@@ -54,11 +42,9 @@ type Counters struct {
 // is exactly what sweeping a terminated lane would compute).
 //
 // Build with NewPacked + AddLane + Seal; advance with StepRound (all lanes
-// on one clock, sharing the termination round) or StepPairs (lane pairs on
-// per-pair clocks, mirroring the merge algorithm's per-pair loop).
+// on one clock, sharing the termination round).
 type Packed struct {
-	ar  *dense.Arena
-	ctr *Counters
+	ar *dense.Arena
 
 	// Shared SoA columns over the concatenated slot space. The parent
 	// column uses one shared sentinel: roots of every lane point at virtual
@@ -85,10 +71,9 @@ type Packed struct {
 }
 
 // NewPacked starts an empty packed execution drawing its columns from the
-// arena (nil degrades to plain allocation) and reporting into ctr (nil
-// disables counting).
-func NewPacked(ar *dense.Arena, ctr *Counters) *Packed {
-	return &Packed{ar: ar, ctr: ctr}
+// arena (nil degrades to plain allocation).
+func NewPacked(ar *dense.Arena) *Packed {
+	return &Packed{ar: ar}
 }
 
 // AddLane stages one PASC wave: a rooted forest over local slots
@@ -204,9 +189,6 @@ func (p *Packed) Seal() {
 			panic("wave: lane slot graph is not a forest")
 		}
 	}
-	if p.ctr != nil {
-		p.ctr.WavesPacked.Add(int64(lanes))
-	}
 	p.specParent, p.specPart = nil, nil
 }
 
@@ -235,12 +217,6 @@ func (p *Packed) Done(l int) bool { return p.doneMask>>uint(l)&1 == 1 }
 // AllDone reports whether every lane has terminated.
 func (p *Packed) AllDone() bool {
 	return p.doneMask == uint64(1)<<uint(len(p.active))-1
-}
-
-// PairDone reports whether both lanes of pair i (lanes 2i and 2i+1) have
-// terminated.
-func (p *Packed) PairDone(i int) bool {
-	return p.doneMask>>uint(2*i)&3 == 3
 }
 
 // Iterations returns the iterations lane l has stepped.
@@ -285,9 +261,6 @@ func (p *Packed) sweep(l int) {
 	if p.active[l] == 0 {
 		p.doneMask |= 1 << uint(l)
 	}
-	if p.ctr != nil {
-		p.ctr.LanePasses.Add(1)
-	}
 }
 
 // stepLane advances lane l within a joint iteration: a live lane sweeps,
@@ -322,28 +295,4 @@ func (p *Packed) StepRound(clock *sim.Clock) {
 		beeps += int64(p.active[l]) + 1
 	}
 	clock.AddBeeps(beeps)
-}
-
-// StepPairs advances every unfinished lane pair by one iteration, pair i
-// (lanes 2i, 2i+1) on clocks[i]. Each live pair is charged exactly what
-// the pair alone — a two-lane execution looping StepRound until both lanes
-// are done — would be charged this iteration: 2 rounds plus both lanes'
-// actives plus the two track beeps. Pairs whose two lanes are both done
-// are not stepped and not charged (their solo loop has exited).
-func (p *Packed) StepPairs(clocks []*sim.Clock) {
-	if !p.sealed {
-		panic("wave: StepPairs before Seal")
-	}
-	if 2*len(clocks) != len(p.active) {
-		panic("wave: StepPairs clock count does not match lane pairs")
-	}
-	for i, clock := range clocks {
-		if p.PairDone(i) {
-			continue
-		}
-		clock.Tick(2)
-		p.stepLane(2 * i)
-		p.stepLane(2*i + 1)
-		clock.AddBeeps(int64(p.active[2*i]) + int64(p.active[2*i+1]) + 2)
-	}
 }
