@@ -22,10 +22,10 @@ import (
 //   - every memoized exact-distance entry whose source set survives is
 //     remapped onto the new indexing and incrementally repaired
 //     (baseline.RepairExact); only entries that lost a source are evicted;
-//   - every portal decomposition (and whole-structure view) the receiver
-//     memoized is patched around the delta's footprint
-//     (portal.Patch/PatchWholeView) when the footprint admits local
-//     repair, and invalidated back to lazy recomputation otherwise — see
+//   - every portal decomposition the receiver memoized is patched around
+//     the delta's footprint (portal.Patch) when the footprint admits local
+//     repair, and invalidated back to lazy recomputation otherwise; the
+//     child takes the patched decomposition's whole view with it — see
 //     migratePortals and DESIGN.md §8.
 //
 // The receiver is unchanged and remains usable; both engines may serve
@@ -34,7 +34,7 @@ import (
 // PortalsRebuilt) and its Generation is the receiver's plus one. An empty
 // delta returns the receiver itself, every memo intact.
 func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
-	ns, remap, oldOf, err := e.s.ApplyRemap(d)
+	ns, remap, _, err := e.s.ApplyRemap(d)
 	if err != nil {
 		return nil, err
 	}
@@ -76,20 +76,20 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 		}
 	}
 	ne.migrateDistances(e, d, remap)
-	ne.migratePortals(e, d, remap, oldOf)
+	ne.migratePortals(e, d, remap)
 	return ne, nil
 }
 
-// migratePortals patches the parent's memoized portal decompositions (and
-// their whole-structure views) into the derived engine when the delta's
-// footprint admits local repair: each axis whose memo exists on the parent
-// is repaired around the footprint (portal.Patch / PatchWholeView) instead
-// of leaving the child to recompute it from scratch on first use. Axes the
+// migratePortals patches the parent's memoized portal decompositions into
+// the derived engine when the delta's footprint admits local repair: each
+// axis whose memo exists on the parent is repaired around the footprint
+// (portal.Patch) and memoized on the child with its whole view, instead of
+// leaving the child to recompute it from scratch on first use. Axes the
 // parent never built have nothing to migrate; when the footprint is too
-// large for the patch to beat a rebuild — or either engine is holed, where
-// views don't exist — the built axes are invalidated and the counters
-// record the decision (CacheStats.PortalsPatched / PortalsRebuilt).
-func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap, oldOf []int32) {
+// large for the patch to beat a rebuild, or the parent is holed, the built
+// axes are invalidated and the counters record the decision
+// (CacheStats.PortalsPatched / PortalsRebuilt).
+func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 	built := 0
 	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 		if e.inspect.portalBuilt[axis].Load() {
@@ -103,9 +103,13 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap, oldOf []int3
 	// Local-repair policy: the patch walks the whole index space once but
 	// does portal-shaped work only inside the footprint; past a quarter of
 	// the structure the dirty zone dominates and a fresh compute is no
-	// worse. Holed structures keep the lazy rebuild: patched views assume
-	// the portal graph is a tree.
-	if e.holed || ne.holed || fp.Size() > ne.s.N()/4 {
+	// worse. A holed parent keeps the lazy rebuild too. Patch would be exact
+	// there (its locality argument never uses hole-freeness), but a holed
+	// parent built its portals only for inspection, since holed engines
+	// answer no portal query, and Apply accepts a delta from it only when
+	// the result fills every hole. The child itself is hole-free: Apply
+	// validated it.
+	if e.holed || fp.Size() > ne.s.N()/4 {
 		ne.distStats.PortalsRebuilt += int64(built)
 		return
 	}
@@ -119,23 +123,13 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap, oldOf []int3
 			footNew = append(footNew, i)
 		}
 	}
-	sp := portal.NewPatchSpec(ne.region, remap, oldOf, footOld, footNew)
+	sp := portal.NewPatchSpec(ne.region, remap, footOld, footNew)
 	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 		if !e.inspect.portalBuilt[axis].Load() {
 			continue
 		}
 		np := e.inspect.raw[axis].Patch(sp)
-		ne.inspect.portalOnce[axis].Do(func() {
-			ne.inspect.raw[axis] = np
-			ne.inspect.portalBuilt[axis].Store(true)
-		})
-		if e.inspect.viewBuilt[axis].Load() {
-			nv := np.PatchWholeView(e.inspect.views[axis], sp)
-			ne.inspect.viewOnce[axis].Do(func() {
-				ne.inspect.views[axis] = nv
-				ne.inspect.viewBuilt[axis].Store(true)
-			})
-		}
+		ne.inspect.portalOnce[axis].Do(func() { ne.inspect.set(axis, np) })
 		ne.distStats.PortalsPatched++
 	}
 }

@@ -53,13 +53,12 @@ type Config struct {
 	Workers int
 	// IntraWorkers bounds the intra-query parallelism: the worker budget of
 	// the deterministic parallel layer (internal/par) that every single
-	// query may spend on its own dense sweeps — validation flood fill,
-	// per-circuit beep fan-out in the leader election, the three per-axis
-	// portal decompositions, per-region base cases, per-level merges and
-	// the BFS frontier expansions. 1 forces the fully serial per-query
-	// path; zero or negative means GOMAXPROCS. Results, simulated rounds
-	// and beeps are bit-for-bit identical at every setting — the layer only
-	// changes host wall time.
+	// query may spend on its own dense sweeps — validation flood fill, the
+	// three per-axis portal decompositions, per-region base cases,
+	// per-level merges and the BFS frontier expansions. 1 forces the fully
+	// serial per-query path; zero or negative means GOMAXPROCS. Results,
+	// simulated rounds and beeps are bit-for-bit identical at every setting
+	// — the layer only changes host wall time.
 	IntraWorkers int
 	// AllowHoles admits structures that are connected but not hole-free.
 	// The paper's portal-based algorithms require hole-free structures
@@ -249,15 +248,17 @@ func (e *Engine) newContext(clock *sim.Clock, srcs, dests []int32) *Context {
 }
 
 // leaderFor returns the memoized leader index, running the randomized
-// election of Theorem 2 on the first call. The triggering query's clock is
-// charged the election's "preprocess" phase; every later query gets the
-// leader for free. Concurrent first calls serialize on the election.
+// election of Theorem 2 on the first call. The election runs on the whole
+// region, which New validated to be connected, as leader.Elect requires.
+// The triggering query's clock is charged the election's "preprocess"
+// phase; every later query gets the leader for free. Concurrent first calls
+// serialize on the election.
 func (e *Engine) leaderFor(clock *sim.Clock) int32 {
 	e.leaderOnce.Do(func() {
 		before := clock.Snapshot()
 		rng := rand.New(rand.NewSource(e.cfg.Seed))
 		clock.Phase("preprocess", func() {
-			e.leaderIdx = leader.ElectExec(e.exec, clock, e.region, rng)
+			e.leaderIdx = leader.Elect(clock, e.region, rng)
 		})
 		after := clock.Snapshot()
 		rounds := after.Rounds - before.Rounds

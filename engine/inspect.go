@@ -28,18 +28,16 @@ type PortalInfo struct {
 }
 
 // inspectState holds the lazily built per-structure decompositions the
-// engine memoizes alongside leader and distances. Portal decompositions
-// (and their whole-structure views, the ETT-backed substrate of the §3.5
-// primitives) are pure preprocessing — they depend only on the structure —
-// so one computation serves every later call: engine inspection, every SPT
-// query's three axes and every forest query's x-axis all share it.
-//
-// The view is memoized under its own once: it exists only for hole-free
-// structures (SubView builds a tree, Lemma 9), while the raw decomposition
-// is well-defined — and inspectable — on holed engines too.
+// engine memoizes alongside leader and distances. Portal decompositions are
+// pure preprocessing — they depend only on the structure — so one
+// computation serves every later call: engine inspection, every SPT
+// query's three axes and every forest query's x-axis all share it. Each
+// axis memoizes its decomposition together with its whole-structure view,
+// which is only the decomposition's portal ids.
 type inspectState struct {
 	portalOnce [amoebot.NumAxes]sync.Once
 	raw        [amoebot.NumAxes]*portal.Portals
+	views      [amoebot.NumAxes]*portal.View
 
 	// The PortalInfo summary is memoized separately from the raw
 	// decomposition: its IsTree flag costs an extra O(n) pass that the
@@ -47,53 +45,38 @@ type inspectState struct {
 	infoOnce [amoebot.NumAxes]sync.Once
 	portals  [amoebot.NumAxes]*PortalInfo
 
-	viewOnce [amoebot.NumAxes]sync.Once
-	views    [amoebot.NumAxes]*portal.View
-
-	// portalBuilt / viewBuilt are set after the corresponding memo exists.
-	// Apply reads them on the parent — without racing the onces — to decide
-	// per axis whether there is anything to patch into the child.
+	// portalBuilt is set after an axis' memo exists. Apply reads it on the
+	// parent — without racing the onces — to decide per axis whether there
+	// is anything to patch into the child.
 	portalBuilt [amoebot.NumAxes]atomic.Bool
-	viewBuilt   [amoebot.NumAxes]atomic.Bool
 }
 
-// portalsFor returns the memoized decomposition along the axis, computing
-// it on first use. Distinct axes memoize independently, so concurrent
-// first calls for different axes — the parallel fan-out of an SPT query's
-// three axes — proceed in parallel instead of serializing on one lock.
-func (e *Engine) portalsFor(axis amoebot.Axis) *portal.Portals {
-	e.inspect.portalOnce[axis].Do(func() {
-		e.inspect.raw[axis] = portal.Compute(e.region, axis)
-		e.inspect.portalBuilt[axis].Store(true)
-	})
-	return e.inspect.raw[axis]
+// set memoizes the axis' decomposition and its whole view. Callers run it
+// inside the axis' portalOnce.
+func (st *inspectState) set(axis amoebot.Axis, p *portal.Portals) {
+	st.raw[axis], st.views[axis] = p, p.WholeView()
+	st.portalBuilt[axis].Store(true)
 }
 
-// viewFor returns the memoized whole-structure view along the axis. Only
-// called on hole-free engines (portal solvers are refused on holed ones
-// before reaching core).
-func (e *Engine) viewFor(axis amoebot.Axis) *portal.View {
-	p := e.portalsFor(axis)
-	e.inspect.viewOnce[axis].Do(func() {
-		e.inspect.views[axis] = p.WholeView()
-		e.inspect.viewBuilt[axis].Store(true)
-	})
-	return e.inspect.views[axis]
+// portalsFor returns the memoized decomposition along the axis and its
+// whole view, computing them on first use. Distinct axes memoize
+// independently, so concurrent first calls for different axes — the
+// parallel fan-out of an SPT query's three axes — proceed in parallel
+// instead of serializing on one lock.
+func (e *Engine) portalsFor(axis amoebot.Axis) (*portal.Portals, *portal.View) {
+	e.inspect.portalOnce[axis].Do(func() { e.inspect.set(axis, portal.Compute(e.region, axis)) })
+	return e.inspect.raw[axis], e.inspect.views[axis]
 }
 
 // Warm forces the per-structure preprocessing that queries would otherwise
-// pay lazily: the leader election plus the portal decomposition and
-// whole-structure view of every axis (views only on hole-free engines —
-// they require the portal graph to be a tree). After Warm, a subsequent
-// Apply can migrate every axis instead of leaving the child to rebuild.
+// pay lazily: the leader election plus the portal decomposition (with its
+// whole view) of every axis. After Warm, a subsequent Apply can migrate
+// every axis instead of leaving the child to rebuild.
 func (e *Engine) Warm() {
 	var clock sim.Clock
 	e.leaderFor(&clock)
 	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 		e.portalsFor(axis)
-		if !e.holed {
-			e.viewFor(axis)
-		}
 	}
 }
 
@@ -108,7 +91,7 @@ func (src *enginePortalSource) PortalsView(region *amoebot.Region, axis amoebot.
 	if region != e.region {
 		return nil, nil // sub-region: not memoized, core computes fresh
 	}
-	return e.portalsFor(axis), e.viewFor(axis)
+	return e.portalsFor(axis)
 }
 
 // Portals returns the memoized portal decomposition along the given axis,
@@ -117,7 +100,7 @@ func (e *Engine) Portals(axis amoebot.Axis) (*PortalInfo, error) {
 	if axis < 0 || axis >= amoebot.NumAxes {
 		return nil, fmt.Errorf("engine: invalid axis %d", axis)
 	}
-	p := e.portalsFor(axis)
+	p, _ := e.portalsFor(axis)
 	e.inspect.infoOnce[axis].Do(func() {
 		e.inspect.portals[axis] = &PortalInfo{
 			Axis:   axis,

@@ -12,15 +12,17 @@
 // circuits as links are added; Beep/Deliver implement one synchronous beep
 // round. Per-grid-edge link counts are tracked so constructions can assert
 // they respect the constant number c of external links per edge.
+//
+// The algorithms evaluate their circuits in closed form (DESIGN.md §2); the
+// nets built here are the reference executions their oracle tests compare
+// against.
 package circuits
 
 import (
 	"fmt"
-	"sync"
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
-	"spforest/internal/par"
 	"spforest/internal/sim"
 )
 
@@ -42,8 +44,7 @@ type Net struct {
 
 	// circ, when non-nil, is the frozen circuit table: circ[ps] is the
 	// union-find root of ps's circuit, resolved once by Freeze so that
-	// beep delivery needs no pointer chasing (and, crucially, no mutation —
-	// frozen lookups are safe from concurrent readers). Any later Link or
+	// beep delivery needs no pointer chasing. Any later Link or
 	// NewPartitionSet invalidates it.
 	circ []int32
 
@@ -128,45 +129,28 @@ func (n *Net) root(x int32) int32 {
 	return n.find(x)
 }
 
-// Freeze resolves every partition set's circuit root into a flat table,
-// fanning the root-finding out over the exec (a nil exec resolves
-// serially). The resolution walks the union-find read-only — no path
-// halving — so concurrent workers race on nothing and the table is
-// identical at every worker count. After Freeze, Beep / Received /
-// SameCircuit are single array loads and BeepMany may fan a whole beep
-// wave out per circuit; a later Link or NewPartitionSet invalidates the
+// Freeze resolves every partition set's circuit root into a flat table.
+// The resolution walks the union-find read-only — no path halving — so
+// after Freeze, Beep / Received / SameCircuit are single array loads that
+// never mutate the net; a later Link or NewPartitionSet invalidates the
 // table (the next Freeze rebuilds it).
-func (n *Net) Freeze(ex *par.Exec) {
+func (n *Net) Freeze() {
 	if n.circ != nil {
 		return
 	}
 	circ := make([]int32, len(n.parent))
-	ex.Range(len(n.parent), func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			r := int32(x)
-			for n.parent[r] != r {
-				r = n.parent[r]
-			}
-			circ[x] = r
+	for x := range circ {
+		r := int32(x)
+		for n.parent[r] != r {
+			r = n.parent[r]
 		}
-	})
+		circ[x] = r
+	}
 	n.circ = circ
 }
 
 // SameCircuit reports whether two partition sets belong to the same circuit.
 func (n *Net) SameCircuit(a, b PS) bool { return n.root(int32(a)) == n.root(int32(b)) }
-
-// CircuitRoot returns the frozen circuit root of ps: a dense stable handle
-// in [0, Len()) that identifies the circuit, equal for exactly the
-// partition sets SameCircuit groups together. Lane-multiplexed overlays
-// (internal/wave) key their per-circuit lane words by it. The net must be
-// frozen — the root table is what makes the handle stable.
-func (n *Net) CircuitRoot(ps PS) int32 {
-	if n.circ == nil {
-		panic("circuits: CircuitRoot on an unfrozen net; call Freeze first")
-	}
-	return n.circ[ps]
-}
 
 // MaxLinksPerEdge returns the largest number of links this configuration
 // places on any single grid edge; constructions assert it stays within the
@@ -180,52 +164,6 @@ func (n *Net) Beep(ps PS) {
 	}
 	n.sent++
 	n.beeped.Add(n.root(int32(ps)))
-}
-
-// BeepMany marks a beep on the circuit of every given partition set — one
-// simultaneous beep wave, exactly equivalent to calling Beep per element.
-// The fan-out exploits that circuits are disjoint by construction: workers
-// mark circuit roots in worker-private bitsets drawn from the exec's arena
-// and the partials are ORed together in ascending chunk order, so the
-// pending-beep set (and therefore everything Received observes) is
-// bit-identical at every worker count. The net must be frozen first.
-func (n *Net) BeepMany(ex *par.Exec, pss []PS) {
-	if n.delivered {
-		panic("circuits: beep after delivery; call NextRound first")
-	}
-	if len(pss) == 0 {
-		return
-	}
-	if n.circ == nil {
-		panic("circuits: BeepMany on an unfrozen net; call Freeze first")
-	}
-	n.sent += int64(len(pss))
-	// Small waves (the late phases of a shrinking election) go straight to
-	// the pending set: the chunked path pays a partition-set-sized bitset
-	// clear and OR per call, which only amortizes on wide waves.
-	const minWave = 64
-	if ex.Workers() <= 1 || len(pss) < minWave {
-		for _, ps := range pss {
-			n.beeped.Add(n.circ[ps])
-		}
-		return
-	}
-	ar := ex.Arena()
-	merged := par.Reduce(ex, len(pss),
-		func(lo, hi int) *dense.BitSet {
-			part := ar.BitSet(len(n.parent))
-			for _, ps := range pss[lo:hi] {
-				part.Add(n.circ[ps])
-			}
-			return part
-		},
-		func(acc, part *dense.BitSet) *dense.BitSet {
-			acc.Or(part)
-			ar.PutBitSet(part)
-			return acc
-		})
-	n.beeped.Or(merged)
-	ar.PutBitSet(merged)
 }
 
 // Deliver ends the beep round: it charges one synchronous round (and the
@@ -269,41 +207,11 @@ func RegionCircuit(n *Net, r *amoebot.Region) []PS {
 	return NodeSetCircuit(n, r.Structure(), r.Nodes())
 }
 
-// psPool recycles the node→partition-set tables of NodeSetCircuit: the
-// table is O(n) and circuit constructions recur per engine (every leader
-// election, every derived engine of a churn workload), so the backing
-// arrays pool like the dense scratch does. Tables beyond the dense
-// retention bound are dropped for the GC instead.
-var psPool sync.Pool
-
-// NodeSetCircuitPooled is NodeSetCircuit drawing the returned table from
-// the package pool; call release when the table is no longer referenced.
-func NodeSetCircuitPooled(n *Net, s *amoebot.Structure, nodes []int32) (ps []PS, release func()) {
-	if p, ok := psPool.Get().(*[]PS); ok && cap(*p) >= s.N() {
-		ps = (*p)[:s.N()]
-	} else {
-		ps = make([]PS, s.N())
-	}
-	fillNodeSetCircuit(n, s, nodes, ps)
-	return ps, func() {
-		if cap(ps) > dense.MaxRetainedIndexEntries {
-			return
-		}
-		ps = ps[:0]
-		psPool.Put(&ps)
-	}
-}
-
 // NodeSetCircuit builds one circuit spanning an arbitrary node set (one
 // partition set per node, links along all structure edges inside the set).
 // The returned slice is indexed by structure node, NoPS outside the set.
 func NodeSetCircuit(n *Net, s *amoebot.Structure, nodes []int32) []PS {
 	ps := make([]PS, s.N())
-	fillNodeSetCircuit(n, s, nodes, ps)
-	return ps
-}
-
-func fillNodeSetCircuit(n *Net, s *amoebot.Structure, nodes []int32, ps []PS) {
 	for i := range ps {
 		ps[i] = NoPS
 	}
@@ -321,4 +229,5 @@ func fillNodeSetCircuit(n *Net, s *amoebot.Structure, nodes []int32, ps []PS) {
 			}
 		}
 	}
+	return ps
 }

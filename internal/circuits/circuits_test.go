@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"spforest/amoebot"
-	"spforest/internal/dense"
-	"spforest/internal/par"
 	"spforest/internal/sim"
 )
 
@@ -206,7 +204,7 @@ func TestFreezeMatchesUnfrozen(t *testing.T) {
 			n.Link(ps[i], ps[i+1])
 		}
 	}
-	n.Freeze(par.New(3, nil))
+	n.Freeze()
 	for i := 0; i < s.N(); i++ {
 		for _, j := range []int{0, 49, 50, 149, 199} {
 			want := i/50 == j/50
@@ -229,86 +227,5 @@ func TestFreezeMatchesUnfrozen(t *testing.T) {
 	n.Link(ps[49], ps[50])
 	if !n.SameCircuit(ps[0], ps[99]) {
 		t.Fatal("link after freeze not reflected")
-	}
-}
-
-// TestBeepManyMatchesBeep: a batched wave must leave the net in exactly
-// the state an element-wise Beep loop does — same pending set, same sent
-// count — at every worker count.
-func TestBeepManyMatchesBeep(t *testing.T) {
-	s := line(300)
-	build := func() (*Net, []PS) {
-		n := New()
-		ps := make([]PS, s.N())
-		for i := range ps {
-			ps[i] = n.NewPartitionSet(int32(i))
-		}
-		for i := 0; i < s.N()-1; i++ {
-			if (i+1)%10 != 0 {
-				n.Link(ps[i], ps[i+1])
-			}
-		}
-		return n, ps
-	}
-	wave := []int{3, 7, 15, 111, 112, 113, 250, 299}
-	ref, refPS := build()
-	ref.Freeze(nil)
-	for _, i := range wave {
-		ref.Beep(refPS[i])
-	}
-	var refClock sim.Clock
-	ref.Deliver(&refClock)
-	for _, workers := range []int{1, 2, 8} {
-		n, ps := build()
-		ex := par.New(workers, dense.NewArena())
-		n.Freeze(ex)
-		pss := make([]PS, len(wave))
-		for k, i := range wave {
-			pss[k] = ps[i]
-		}
-		n.BeepMany(ex, pss)
-		var clock sim.Clock
-		n.Deliver(&clock)
-		if clock.Beeps() != refClock.Beeps() {
-			t.Fatalf("workers=%d: %d beeps, want %d", workers, clock.Beeps(), refClock.Beeps())
-		}
-		for i := 0; i < s.N(); i++ {
-			if got, want := n.Received(ps[i]), ref.Received(refPS[i]); got != want {
-				t.Fatalf("workers=%d: Received(%d) = %v, want %v", workers, i, got, want)
-			}
-		}
-	}
-}
-
-// TestBeepManyLargeWaveParallel pushes a wave past the parallel fan-out
-// threshold so the chunked bitset reduction actually runs.
-func TestBeepManyLargeWaveParallel(t *testing.T) {
-	s := line(2000)
-	n := New()
-	ps := make([]PS, s.N())
-	for i := range ps {
-		ps[i] = n.NewPartitionSet(int32(i))
-	}
-	for i := 0; i < s.N()-1; i++ {
-		if (i+1)%4 != 0 {
-			n.Link(ps[i], ps[i+1])
-		}
-	}
-	ex := par.New(4, dense.NewArena())
-	n.Freeze(ex)
-	var wave []PS
-	for i := 0; i < s.N(); i += 8 { // every other 4-block beeps
-		wave = append(wave, ps[i])
-	}
-	n.BeepMany(ex, wave)
-	var clock sim.Clock
-	n.Deliver(&clock)
-	for i := 0; i < s.N(); i++ {
-		if got, want := n.Received(ps[i]), (i/4)%2 == 0; got != want {
-			t.Fatalf("Received(%d) = %v, want %v", i, got, want)
-		}
-	}
-	if clock.Beeps() != int64(len(wave)) {
-		t.Fatalf("sent %d beeps, want %d", clock.Beeps(), len(wave))
 	}
 }

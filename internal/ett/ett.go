@@ -195,55 +195,6 @@ func (t *Tour) OutInstance(u int32, j int) int32 { return t.outInst[t.off[u]+int
 // j-th neighbor.
 func (t *Tour) InInstance(u int32, j int) int32 { return t.inInst[t.off[u]+int32(j)] }
 
-// Rerooted returns the canonical tour of the receiver's component rooted
-// at root: the rotation of the circular edge sequence that starts with
-// root's ordinal-0 exit. It is O(E) in the component's edges and shares
-// the tree and off table with the receiver. root must belong to the
-// receiver's component.
-func (t *Tour) Rerooted(root int32) *Tour {
-	if t.tree.Degree(root) == 0 {
-		if t.root != root {
-			panic("ett: Rerooted: root is an isolated node outside the tour")
-		}
-		return t
-	}
-	shift := t.outInst[t.off[root]]
-	if shift < 0 {
-		panic("ett: Rerooted: root not in the tour's component")
-	}
-	if shift == 0 {
-		// Instance 0 already exits root's ordinal 0: canonical as-is.
-		return t
-	}
-	e := int32(t.Edges())
-	nt := &Tour{
-		tree:    t.tree,
-		root:    root,
-		node:    make([]int32, e+1),
-		off:     t.off,
-		outInst: make([]int32, len(t.outInst)),
-		inInst:  make([]int32, len(t.inInst)),
-	}
-	copy(nt.node, t.node[shift:e])
-	copy(nt.node[e-shift:], t.node[:shift])
-	nt.node[e] = root
-	for i, x := range t.outInst {
-		if x < 0 {
-			nt.outInst[i] = -1
-		} else {
-			nt.outInst[i] = (x - shift + e) % e
-		}
-	}
-	for i, x := range t.inInst {
-		if x < 0 {
-			nt.inInst[i] = -1
-		} else {
-			nt.inInst[i] = (x-1-shift+e)%e + 1
-		}
-	}
-	return nt
-}
-
 // Charge charges the clock exactly what one ETT execution (a Run stepped
 // to completion) over any tour with m marked instances costs, and returns
 // its iteration count. The marked prefix sums are exactly 1..m, so the

@@ -2,7 +2,6 @@ package ett
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"spforest/internal/bitstream"
@@ -281,54 +280,6 @@ func TestChargeMatchesPrefixSumOracle(t *testing.T) {
 		if iters != run.Iterations() || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
 			t.Fatalf("m=%d: Charge %d iterations (%d rounds, %d beeps), PASC %d iterations (%d rounds, %d beeps)",
 				m, iters, got.Rounds(), got.Beeps(), run.Iterations(), want.Rounds(), want.Beeps())
-		}
-	}
-}
-
-// shuffledTree builds a random tree with shuffled cyclic neighbor orders so
-// reroot tests exercise arbitrary ordinals, not insertion order.
-func shuffledTree(rng *rand.Rand, n int) *Tree {
-	nbrs := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		p := int32(rng.Intn(i))
-		nbrs[p] = append(nbrs[p], int32(i))
-		nbrs[i] = append(nbrs[i], p)
-	}
-	for i := range nbrs {
-		row := nbrs[i]
-		rng.Shuffle(len(row), func(a, b int) { row[a], row[b] = row[b], row[a] })
-	}
-	return MustTree(nbrs)
-}
-
-func requireTourEqual(t *testing.T, got, want *Tour, ctx string) {
-	t.Helper()
-	if got.root != want.root {
-		t.Fatalf("%s: root %d, want %d", ctx, got.root, want.root)
-	}
-	if !reflect.DeepEqual(got.node, want.node) {
-		t.Fatalf("%s: node mismatch\n got %v\nwant %v", ctx, got.node, want.node)
-	}
-	if !reflect.DeepEqual(got.off, want.off) {
-		t.Fatalf("%s: off mismatch\n got %v\nwant %v", ctx, got.off, want.off)
-	}
-	if !reflect.DeepEqual(got.outInst, want.outInst) {
-		t.Fatalf("%s: outInst mismatch\n got %v\nwant %v", ctx, got.outInst, want.outInst)
-	}
-	if !reflect.DeepEqual(got.inInst, want.inInst) {
-		t.Fatalf("%s: inInst mismatch\n got %v\nwant %v", ctx, got.inInst, want.inInst)
-	}
-}
-
-func TestRerootedMatchesBuildTour(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(40)
-		tree := shuffledTree(rng, n)
-		r1 := int32(rng.Intn(n))
-		tour := BuildTour(tree, r1)
-		for r2 := int32(0); r2 < int32(n); r2++ {
-			requireTourEqual(t, tour.Rerooted(r2), BuildTour(tree, r2), "Rerooted")
 		}
 	}
 }

@@ -8,6 +8,12 @@
 // subprotocol of [17], which we account as a constant number of additional
 // rounds per confirmation attempt.
 //
+// The region must be connected. Its global circuit is then one circuit, so
+// a phase's beep reaches every candidate exactly when some candidate tossed
+// heads, and Elect evaluates each phase from the number of heads without
+// building the circuit. TestElectMatchesGlobalCircuitOracle replays the
+// phases on the materialized circuit.
+//
 // The election is the only randomized component of the reproduction —
 // everything in the two shortest-path algorithms themselves is
 // deterministic, exactly as the paper states.
@@ -17,9 +23,6 @@ import (
 	"math/rand"
 
 	"spforest/amoebot"
-	"spforest/internal/circuits"
-	"spforest/internal/dense"
-	"spforest/internal/par"
 	"spforest/internal/sim"
 )
 
@@ -27,70 +30,32 @@ import (
 // check (the shape/boundary test of Feldmann et al.).
 const confirmationRounds = 4
 
-// Elect elects a single amoebot of the region and returns it. The rng
-// drives the candidates' coin tosses; rounds are charged on the clock
-// (2 per phase plus a constant per confirmation).
+// Elect elects a single amoebot of the connected region and returns it.
+// The rng drives the candidates' coin tosses, drawn in candidate order.
+// Every phase is charged the heads' beep round (one beep per heads
+// candidate) and the progress round (one beep per remaining candidate);
+// the confirmation adds a constant.
 func Elect(clock *sim.Clock, region *amoebot.Region, rng *rand.Rand) int32 {
-	return ElectExec(nil, clock, region, rng)
-}
-
-// ElectExec is Elect with the beep fan-out driven by the deterministic
-// parallel layer: the region's global circuit is built and frozen once (the
-// pin configuration does not change between phases — only the beeps do) and
-// each phase's heads-wave is delivered with BeepMany. The rng consumption
-// order, the per-phase accounting and the elected amoebot are identical to
-// the serial path at every worker count.
-func ElectExec(ex *par.Exec, clock *sim.Clock, region *amoebot.Region, rng *rand.Rand) int32 {
 	candidates := append([]int32(nil), region.Nodes()...)
-	heads := dense.Shared.BitSet(region.Structure().N())
-	defer dense.Shared.PutBitSet(heads)
-	// One pin configuration serves every phase: build it once, freeze the
-	// circuit table once, and reset only the beep state between phases.
-	net := circuits.New()
-	ps, releasePS := circuits.NodeSetCircuitPooled(net, region.Structure(), region.Nodes())
-	defer releasePS()
-	net.Freeze(ex)
-	wave := make([]circuits.PS, 0, len(candidates))
-	first := true
-	for {
-		if len(candidates) == 1 {
-			clock.Tick(confirmationRounds)
-			return candidates[0]
-		}
-		// Phase: every candidate tosses a coin; heads beep on the global
-		// circuit; tails candidates hearing a beep withdraw.
-		if !first {
-			net.NextRound()
-		}
-		first = false
-		heads.Reset()
-		wave = wave[:0]
+	heads := make([]int32, 0, len(candidates))
+	for len(candidates) > 1 {
+		heads = heads[:0]
 		for _, c := range candidates {
 			if rng.Intn(2) == 0 {
-				heads.Add(c)
-				wave = append(wave, ps[c])
+				heads = append(heads, c)
 			}
 		}
-		net.BeepMany(ex, wave)
-		net.Deliver(clock)
-		if len(wave) > 0 {
-			next := candidates[:0]
-			for _, c := range candidates {
-				if heads.Has(c) {
-					next = append(next, c)
-				}
-			}
-			candidates = next
+		clock.Tick(1)
+		clock.AddBeeps(int64(len(heads)))
+		// Every candidate heard the beep iff someone tossed heads: then the
+		// tails withdraw.
+		if len(heads) > 0 {
+			candidates, heads = heads, candidates
 		}
 		// Progress/termination beep by all remaining candidates.
 		clock.Tick(1)
 		clock.AddBeeps(int64(len(candidates)))
 	}
-}
-
-// Phases returns the number of coin-toss phases an election over n
-// candidates is expected to need (≈ log₂ n), exposed for the benchmark
-// tables of Theorem 2.
-func Phases(clock *sim.Clock) int64 {
-	return clock.Rounds() / 2
+	clock.Tick(confirmationRounds)
+	return candidates[0]
 }

@@ -2,7 +2,6 @@ package pasc
 
 import (
 	"spforest/internal/circuits"
-	"spforest/internal/par"
 	"spforest/internal/sim"
 )
 
@@ -25,15 +24,6 @@ type CircuitChain struct {
 	bits        []uint8
 	iterations  int
 	activeCount int
-	ex          *par.Exec
-}
-
-// WithExec makes Step resolve and read the per-iteration circuits through
-// the deterministic parallel layer (nil reverts to serial). Outputs are
-// identical either way.
-func (c *CircuitChain) WithExec(ex *par.Exec) *CircuitChain {
-	c.ex = ex
-	return c
 }
 
 // NewCircuitChain creates a circuit-materialized prefix-sum PASC over a
@@ -106,48 +96,37 @@ func (c *CircuitChain) Step(clock *sim.Clock) []uint8 {
 	}
 	// The source sends on its primary partition set (which, because the
 	// source toggles, feeds track 1 of the first edge).
-	net.Freeze(c.ex) // one circuit-root resolution serves every read below
+	net.Freeze() // one circuit-root resolution serves every read below
 	net.Beep(srcPri)
 	net.Deliver(clock)
-	// Per-amoebot reads are independent (each circuit delivered its beep
-	// already), so the sweep fans out; the beep count and the number of
-	// deactivations are chunk-local tallies summed in index order.
-	type tally struct{ beeps, deactivated int64 }
-	sums := par.Reduce(c.ex, m,
-		func(lo, hi int) tally {
-			var t tally
-			for i := lo; i < hi; i++ {
-				onPri := net.Received(pri[i])
-				onSec := net.Received(sec[i])
-				if onPri == onSec {
-					panic("pasc: beep on both or neither track")
-				}
-				var bit uint8
-				if c.participant[i] && c.active[i] {
-					// Active amoebots read 1 on the secondary set.
-					if onSec {
-						bit = 1
-					}
-				} else {
-					// Passive amoebots and forwarders read 1 on the primary set.
-					if onPri {
-						bit = 1
-					}
-				}
-				c.bits[i] = bit
-				if c.participant[i] && c.active[i] {
-					t.beeps++
-					if bit == 1 {
-						c.active[i] = false
-						t.deactivated++
-					}
-				}
+	beeps := int64(0)
+	for i := 0; i < m; i++ {
+		onPri := net.Received(pri[i])
+		onSec := net.Received(sec[i])
+		if onPri == onSec {
+			panic("pasc: beep on both or neither track")
+		}
+		var bit uint8
+		if c.participant[i] && c.active[i] {
+			// Active amoebots read 1 on the secondary set.
+			if onSec {
+				bit = 1
 			}
-			return t
-		},
-		func(a, b tally) tally { return tally{a.beeps + b.beeps, a.deactivated + b.deactivated} })
-	c.activeCount -= int(sums.deactivated)
-	beeps := sums.beeps
+		} else {
+			// Passive amoebots and forwarders read 1 on the primary set.
+			if onPri {
+				bit = 1
+			}
+		}
+		c.bits[i] = bit
+		if c.participant[i] && c.active[i] {
+			beeps++
+			if bit == 1 {
+				c.active[i] = false
+				c.activeCount--
+			}
+		}
+	}
 	// Termination round: still-active participants beep on a global
 	// circuit.
 	clock.Tick(1)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spforest/internal/par"
 	"spforest/internal/sim"
 )
 
@@ -22,12 +21,6 @@ func TestCircuitChainMatchesTrackEngine(t *testing.T) {
 		}
 		fast := NewPrefixSum(participant) // slot i+1 ↔ chain amoebot i
 		slow := NewCircuitChain(participant)
-		if trial%2 == 1 {
-			// Odd trials drive the circuit reference through the parallel
-			// layer, so its per-iteration fan-out is cross-checked against
-			// the serial track engine too.
-			slow = slow.WithExec(par.New(4, nil))
-		}
 		var cFast, cSlow sim.Clock
 		for it := 0; ; it++ {
 			fd, sd := fast.Done(), slow.Done()

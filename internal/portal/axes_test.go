@@ -3,6 +3,7 @@ package portal
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spforest/amoebot"
@@ -155,7 +156,8 @@ func TestSubViewOnSubtrees(t *testing.T) {
 		}
 	}
 	v := p.SubView(ids)
-	if v.Tree().Len() != len(v.Nodes()) {
+	tree, nodes := v.ImplicitTree()
+	if tree.Len() != len(nodes) {
 		t.Fatal("subview tree size mismatch")
 	}
 	for _, a := range ids {
@@ -163,22 +165,23 @@ func TestSubViewOnSubtrees(t *testing.T) {
 			if !v.Contains(b) {
 				continue
 			}
-			lu, ord := crossingOrdinal(v, a, b)
-			if v.Global(v.Tree().Neighbors[lu][ord]) != p.Connector(b, a) {
+			lu, ord := crossingOrdinal(tree, nodes, p.Connector(a, b), p.Connector(b, a))
+			if nodes[tree.Neighbors[lu][ord]] != p.Connector(b, a) {
 				t.Fatal("crossing ordinal inconsistent in subview")
 			}
 		}
 	}
 }
 
-// crossingOrdinal returns, for the crossing edge between adjacent view
-// portals (from, to), the local index of the connector c_from(to) and the
-// neighbor ordinal of the edge within the view's implicit tree.
-func crossingOrdinal(v *View, from, to int32) (local int32, ord int) {
-	lu, lw := v.Local(v.P.Connector(from, to)), v.Local(v.P.Connector(to, from))
-	for j, x := range v.Tree().Neighbors[lu] {
-		if x == lw {
-			return lu, j
+// crossingOrdinal returns, for the crossing edge between the connectors u
+// and w of two adjacent view portals, the index of u in the view's node
+// list and the neighbor ordinal of the edge within its implicit tree.
+func crossingOrdinal(tree *ett.Tree, nodes []int32, u, w int32) (local int32, ord int) {
+	lu, _ := slices.BinarySearch(nodes, u)
+	lw, _ := slices.BinarySearch(nodes, w)
+	for j, x := range tree.Neighbors[lu] {
+		if x == int32(lw) {
+			return int32(lu), j
 		}
 	}
 	panic("portal: crossing edge missing from view tree")

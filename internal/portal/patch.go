@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spforest/amoebot"
-	"spforest/internal/ett"
 )
 
 // PatchSpec describes one structure mutation to the portal layer: the index
@@ -22,30 +21,23 @@ type PatchSpec struct {
 	Region *amoebot.Region
 	// Remap maps old node index -> new node index (-1 for removed cells).
 	Remap []int32
-	// OldOf maps new node index -> old node index (-1 for added cells).
-	OldOf []int32
 	// FootOld / FootNew are the footprint cells present in the old / new
 	// structure, as sorted node indices of the respective structure.
 	FootOld []int32
 	FootNew []int32
-	// FootOldMark / FootNewMark are the same sets as bitmaps.
+	// FootOldMark is FootOld as a bitmap.
 	FootOldMark []bool
-	FootNewMark []bool
 }
 
-// NewPatchSpec assembles a PatchSpec, deriving the bitmaps.
-func NewPatchSpec(region *amoebot.Region, remap, oldOf, footOld, footNew []int32) *PatchSpec {
+// NewPatchSpec assembles a PatchSpec, deriving the bitmap.
+func NewPatchSpec(region *amoebot.Region, remap, footOld, footNew []int32) *PatchSpec {
 	sp := &PatchSpec{
-		Region: region, Remap: remap, OldOf: oldOf,
+		Region: region, Remap: remap,
 		FootOld: footOld, FootNew: footNew,
 		FootOldMark: make([]bool, len(remap)),
-		FootNewMark: make([]bool, len(oldOf)),
 	}
 	for _, i := range footOld {
 		sp.FootOldMark[i] = true
-	}
-	for _, i := range footNew {
-		sp.FootNewMark[i] = true
 	}
 	return sp
 }
@@ -68,7 +60,7 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 	if len(p.nodes) != len(sp.Remap) {
 		panic("portal: Patch requires a whole-structure decomposition")
 	}
-	n2 := len(sp.OldOf)
+	n2 := sp.Region.Structure().N()
 	pos, neg := p.Axis.Positive(), p.Axis.Negative()
 
 	// Dirty old portals: any portal owning a footprint cell.
@@ -178,73 +170,4 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 	}
 	np.buildNbr()
 	return np
-}
-
-// PatchWholeView derives the whole-structure view of a patched
-// decomposition from the pre-patch whole-structure view, reusing every
-// column the delta did not touch: implicit-tree rows of non-footprint
-// nodes are copied through the remap (the local tree-edge rule guarantees
-// them unchanged), only footprint rows are re-probed. The receiver must be
-// the result of old.P.Patch(sp), and old a whole-structure view.
-func (np *Portals) PatchWholeView(old *View, sp *PatchSpec) *View {
-	if len(old.nodes) != len(sp.Remap) {
-		panic("portal: PatchWholeView requires the pre-patch whole view")
-	}
-	n2 := len(sp.OldOf)
-	v := &View{
-		P:       np,
-		IDs:     make([]int32, np.Len()),
-		inView:  make([]bool, np.Len()),
-		nodes:   make([]int32, n2),
-		toLocal: make([]int32, n2),
-	}
-	for i := range v.IDs {
-		v.IDs[i] = int32(i)
-		v.inView[i] = true
-	}
-	for i := 0; i < n2; i++ {
-		v.nodes[i] = int32(i)
-		v.toLocal[i] = int32(i) + 1
-	}
-	// Implicit tree rows: whole-view local indices equal structure indices,
-	// so clean rows are the old rows with the remap applied value-wise.
-	oldRows := old.tree.Neighbors
-	deg := make([]int32, n2+1)
-	for w := 0; w < n2; w++ {
-		if sp.FootNewMark[w] {
-			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				if np.IsTreeEdge(int32(w), d) {
-					deg[w+1]++
-				}
-			}
-		} else {
-			deg[w+1] = int32(len(oldRows[sp.OldOf[w]]))
-		}
-	}
-	for w := 0; w < n2; w++ {
-		deg[w+1] += deg[w]
-	}
-	flat := make([]int32, deg[n2])
-	rows := make([][]int32, n2)
-	for w := 0; w < n2; w++ {
-		c := deg[w]
-		if sp.FootNewMark[w] {
-			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				if np.IsTreeEdge(int32(w), d) {
-					flat[c] = sp.Region.Neighbor(int32(w), d)
-					c++
-				}
-			}
-		} else {
-			for _, x := range oldRows[sp.OldOf[w]] {
-				flat[c] = sp.Remap[x]
-				c++
-			}
-		}
-		rows[w] = flat[deg[w]:c:c]
-	}
-	// The new structure is valid (Apply verified hole-freeness), so the
-	// patched rows form a tree by Lemma 9 — skip MustTree's O(n) walk.
-	v.tree = &ett.Tree{Neighbors: rows}
-	return v
 }

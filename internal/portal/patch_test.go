@@ -20,14 +20,6 @@ func specFor(s, ns *amoebot.Structure, d amoebot.Delta) *PatchSpec {
 			remap[i] = -1
 		}
 	}
-	oldOf := make([]int32, ns.N())
-	for i := int32(0); i < int32(ns.N()); i++ {
-		if j, ok := s.Index(ns.Coord(i)); ok {
-			oldOf[i] = j
-		} else {
-			oldOf[i] = -1
-		}
-	}
 	var footOld, footNew []int32
 	for _, c := range d.Footprint().Coords {
 		if i, ok := s.Index(c); ok {
@@ -37,7 +29,7 @@ func specFor(s, ns *amoebot.Structure, d amoebot.Delta) *PatchSpec {
 			footNew = append(footNew, i)
 		}
 	}
-	return NewPatchSpec(amoebot.WholeRegion(ns), remap, oldOf, footOld, footNew)
+	return NewPatchSpec(amoebot.WholeRegion(ns), remap, footOld, footNew)
 }
 
 func requirePortalsEqual(t *testing.T, got, want *Portals, ctx string) {
@@ -59,32 +51,17 @@ func requirePortalsEqual(t *testing.T, got, want *Portals, ctx string) {
 	}
 }
 
-func requireViewsEqual(t *testing.T, got, want *View, ctx string) {
-	t.Helper()
-	if !reflect.DeepEqual(got.IDs, want.IDs) {
-		t.Fatalf("%s: IDs mismatch", ctx)
-	}
-	if !reflect.DeepEqual(got.nodes, want.nodes) {
-		t.Fatalf("%s: nodes mismatch", ctx)
-	}
-	if !reflect.DeepEqual(got.tree.Neighbors, want.tree.Neighbors) {
-		t.Fatalf("%s: tree rows mismatch", ctx)
-	}
-}
-
 // TestPatchMatchesCompute drives chains of random deltas, maintaining the
-// decomposition and whole view of every axis exclusively through
-// Patch/PatchWholeView, and asserts deep equality with fresh
-// Compute/WholeView at every step — including patches of patches.
+// decomposition of every axis exclusively through Patch, and asserts deep
+// equality with a fresh Compute at every step — including patches of
+// patches.
 func TestPatchMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 12; trial++ {
 		s := shapes.RandomBlob(rng, 60+rng.Intn(120))
 		var cur [amoebot.NumAxes]*Portals
-		var curV [amoebot.NumAxes]*View
 		for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 			cur[axis] = Compute(amoebot.WholeRegion(s), axis)
-			curV[axis] = cur[axis].WholeView()
 		}
 		for step := 0; step < 6; step++ {
 			d := shapes.RandomDelta(rng, s, 1+rng.Intn(5), 1+rng.Intn(5))
@@ -98,10 +75,7 @@ func TestPatchMatchesCompute(t *testing.T) {
 			sp := specFor(s, ns, d)
 			for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 				cur[axis] = cur[axis].Patch(sp)
-				want := Compute(sp.Region, axis)
-				requirePortalsEqual(t, cur[axis], want, "Patch")
-				curV[axis] = cur[axis].PatchWholeView(curV[axis], sp)
-				requireViewsEqual(t, curV[axis], want.WholeView(), "PatchWholeView")
+				requirePortalsEqual(t, cur[axis], Compute(sp.Region, axis), "Patch")
 			}
 			s = ns
 		}

@@ -8,12 +8,18 @@
 // amoebots only access the implicit portal tree T: the axis-parallel edges
 // plus, between each pair of adjacent portals, the unique crossing edge
 // selected by a local rule (the "westernmost" edge for x-portals).
+//
+// The primitives run on a View, a connected set of portal ids, and never
+// build T: root-and-prune and Q-centroids read portal-subtree counts off
+// the portal graph, and the election walks T's Euler tour edge by edge
+// with the local rule (DESIGN.md §2). View.ImplicitTree builds T for the
+// oracle tests that check the primitives against executions on it.
 package portal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"spforest/amoebot"
 	"spforest/internal/ett"
@@ -198,165 +204,72 @@ func (p *Portals) IsPortalGraphTree() bool {
 }
 
 // View is a connected sub-set of portals (a subtree of the portal graph)
-// on which the §3.5 primitives run. The implicit tree of a view is the
-// implicit portal tree restricted to the union of the view's portals.
+// on which the §3.5 primitives run. A view is its portal ids: the
+// primitives evaluate the implicit portal tree restricted to the view's
+// portals locally, through IsTreeEdge and the portal membership of each
+// neighbor, and never build it (ImplicitTree builds it for the oracle
+// tests).
 type View struct {
 	P      *Portals
 	IDs    []int32 // portal ids in the view, ascending
 	inView []bool  // indexed by portal id
-
-	nodes []int32 // union of the portals' amoebots, ascending structure ids
-	tree  *ett.Tree
-
-	// Node -> local index, one of two representations: views covering a
-	// dense fraction of the structure (the WholeView of every query) use a
-	// flat slice (local index + 1; 0 = absent) — no hashing on the hot
-	// lookups; sparse views (the per-subtree views of the centroid
-	// decomposition) keep a map sized by the view, so building many small
-	// views stays O(Σ|view|), not O(#views · n).
-	toLocal    []int32
-	toLocalMap map[int32]int32
-
-	// Canonical Euler tours of the implicit tree, memoized per root local
-	// index (see TourAt). Bounded; guarded by tourMu.
-	tourMu sync.Mutex
-	tours  map[int32]*ett.Tour
-}
-
-// maxTourMemo bounds the per-view tour memo. Whole-structure views see one
-// root per query leader; sub-views of the centroid decomposition see one.
-const maxTourMemo = 8
-
-// TourAt returns the canonical Euler tour of the view's implicit tree
-// rooted at the given local index, memoizing a bounded number of roots.
-// When any root's tour is already cached, a new root is derived from it by
-// rotation (Tour.Rerooted) — byte-identical to BuildTour, without the
-// pointer-chasing walk. Returned tours are shared and must not be mutated.
-func (v *View) TourAt(root int32) *ett.Tour {
-	v.tourMu.Lock()
-	if t, ok := v.tours[root]; ok {
-		v.tourMu.Unlock()
-		return t
-	}
-	var seed *ett.Tour
-	for _, t := range v.tours {
-		seed = t
-		break
-	}
-	v.tourMu.Unlock()
-	var t *ett.Tour
-	if seed != nil {
-		t = seed.Rerooted(root)
-	} else {
-		t = ett.BuildTour(v.tree, root)
-	}
-	v.tourMu.Lock()
-	defer v.tourMu.Unlock()
-	if prev, ok := v.tours[root]; ok {
-		return prev // a concurrent builder won; results are identical
-	}
-	if v.tours == nil {
-		v.tours = make(map[int32]*ett.Tour)
-	}
-	if len(v.tours) < maxTourMemo {
-		v.tours[root] = t
-	}
-	return t
 }
 
 // WholeView returns the view containing every portal.
 func (p *Portals) WholeView() *View {
-	ids := make([]int32, p.Len())
-	for i := range ids {
-		ids[i] = int32(i)
+	v := &View{P: p, IDs: make([]int32, p.Len()), inView: make([]bool, p.Len())}
+	for i := range v.IDs {
+		v.IDs[i] = int32(i)
+		v.inView[i] = true
 	}
-	return p.SubView(ids)
+	return v
 }
 
-// SubView builds the view of the given portals (which must induce a
-// connected subtree of the portal graph).
+// SubView returns the view of the given portals, which must induce a
+// connected subtree of the portal graph.
 func (p *Portals) SubView(ids []int32) *View {
-	v := &View{
-		P:      p,
-		IDs:    append([]int32(nil), ids...),
-		inView: make([]bool, p.Len()),
-	}
-	sort.Slice(v.IDs, func(a, b int) bool { return v.IDs[a] < v.IDs[b] })
+	v := &View{P: p, IDs: slices.Clone(ids), inView: make([]bool, p.Len())}
+	slices.Sort(v.IDs)
 	for _, id := range v.IDs {
 		v.inView[id] = true
 	}
-	for _, id := range v.IDs {
-		v.nodes = append(v.nodes, p.NodesOf(id)...)
-	}
-	sort.Slice(v.nodes, func(a, b int) bool { return v.nodes[a] < v.nodes[b] })
-	n := p.Region.Structure().N()
-	if len(v.nodes)*4 >= n {
-		// Dense view: flat slice, shifted by one so the freshly zeroed
-		// allocation already encodes "absent".
-		v.toLocal = make([]int32, n)
-		for li, g := range v.nodes {
-			v.toLocal[g] = int32(li) + 1
-		}
-	} else {
-		v.toLocalMap = make(map[int32]int32, len(v.nodes))
-		for li, g := range v.nodes {
-			v.toLocalMap[g] = int32(li)
-		}
-	}
-	// Implicit tree restricted to the view: axis edges within portals plus
-	// crossing edges between view portals, in CCW direction order. The
-	// neighbor lists share one flat backing array (counted in a first
-	// pass) instead of growing one slice per node.
-	deg := make([]int32, len(v.nodes)+1)
-	for li, g := range v.nodes {
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if !p.IsTreeEdge(g, d) {
-				continue
-			}
-			if w := p.Region.Neighbor(g, d); v.inView[p.ID[w]] {
-				deg[li+1]++
-			}
-		}
-	}
-	for li := 0; li < len(v.nodes); li++ {
-		deg[li+1] += deg[li]
-	}
-	flat := make([]int32, deg[len(v.nodes)])
-	nbrs := make([][]int32, len(v.nodes))
-	for li, g := range v.nodes {
-		c := deg[li]
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if !p.IsTreeEdge(g, d) {
-				continue
-			}
-			if w := p.Region.Neighbor(g, d); v.inView[p.ID[w]] {
-				flat[c] = v.Local(w)
-				c++
-			}
-		}
-		nbrs[li] = flat[deg[li]:c:c]
-	}
-	v.tree = ett.MustTree(nbrs)
 	return v
 }
 
 // Contains reports whether the portal belongs to the view.
 func (v *View) Contains(id int32) bool { return v.inView[id] }
 
-// Nodes returns the structure node ids of the view's amoebots, ascending.
-func (v *View) Nodes() []int32 { return v.nodes }
-
-// Tree returns the implicit portal tree of the view over local indices.
-func (v *View) Tree() *ett.Tree { return v.tree }
-
-// Local returns the local index of a structure node in the view. The node
-// must belong to the view.
-func (v *View) Local(g int32) int32 {
-	if v.toLocal != nil {
-		return v.toLocal[g] - 1
-	}
-	return v.toLocalMap[g]
+// singleAmoebot reports whether the view is one portal of one amoebot, the
+// degenerate view whose implicit tree has no edge.
+func (v *View) singleAmoebot() bool {
+	return len(v.IDs) == 1 && len(v.P.NodesOf(v.IDs[0])) == 1
 }
 
-// Global returns the structure node id of a local index.
-func (v *View) Global(l int32) int32 { return v.nodes[l] }
+// treeEdge reports whether the edge from u in direction d belongs to the
+// view's implicit tree: an implicit portal tree edge whose far end lies in
+// one of the view's portals.
+func (v *View) treeEdge(u int32, d amoebot.Direction) bool {
+	return v.P.IsTreeEdge(u, d) && v.inView[v.P.ID[v.P.Region.Neighbor(u, d)]]
+}
+
+// ImplicitTree builds the view's implicit tree for the oracle tests: nodes
+// lists the view's amoebots in ascending structure order, and tree row i
+// holds node i's tree neighbors as indices into nodes, in counterclockwise
+// direction order from E. It panics unless the result is a tree. Every
+// call builds afresh; the primitives never call it.
+func (v *View) ImplicitTree() (tree *ett.Tree, nodes []int32) {
+	for _, id := range v.IDs {
+		nodes = append(nodes, v.P.NodesOf(id)...)
+	}
+	slices.Sort(nodes)
+	rows := make([][]int32, len(nodes))
+	for i, u := range nodes {
+		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
+			if v.treeEdge(u, d) {
+				j, _ := slices.BinarySearch(nodes, v.P.Region.Neighbor(u, d))
+				rows[i] = append(rows[i], int32(j))
+			}
+		}
+	}
+	return ett.MustTree(rows), nodes
+}

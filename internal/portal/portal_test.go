@@ -2,6 +2,7 @@ package portal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spforest/amoebot"
@@ -68,7 +69,7 @@ func TestCombXPortalsSplitRows(t *testing.T) {
 
 // TestLemma9PortalGraphsAreTrees checks that all three portal graphs of
 // random hole-free structures are trees, and that the implicit portal tree
-// is a spanning tree of the region (validated by SubView's MustTree).
+// is a spanning tree of the region (validated by ImplicitTree).
 func TestLemma9PortalGraphsAreTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 25; trial++ {
@@ -79,8 +80,8 @@ func TestLemma9PortalGraphsAreTrees(t *testing.T) {
 			if !p.IsPortalGraphTree() {
 				t.Fatalf("trial %d axis %v: portal graph not a tree (n=%d)", trial, axis, s.N())
 			}
-			v := p.WholeView() // panics if the implicit tree is not a tree
-			if v.Tree().Len() != s.N() {
+			tree, _ := p.WholeView().ImplicitTree() // panics unless a tree
+			if tree.Len() != s.N() {
 				t.Fatalf("implicit tree does not span the structure")
 			}
 			// Adjacency must be symmetric with consistent connectors.
@@ -197,19 +198,14 @@ func TestIsTreeEdgeMatchesPaperRuleOnX(t *testing.T) {
 func TestSubViewRestriction(t *testing.T) {
 	s := shapes.Parallelogram(4, 3)
 	p := Compute(amoebot.WholeRegion(s), amoebot.AxisX)
-	v := p.SubView([]int32{0, 1})
-	if len(v.Nodes()) != 8 {
-		t.Fatalf("subview nodes = %d", len(v.Nodes()))
+	v := p.SubView([]int32{1, 0})
+	if !reflect.DeepEqual(v.IDs, []int32{0, 1}) {
+		t.Fatalf("subview ids = %v", v.IDs)
 	}
 	if v.Contains(2) {
 		t.Fatal("subview contains excluded portal")
 	}
-	if v.Tree().Len() != 8 {
-		t.Fatalf("subview tree size = %d", v.Tree().Len())
-	}
-	for l := int32(0); l < int32(len(v.Nodes())); l++ {
-		if v.Local(v.Global(l)) != l {
-			t.Fatal("local/global mapping inconsistent")
-		}
+	if tree, nodes := v.ImplicitTree(); tree.Len() != 8 || len(nodes) != 8 {
+		t.Fatalf("subview tree size = %d over %d nodes", tree.Len(), len(nodes))
 	}
 }

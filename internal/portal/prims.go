@@ -3,6 +3,7 @@ package portal
 import (
 	"math/bits"
 
+	"spforest/amoebot"
 	"spforest/internal/dense"
 	"spforest/internal/ett"
 	"spforest/internal/sim"
@@ -26,18 +27,6 @@ type RootPruneResult struct {
 	QSize uint64
 }
 
-// hatQ returns the local-node mask marking the representatives of the
-// view's Q-portals (the set Q̂ of §3.5).
-func hatQ(v *View, inQ []bool) []bool {
-	mask := make([]bool, len(v.nodes))
-	for _, id := range v.IDs {
-		if inQ[id] {
-			mask[v.Local(v.P.Rep(id))] = true
-		}
-	}
-	return mask
-}
-
 // RootPrune roots the view's portal tree at rootPortal and prunes subtrees
 // without portals of Q (Lemma 33): one ETT over the implicit portal tree
 // marking the representatives Q̂, sign tests at the connector amoebots, one
@@ -47,7 +36,7 @@ func hatQ(v *View, inQ []bool) []bool {
 // rootPortalTree), evaluated with one traversal of the portal tree; the
 // ETT is charged with ett.Charge (DESIGN.md §2).
 func RootPrune(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *RootPruneResult {
-	if len(v.nodes) == 1 {
+	if v.singleAmoebot() {
 		res := newRootPruneResult(v.P.Len())
 		res.InVQ[rootPortal] = inQ[rootPortal]
 		if inQ[rootPortal] {
@@ -211,27 +200,68 @@ func Augment(clock *sim.Clock, v *View, rp *RootPruneResult) []bool {
 	return aq
 }
 
-// ElectPortal elects one portal of Q (Lemma 35): the simplified-ETT
-// election over the implicit tree with Q̂ marks, followed by one beep on the
-// elected portal's circuit so every member amoebot learns the outcome.
-// Returns -1 when Q ∩ view is empty.
+// ElectPortal elects one portal of Q (Lemma 35): the election of Lemma 21
+// over the view's implicit tree rooted at the root portal's representative,
+// with the representatives of the Q portals marked (the set Q̂ of §3.5),
+// followed by one beep on the elected portal's circuit so every member
+// amoebot learns the outcome. The tour splits at the first instance of each
+// marked amoebot, so the root's beep reaches exactly the first marked
+// amoebot on the canonical Euler tour; firstOnTour finds it by walking the
+// tour. Returns -1 when Q ∩ view is empty.
 func ElectPortal(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) int32 {
-	if len(v.nodes) == 1 {
+	if v.singleAmoebot() {
 		clock.Tick(2)
 		if inQ[rootPortal] {
 			return rootPortal
 		}
 		return -1
 	}
-	// The election scans the view's memoized tour at the root portal's
-	// representative.
-	elected := treeprim.Elect(clock, v.TourAt(v.Local(v.P.Rep(rootPortal))), hatQ(v, inQ))
+	clock.Tick(1) // the root beeps on its tour circuit
+	clock.AddBeeps(1)
+	elected := firstOnTour(v, rootPortal, inQ)
 	clock.Tick(1) // the elected representative beeps on its portal circuit
 	if elected < 0 {
 		return -1
 	}
 	clock.AddBeeps(1)
-	return v.P.ID[v.Global(elected)]
+	return elected
+}
+
+// firstOnTour walks the canonical Euler tour of the view's implicit tree
+// (ett.BuildTour's rule) from the root portal's representative without
+// building the tree: the walk leaves the root along its first tree edge
+// counterclockwise from E, and on each arrival takes the next tree edge
+// counterclockwise after the one it came in on. It returns the portal of
+// the first amoebot that represents a Q portal, or -1 once the walk is
+// back at the root about to leave along its first edge again (the
+// successor map on directed edges is a permutation, so it always gets
+// there). The walk costs the tour prefix it covers.
+func firstOnTour(v *View, rootPortal int32, inQ []bool) int32 {
+	if inQ[rootPortal] {
+		return rootPortal // the root is the representative of its portal
+	}
+	p := v.P
+	root := p.Rep(rootPortal)
+	// next returns u's first tree edge counterclockwise after direction d.
+	next := func(u int32, d amoebot.Direction) amoebot.Direction {
+		for i := amoebot.Direction(1); i < amoebot.NumDirections; i++ {
+			if e := (d + i) % amoebot.NumDirections; v.treeEdge(u, e) {
+				return e
+			}
+		}
+		return d // no other tree edge: a leaf leaves the way it came
+	}
+	first := next(root, amoebot.NumDirections-1)
+	for u, d := root, first; ; {
+		w := p.Region.Neighbor(u, d)
+		if id := p.ID[w]; inQ[id] && p.Rep(id) == w {
+			return id
+		}
+		u, d = w, next(w, d.Opposite())
+		if u == root && d == first {
+			return -1
+		}
+	}
 }
 
 // CentroidResult is the outcome of the portal Q-centroid primitive.
@@ -249,7 +279,7 @@ type CentroidResult struct {
 // parent, so its size is read off the root-and-prune traversal's counts.
 func Centroids(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *CentroidResult {
 	res := &CentroidResult{IsCentroid: make([]bool, v.P.Len())}
-	if len(v.nodes) == 1 {
+	if v.singleAmoebot() {
 		res.RP = RootPrune(clock, v, rootPortal, inQ)
 		res.IsCentroid[rootPortal] = inQ[rootPortal]
 		return res

@@ -1,6 +1,7 @@
 package treeprim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,52 +17,105 @@ import (
 )
 
 // TestElectPortalMatchesCircuitOracle checks portal.ElectPortal (Lemma 35)
-// against the circuit-materialized election on random blob views: the
-// oracle runs on the view's implicit tree with the representatives of the
-// Q portals marked, and ElectPortal must elect the oracle node's portal and
-// charge the oracle's round and beep plus the announcement round (and its
-// beep when a portal is elected). The views are connected random subtrees
-// of the portal graph along every axis, down to single-amoebot views.
+// against the circuit-materialized election: the oracle runs on the view's
+// implicit tree with the representatives of the Q portals marked, and
+// ElectPortal must elect the oracle node's portal and charge the oracle's
+// round and beep plus the announcement round (and its beep when a portal is
+// elected). The views are connected random subtrees of the portal graph
+// along every axis, down to single-amoebot views, and single portals of
+// several amoebots. Q ranges over densities from the empty to the full set
+// and over sets of one to three portals, the sizes production elects among
+// (one or two centroid portals per Decompose subtree, a few Q' portals in
+// the forest algorithm); with two or more Q portals the first amoebot of a
+// Q portal on the tour need not be the first representative.
 func TestElectPortalMatchesCircuitOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
-	for trial := 0; trial < 60; trial++ {
+	check := func(ctx string, v *portal.View, root int32, inQ []bool) {
+		t.Helper()
+		p := v.P
+		it := newImplicitTree(v)
+		var want, got sim.Clock
+		wantID := int32(-1)
+		if it.tree.Len() == 1 {
+			want.Tick(2)
+			if inQ[root] {
+				wantID = root
+			}
+		} else {
+			elected := treeprim.CircuitElect(&want, it.tree, it.local(p.Rep(root)), it.hatQ(v, inQ))
+			want.Tick(1)
+			if elected >= 0 {
+				want.AddBeeps(1)
+				wantID = p.ID[it.nodes[elected]]
+			}
+		}
+		gotID := portal.ElectPortal(&got, v, root, inQ)
+		if gotID != wantID || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
+			t.Fatalf("%s: ElectPortal %d (%d rounds, %d beeps), oracle %d (%d rounds, %d beeps)",
+				ctx, gotID, got.Rounds(), got.Beeps(), wantID, want.Rounds(), want.Beeps())
+		}
+	}
+	for trial := 0; trial < 810; trial++ {
 		s := shapes.RandomBlob(rng, 20+rng.Intn(200))
 		axis := amoebot.Axis(trial % int(amoebot.NumAxes))
 		p := portal.Compute(amoebot.WholeRegion(s), axis)
 		for sub := 0; sub < 4; sub++ {
+			ctx := fmt.Sprintf("trial %d/%d", trial, sub)
 			v := randomView(rng, p)
 			root := v.IDs[rng.Intn(len(v.IDs))]
 			inQ := make([]bool, p.Len())
-			density := []int{0, 15, 50, 100}[sub]
-			for _, id := range v.IDs {
-				inQ[id] = rng.Intn(100) < density
-			}
-			var want, got sim.Clock
-			wantID := int32(-1)
-			if len(v.Nodes()) == 1 {
-				want.Tick(2)
-				if inQ[root] {
-					wantID = root
+			if trial < 60 {
+				density := []int{0, 15, 50, 100}[sub]
+				for _, id := range v.IDs {
+					inQ[id] = rng.Intn(100) < density
 				}
 			} else {
-				mask := make([]bool, len(v.Nodes()))
-				for _, id := range v.IDs {
-					mask[v.Local(p.Rep(id))] = inQ[id]
-				}
-				elected := treeprim.CircuitElect(&want, v.Tree(), v.Local(p.Rep(root)), mask)
-				want.Tick(1)
-				if elected >= 0 {
-					want.AddBeeps(1)
-					wantID = p.ID[v.Global(elected)]
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					inQ[v.IDs[rng.Intn(len(v.IDs))]] = true
 				}
 			}
-			gotID := portal.ElectPortal(&got, v, root, inQ)
-			if gotID != wantID || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
-				t.Fatalf("trial %d/%d: ElectPortal %d (%d rounds, %d beeps), oracle %d (%d rounds, %d beeps)",
-					trial, sub, gotID, got.Rounds(), got.Beeps(), wantID, want.Rounds(), want.Beeps())
+			check(ctx, v, root, inQ)
+		}
+		// One portal of several amoebots: the tour runs along the portal.
+		for id := int32(0); id < int32(p.Len()); id++ {
+			if len(p.NodesOf(id)) > 1 {
+				v := p.SubView([]int32{id})
+				inQ := make([]bool, p.Len())
+				check(fmt.Sprintf("trial %d portal %d", trial, id), v, id, inQ)
+				inQ[id] = true
+				check(fmt.Sprintf("trial %d portal %d in Q", trial, id), v, id, inQ)
+				break
 			}
 		}
 	}
+}
+
+// implicitTree is a view's implicit tree as the oracles see it: the tree
+// over local indices and the view's amoebots by local index.
+type implicitTree struct {
+	tree  *ett.Tree
+	nodes []int32
+}
+
+func newImplicitTree(v *portal.View) implicitTree {
+	tree, nodes := v.ImplicitTree()
+	return implicitTree{tree, nodes}
+}
+
+// local returns the local index of a structure node of the view.
+func (it implicitTree) local(g int32) int32 {
+	i, _ := slices.BinarySearch(it.nodes, g)
+	return int32(i)
+}
+
+// hatQ returns the local-node mask marking the representatives of the
+// view's Q portals (the set Q̂ of §3.5).
+func (it implicitTree) hatQ(v *portal.View, inQ []bool) []bool {
+	mask := make([]bool, len(it.nodes))
+	for _, id := range v.IDs {
+		mask[it.local(v.P.Rep(id))] = inQ[id]
+	}
+	return mask
 }
 
 // randomView returns the view of a random connected set of portals, grown
@@ -97,7 +151,7 @@ type crossingRow struct {
 
 // crossingRows lists the view's directed crossing edges by (ascending
 // portal, ascending neighbor).
-func crossingRows(v *portal.View) []crossingRow {
+func crossingRows(v *portal.View, it implicitTree) []crossingRow {
 	p := v.P
 	var rows []crossingRow
 	for _, p1 := range v.IDs {
@@ -105,8 +159,8 @@ func crossingRows(v *portal.View) []crossingRow {
 			if !v.Contains(p2) {
 				continue
 			}
-			lu, lw := v.Local(p.Connector(p1, p2)), v.Local(p.Connector(p2, p1))
-			rows = append(rows, crossingRow{p1, p2, lu, slices.Index(v.Tree().Neighbors[lu], lw)})
+			lu, lw := it.local(p.Connector(p1, p2)), it.local(p.Connector(p2, p1))
+			rows = append(rows, crossingRow{p1, p2, lu, slices.Index(it.tree.Neighbors[lu], lw)})
 		}
 	}
 	return rows
@@ -115,12 +169,8 @@ func crossingRows(v *portal.View) []crossingRow {
 // portalETT starts the ETT of the §3.5 primitives: the view's implicit tree
 // rooted at the root portal's representative, with the representatives of
 // the Q portals (the set Q̂) marked.
-func portalETT(v *portal.View, rootPortal int32, inQ []bool) *ett.Run {
-	mask := make([]bool, len(v.Nodes()))
-	for _, id := range v.IDs {
-		mask[v.Local(v.P.Rep(id))] = inQ[id]
-	}
-	return ett.NewRun(ett.BuildTour(v.Tree(), v.Local(v.P.Rep(rootPortal))), mask)
+func portalETT(v *portal.View, it implicitTree, rootPortal int32, inQ []bool) *ett.Run {
+	return ett.NewRun(ett.BuildTour(it.tree, it.local(v.P.Rep(rootPortal))), it.hatQ(v, inQ))
 }
 
 // ettRootPrune is the reference execution of Lemma 33: the ETT run bit by
@@ -132,15 +182,16 @@ func ettRootPrune(clock *sim.Clock, v *portal.View, rootPortal int32, inQ []bool
 	for i := range res.Parent {
 		res.Parent[i] = -1
 	}
-	if len(v.Nodes()) == 1 {
+	it := newImplicitTree(v)
+	if it.tree.Len() == 1 {
 		res.InVQ[rootPortal] = inQ[rootPortal]
 		if inQ[rootPortal] {
 			res.QSize = 1
 		}
 		return res
 	}
-	run := portalETT(v, rootPortal, inQ)
-	rows := crossingRows(v)
+	run := portalETT(v, it, rootPortal, inQ)
+	rows := crossingRows(v, it)
 	subs := make([]bitstream.Subtractor, len(rows))
 	var total bitstream.Accumulator
 	for !run.Done() {
@@ -175,17 +226,18 @@ func ettRootPrune(clock *sim.Clock, v *portal.View, rootPortal int32, inQ []bool
 func ettPortalCentroids(clock *sim.Clock, v *portal.View, rootPortal int32, inQ []bool) *portal.CentroidResult {
 	res := &portal.CentroidResult{IsCentroid: make([]bool, v.P.Len())}
 	res.RP = ettRootPrune(clock, v, rootPortal, inQ)
-	if len(v.Nodes()) == 1 {
+	it := newImplicitTree(v)
+	if it.tree.Len() == 1 {
 		res.IsCentroid[rootPortal] = inQ[rootPortal]
 		return res
 	}
-	run := portalETT(v, rootPortal, inQ)
+	run := portalETT(v, it, rootPortal, inQ)
 	type state struct {
 		diff, size bitstream.Subtractor
 		half       bitstream.HalfComparator
 	}
 	var rows []crossingRow
-	for _, r := range crossingRows(v) {
+	for _, r := range crossingRows(v, it) {
 		if inQ[r.from] {
 			rows = append(rows, r)
 		}
