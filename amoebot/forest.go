@@ -3,6 +3,8 @@ package amoebot
 import (
 	"fmt"
 	"slices"
+
+	"spforest/internal/dense"
 )
 
 // Forest is the output representation of the shortest-path-forest problem
@@ -29,6 +31,24 @@ const (
 // NewForest returns an empty forest over s (no members).
 func NewForest(s *Structure) *Forest {
 	return &Forest{s: s, cell: make([]int32, s.N())}
+}
+
+// scratchCells recycles the columns of scratch forests.
+var scratchCells = dense.NewColumns(cellNone)
+
+// NewScratchForest returns an empty forest over s on a recycled column,
+// at no pass over s, for a forest that lives until ReleaseScratch, which
+// must be handed every node set on it.
+func NewScratchForest(s *Structure) *Forest {
+	return &Forest{s: s, cell: scratchCells.Take(s.N())}
+}
+
+// ReleaseScratch hands the column of a forest from NewScratchForest back
+// and leaves f unusable. Only the touched entries are cleared, so touched
+// must hold every node set since NewScratchForest (say, its region).
+func (f *Forest) ReleaseScratch(touched []int32) {
+	scratchCells.Put(f.cell, touched)
+	f.cell = nil
 }
 
 func init() {
@@ -75,7 +95,8 @@ func (f *Forest) Roots() []int32 {
 	return roots
 }
 
-// Members returns all member nodes, ascending.
+// Members returns all member nodes, ascending. It scans the whole
+// structure.
 func (f *Forest) Members() []int32 {
 	var m []int32
 	for i, c := range f.cell {
@@ -86,7 +107,7 @@ func (f *Forest) Members() []int32 {
 	return m
 }
 
-// Size returns the number of member nodes.
+// Size returns the number of member nodes. It scans the whole structure.
 func (f *Forest) Size() int {
 	n := 0
 	for _, c := range f.cell {

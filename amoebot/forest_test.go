@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -262,4 +263,42 @@ func parallelogramCoords(w, h int) []Coord {
 		}
 	}
 	return cs
+}
+
+// TestScratchForestStartsEmpty: every scratch forest starts with no
+// member, however earlier ones over structures of other sizes set and
+// released different node sets, from four goroutines at once.
+func TestScratchForestStartsEmpty(t *testing.T) {
+	var lines []*Structure
+	for _, n := range []int{5, 40, 17, 90} {
+		s, _ := forestLine(t, n)
+		lines = append(lines, s)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 200; i++ {
+				s := lines[(g+i)%len(lines)]
+				f := NewScratchForest(s)
+				if m := f.Members(); len(m) != 0 {
+					t.Errorf("goroutine %d: scratch forest starts with members %v", g, m)
+					return
+				}
+				var touched []int32
+				for u := int32(rng.Intn(3)); u < int32(s.N()); u += 1 + int32(rng.Intn(4)) {
+					if u == 0 || rng.Intn(3) == 0 {
+						f.SetRoot(u)
+					} else {
+						f.SetParent(u, u-1)
+					}
+					touched = append(touched, u)
+				}
+				f.ReleaseScratch(touched)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -50,21 +50,23 @@ func (env *Env) Arena() *dense.Arena {
 
 // portalsView returns the portal decomposition and whole view of the
 // region along the axis: the memoized one when the source covers the
-// region, a freshly computed one otherwise.
-func (env *Env) portalsView(region *amoebot.Region, axis amoebot.Axis) (*portal.Portals, *portal.View) {
+// region, a freshly computed one otherwise (fresh reports which).
+func (env *Env) portalsView(region *amoebot.Region, axis amoebot.Axis) (p *portal.Portals, v *portal.View, fresh bool) {
 	if env != nil && env.src != nil {
 		if p, v := env.src.PortalsView(region, axis); p != nil && v != nil {
-			return p, v
+			return p, v, false
 		}
 	}
-	p := portal.Compute(region, axis)
-	return p, p.WholeView()
+	p = portal.Compute(region, axis)
+	return p, p.WholeView(), true
 }
 
-// axisInfo pairs one axis' decomposition with its whole view.
+// axisInfo pairs one axis' decomposition with its whole view; fresh marks
+// one computed for the call, which may release it, rather than memoized.
 type axisInfo struct {
 	ports *portal.Portals
 	view  *portal.View
+	fresh bool
 }
 
 // allAxes resolves the decompositions of all three axes, concurrently when
@@ -75,7 +77,7 @@ func (env *Env) allAxes(region *amoebot.Region) [amoebot.NumAxes]axisInfo {
 	var axes [amoebot.NumAxes]axisInfo
 	env.Exec().For(int(amoebot.NumAxes), func(i int) {
 		axis := amoebot.Axis(i)
-		axes[axis].ports, axes[axis].view = env.portalsView(region, axis)
+		axes[axis].ports, axes[axis].view, axes[axis].fresh = env.portalsView(region, axis)
 	})
 	return axes
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"spforest/amoebot"
@@ -61,7 +62,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 	ar := env.Arena()
 
 	// ---- §5.4.1: Q, Q', marks, base regions.
-	ports, view := env.portalsView(region, amoebot.AxisX)
+	ports, view, _ := env.portalsView(region, amoebot.AxisX)
 	inQ := ar.Bools(ports.Len())
 	defer ar.PutBools(inQ)
 	for _, src := range sources {
@@ -192,7 +193,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		}
 	}
 	// ---- Corollary 57: prune every tree to its destinations.
-	return pruneToDestinations(env, clock, full, region.Nodes(), sources, dests)
+	return pruneToDestinations(env, clock, full, region.Nodes(), sources, dests, amoebot.NewForest(s))
 }
 
 // regionState is one current region with its (S∩region)-forest.
@@ -249,30 +250,27 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 			}
 		}
 		f := LineForestEnv(env, clock, s, pnodes, segSources)
-		f = propagateBothSides(env, clock, br.nodes, pnodes, f)
+		propagateBothSides(env, clock, br.nodes, pnodes, f)
 		if i == 0 {
 			acc = f
 		} else {
-			acc = MergeEnv(env, clock, acc, f)
+			merge(env, clock, br.nodes.Nodes(), acc, f)
 		}
 	}
 	return &regionState{region: br.nodes, forest: acc}
 }
 
-// propagateBothSides extends a forest living on the portal run pnodes to
-// the sides of the run present in the region, splitting the region at the
-// run once for both sides.
-func propagateBothSides(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest) *amoebot.Forest {
+// propagateBothSides extends a forest living on the portal run pnodes in
+// place to the sides of the run present in the region, splitting the
+// region at the run once for both sides.
+func propagateBothSides(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest) {
 	ar := env.Arena()
 	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
 	sides := splitSides(ar, region, inP)
 	for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
-		if len(sides[side]) > 0 {
-			f = propagate(env, clock, region, pnodes, sides[side], f, side)
-		}
+		propagate(env, clock, region, pnodes, sides[side], f, side)
 	}
-	return f
 }
 
 // mergeLevel executes one level of the merge schedule. The serial
@@ -388,7 +386,8 @@ func mergeAlongPortal(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *spli
 // its separating cut amoebot (SPT propagation + merging); phase 2 joins
 // the two sides with two propagations and a merge. touching must be in
 // state-list order (the side classification of pure-segment regions
-// depends on it).
+// depends on it). The merges consume the touching states: their forests
+// are rewritten in place.
 func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, p int32, touching []*regionState) *regionState {
 	ar := env.Arena()
 	pnodes := sp.ports.NodesOf(p)
@@ -450,12 +449,13 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 		out = north
 	default:
 		whole := north.region.Union(south.region).Union(amoebot.NewRegion(s, pnodes))
-		fN := extendAlongPortal(ar, clock, s, north.forest, pnodes)
-		fS := extendAlongPortal(ar, clock, s, south.forest, pnodes)
+		extendAlongPortal(ar, clock, north, pnodes)
+		extendAlongPortal(ar, clock, south, pnodes)
 		sides := splitSides(ar, whole, inP)
-		f1 := propagate(env, clock, whole, pnodes, sides[amoebot.SideB], fN, amoebot.SideB)
-		f2 := propagate(env, clock, whole, pnodes, sides[amoebot.SideA], fS, amoebot.SideA)
-		out = &regionState{region: whole, forest: MergeEnv(env, clock, f1, f2)}
+		propagate(env, clock, whole, pnodes, sides[amoebot.SideB], north.forest, amoebot.SideB)
+		propagate(env, clock, whole, pnodes, sides[amoebot.SideA], south.forest, amoebot.SideA)
+		merge(env, clock, whole.Nodes(), north.forest, south.forest)
+		out = &regionState{region: whole, forest: north.forest}
 	}
 	return out
 }
@@ -534,44 +534,51 @@ func mergeParityRound(env *Env, clock *sim.Clock, odd []int32, regions []*region
 // mergePairAtCut merges two regions sharing exactly the cut amoebot m
 // (§5.4.3, phase 1, third step): every shortest path between the regions
 // passes m, so each side's forest extends into the other side by an SPT
-// rooted at m, and the merging algorithm combines the two extensions.
+// rooted at m, and the merging algorithm combines the two extensions. It
+// consumes both states, merging b's forest into a's.
 func mergePairAtCut(env *Env, clock *sim.Clock, a, b *regionState, m int32) *regionState {
-	fA := extendThroughCut(env, clock, a, b.region, m)
-	fB := extendThroughCut(env, clock, b, a.region, m)
-	return &regionState{region: a.region.Union(b.region), forest: MergeEnv(env, clock, fA, fB)}
+	extendThroughCut(env, clock, a, b.region, m)
+	extendThroughCut(env, clock, b, a.region, m)
+	union := a.region.Union(b.region)
+	merge(env, clock, union.Nodes(), a.forest, b.forest)
+	return &regionState{region: union, forest: a.forest}
 }
 
-// extendThroughCut extends own's forest into the other region through the
-// cut amoebot m: an SPT rooted at m covers the other side, grafted onto a
-// clone of own's forest (the pair overlaps only on m).
-func extendThroughCut(env *Env, clock *sim.Clock, own *regionState, other *amoebot.Region, m int32) *amoebot.Forest {
-	if own.forest.Size() == 0 {
-		return own.forest.Clone()
+// emptyForest reports whether the state's forest has no member (its region
+// holds no source), scanning the region up to the first member.
+func (st *regionState) emptyForest() bool {
+	return !slices.ContainsFunc(st.region.Nodes(), st.forest.Member)
+}
+
+// extendThroughCut extends own's forest in place into the other region
+// through the cut amoebot m: an SPT rooted at m covers the other side and
+// is grafted onto own's forest (the pair overlaps only on m).
+func extendThroughCut(env *Env, clock *sim.Clock, own *regionState, other *amoebot.Region, m int32) {
+	if own.emptyForest() || other.Len() <= 1 {
+		return
 	}
-	out := own.forest.Clone()
-	if other.Len() > 1 {
-		sub := SPTEnv(env, clock, other, m, other.Nodes())
-		for _, u := range other.Nodes() {
-			if u == m || out.Member(u) {
-				continue // the pair overlaps only on m
-			}
-			if p := sub.Parent(u); p != amoebot.None {
-				out.SetParent(u, p)
-			}
+	sub := SPTEnv(env, clock, other, m, other.Nodes())
+	for _, u := range other.Nodes() {
+		if u == m || own.forest.Member(u) {
+			continue // the pair overlaps only on m
+		}
+		if p := sub.Parent(u); p != amoebot.None {
+			own.forest.SetParent(u, p)
 		}
 	}
-	return out
 }
 
-// extendAlongPortal completes a forest over the portal run: uncovered
-// portal amoebots (segments whose only bodies lie on the opposite side)
-// adopt the parent towards the nearest covered portal amoebot, weighting it
-// by its tree depth. A PASC sweep along the portal delivers the distances
-// (charged logarithmically); the shortest paths involved run along the
-// portal itself, so correctness follows from the grid metric.
-func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, s *amoebot.Structure, f *amoebot.Forest, pnodes []int32) *amoebot.Forest {
-	if f.Size() == 0 {
-		return f.Clone()
+// extendAlongPortal completes the state's forest in place over the portal
+// run: uncovered portal amoebots (segments whose only bodies lie on the
+// opposite side) adopt the parent towards the nearest covered portal
+// amoebot, weighting it by its tree depth. A PASC sweep along the portal
+// delivers the distances (charged logarithmically); the shortest paths
+// involved run along the portal itself, so correctness follows from the
+// grid metric.
+func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, st *regionState, pnodes []int32) {
+	f := st.forest
+	if st.emptyForest() {
+		return
 	}
 	covered := 0
 	for _, u := range pnodes {
@@ -580,9 +587,8 @@ func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, s *amoebot.Structure, 
 		}
 	}
 	if covered == len(pnodes) {
-		return f
+		return
 	}
-	out := f.Clone()
 	// best[i]: minimal depth(w) + |i - pos(w)| over covered w, tracked in
 	// two sweeps (west-to-east and east-to-west), the distributed analogue
 	// being the weighted line PASC of §5.1. The two minima columns are
@@ -614,25 +620,25 @@ func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, s *amoebot.Structure, 
 		}
 		bestE[i] = run
 	}
+	// In place: slot i is written after the sweeps and its own test.
 	maxVal := int32(1)
 	for i := 0; i < n; i++ {
 		if f.Member(pnodes[i]) {
 			continue
 		}
 		if bestW[i] <= bestE[i] {
-			out.SetParent(pnodes[i], pnodes[i-1])
+			f.SetParent(pnodes[i], pnodes[i-1])
 			if bestW[i] < inf/2 && bestW[i] > maxVal {
 				maxVal = bestW[i]
 			}
 		} else {
-			out.SetParent(pnodes[i], pnodes[i+1])
+			f.SetParent(pnodes[i], pnodes[i+1])
 			if bestE[i] < inf/2 && bestE[i] > maxVal {
 				maxVal = bestE[i]
 			}
 		}
 	}
 	clock.Tick(int64(2 * bits.Len(uint(maxVal)))) // weighted line PASC
-	return out
 }
 
 // ForestSequentialEnv is the naive multi-source approach the paper
@@ -648,8 +654,7 @@ func ForestSequentialEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sou
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 	acc := SPTEnv(env, clock, region, ordered[0], region.Nodes())
 	for _, src := range ordered[1:] {
-		next := SPTEnv(env, clock, region, src, region.Nodes())
-		acc = MergeEnv(env, clock, acc, next)
+		merge(env, clock, region.Nodes(), acc, SPTEnv(env, clock, region, src, region.Nodes()))
 	}
-	return pruneToDestinations(env, clock, acc, region.Nodes(), sources, dests)
+	return pruneToDestinations(env, clock, acc, region.Nodes(), sources, dests, amoebot.NewForest(region.Structure()))
 }

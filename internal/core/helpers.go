@@ -125,13 +125,28 @@ func forestDepths(f *amoebot.Forest, members []int32, ar *dense.Arena, vals *pas
 	return depth
 }
 
+// membersAmong lists f's members among nodes, in nodes' order, on an
+// arena column (release it with ar.PutInt32s). When nodes is a region
+// holding every member of f, it is f.Members() at the region's cost.
+func membersAmong(f *amoebot.Forest, nodes []int32, ar *dense.Arena) []int32 {
+	m := ar.Int32s(len(nodes))[:0]
+	for _, u := range nodes {
+		if f.Member(u) {
+			m = append(m, u)
+		}
+	}
+	return m
+}
+
 // pruneToDestinations applies the final root-and-prune of §4/§5.4.4: every
 // tree of f is pruned to the subtrees containing destinations (sources
 // always stay as roots). Connected components of chosen-parent graphs that
 // contain no source receive no signal and prune themselves entirely.
 // Rounds: the primitive runs on all trees in parallel. nodes is the
-// region f lives on (ascending, holding every member of f).
-func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, sources, dests []int32) *amoebot.Forest {
+// region f lives on (ascending, holding every member of f). The survivors
+// are written into out, which must hold no member in the region, and out
+// is returned.
+func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, sources, dests []int32, out *amoebot.Forest) *amoebot.Forest {
 	s := f.Structure()
 	ar := env.Arena()
 	isDest := ar.BitSet(s.N())
@@ -141,7 +156,6 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, nodes, s
 	}
 	children := newForestChildren(f, nodes, ar) // shared read-only by the per-tree walks
 	defer children.release(ar)
-	out := amoebot.NewForest(s)
 	branches := make([]*sim.Clock, len(sources))
 	// The trees are vertex-disjoint, so the per-tree prunes run on worker
 	// goroutines (each writes only its own tree's entries of out).

@@ -26,14 +26,26 @@ func MergeEnv(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Fores
 	if f2.Structure() != f1.Structure() {
 		panic("core: merging forests of different structures")
 	}
-	members1, members2 := f1.Members(), f2.Members()
-	switch {
-	case len(members1) == 0:
-		return f2.Clone()
-	case len(members2) == 0:
-		return f1.Clone()
-	}
+	out := f1.Clone()
+	merge(env, clock, amoebot.WholeRegion(f1.Structure()).Nodes(), out, f2)
+	return out
+}
+
+// merge is MergeEnv merging f2 into f1 in place. nodes is the region both
+// forests live on (ascending, holding every member of each), so the merge
+// costs the region, not the structure. An empty side charges nothing.
+func merge(env *Env, clock *sim.Clock, nodes []int32, f1, f2 *amoebot.Forest) {
 	ar := env.Arena()
+	members1 := membersAmong(f1, nodes, ar)
+	defer ar.PutInt32s(members1)
+	members2 := membersAmong(f2, nodes, ar)
+	defer ar.PutInt32s(members2)
+	if len(members1) == 0 || len(members2) == 0 {
+		for _, g := range members2 {
+			f1.SetParent(g, f2.Parent(g))
+		}
+		return
+	}
 	var vals pasc.Tally
 	depth1 := forestDepths(f1, members1, ar, &vals)
 	defer ar.PutInt32s(depth1)
@@ -42,17 +54,10 @@ func MergeEnv(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Fores
 	pasc.Charge(clock, 2, vals)
 
 	// f2 is strictly nearer exactly where both depths are set and depth1 is
-	// the larger; a non-member's entry is 0.
-	out := amoebot.NewForest(f1.Structure())
-	for _, g := range members1 {
-		if depth1[g] <= depth2[g] || depth2[g] == 0 {
-			out.SetParent(g, f1.Parent(g))
-		}
-	}
+	// the larger; a non-member's entry is 0. f1 keeps every other member.
 	for _, g := range members2 {
 		if depth1[g] > depth2[g] || depth1[g] == 0 {
-			out.SetParent(g, f2.Parent(g))
+			f1.SetParent(g, f2.Parent(g))
 		}
 	}
-	return out
 }

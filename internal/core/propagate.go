@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
@@ -37,13 +38,15 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
 	}
+	out := f.Clone()
 	if f.Size() == 0 {
-		return f.Clone()
+		return out
 	}
 	ar := env.Arena()
 	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
-	return propagate(env, clock, region, pnodes, splitSides(ar, region, inP)[into], f, into)
+	propagate(env, clock, region, pnodes, splitSides(ar, region, inP)[into], out, into)
+	return out
 }
 
 // portalRow returns the set of the portal's nodes, checking that they form
@@ -66,17 +69,22 @@ func portalRow(s *amoebot.Structure, pnodes []int32, ar *dense.Arena) *dense.Bit
 	return inP
 }
 
-// propagate is PropagateEnv with the side's nodes bNodes (see splitSides)
-// supplied by the caller, which checks the run with portalRow and splits
-// the region once for both sides.
-func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
-	if len(bNodes) == 0 || f.Size() == 0 {
-		return f.Clone()
+// propagate is PropagateEnv extending f in place, with the side's nodes
+// bNodes (see splitSides) supplied by the caller, which checks the run
+// with portalRow and splits the region once for both sides. f lives on
+// A ∪ P, so its members are listed at the region's cost.
+func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNodes []int32, f *amoebot.Forest, into amoebot.Side) {
+	if len(bNodes) == 0 {
+		return
 	}
 	ar := env.Arena()
+	members := membersAmong(f, region.Nodes(), ar)
+	defer ar.PutInt32s(members)
+	if len(members) == 0 {
+		return
+	}
 	s := region.Structure()
 	zP := s.Coord(pnodes[0]).Z
-	out := f.Clone()
 	towardY, towardZ := towardPortal(into)
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
@@ -86,49 +94,44 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNode
 	clock.Tick(1)
 	clock.AddBeeps(2 * int64(len(pnodes)))
 
-	var bothVisible []int32
-	for _, u := range bNodes {
-		switch vy, vz := visY.Has(u), visZ.Has(u); {
-		case vy && vz:
-			bothVisible = append(bothVisible, u)
-		case vy:
-			out.SetParent(u, mustNeighbor(region, u, towardY))
-		case vz:
-			out.SetParent(u, mustNeighbor(region, u, towardZ))
-		}
-	}
-	visible := visY // B': visible along either axis
-	visible.Or(visZ)
-
 	// Both-visible amoebots compare the streamed distances of their two
 	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
 	// on the portal circuits in the same cadence): n_y if
 	// dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46). The
 	// projections sit at x = −Y_u − z_P (along y) and x = X_u (along z) of
-	// the run.
-	if len(bothVisible) > 0 {
+	// the run. The depths are taken before phase 1 writes into f.
+	var depth []int32
+	if slices.ContainsFunc(bNodes, func(u int32) bool { return visY.Has(u) && visZ.Has(u) }) {
 		var vals pasc.Tally
-		depth := forestDepths(f, f.Members(), ar, &vals)
+		depth = forestDepths(f, members, ar, &vals)
 		defer ar.PutInt32s(depth)
 		pasc.Charge(clock, 1, vals)
-		x0 := s.Coord(pnodes[0]).X
-		projDepth := func(x int) int32 {
-			if k := x - x0; k >= 0 && k < len(pnodes) {
-				if p := pnodes[k]; s.Coord(p).X == x && depth[p] != 0 {
-					return depth[p]
-				}
+	}
+	x0 := s.Coord(pnodes[0]).X
+	projDepth := func(x int) int32 {
+		if k := x - x0; k >= 0 && k < len(pnodes) {
+			if p := pnodes[k]; s.Coord(p).X == x && depth[p] != 0 {
+				return depth[p]
 			}
-			panic("core: projection of a visible amoebot missed the portal")
 		}
-		for _, u := range bothVisible {
-			cu := s.Coord(u)
-			if projDepth(-cu.Y-zP) <= projDepth(cu.X) {
-				out.SetParent(u, mustNeighbor(region, u, towardY))
+		panic("core: projection of a visible amoebot missed the portal")
+	}
+	for _, u := range bNodes {
+		switch vy, vz := visY.Has(u), visZ.Has(u); {
+		case vy && vz:
+			if cu := s.Coord(u); projDepth(-cu.Y-zP) <= projDepth(cu.X) {
+				f.SetParent(u, mustNeighbor(region, u, towardY))
 			} else {
-				out.SetParent(u, mustNeighbor(region, u, towardZ))
+				f.SetParent(u, mustNeighbor(region, u, towardZ))
 			}
+		case vy:
+			f.SetParent(u, mustNeighbor(region, u, towardY))
+		case vz:
+			f.SetParent(u, mustNeighbor(region, u, towardZ))
 		}
 	}
+	visible := visY // B': visible along either axis
+	visible.Or(visZ)
 
 	// Phase 2: invisible components. Each component Z elects s_Z (the
 	// amoebot adjacent to B' closest to P), adopts a nearest-P neighbor in
@@ -143,33 +146,28 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNode
 	if len(invisible) > 0 {
 		clock.Tick(2)
 		comps := amoebot.NewRegion(s, invisible).Components()
-		// The components are vertex-disjoint sub-regions, so their SPTs run
-		// on worker goroutines (each writes only its own component's forest
-		// entries); the branch clocks join in component order.
+		// The components are vertex-disjoint sub-regions of B \ B', where f
+		// has no member yet, so their SPTs write into f on worker goroutines
+		// (each its own component's entries), rooted at s_Z until s_Z takes
+		// its parent in B'; the branch clocks join in component order.
 		branches := make([]*sim.Clock, len(comps))
 		env.Exec().For(len(comps), func(ci int) {
 			z := comps[ci]
 			branch := clock.Fork()
 			branches[ci] = branch
 			sz, parent := electComponentRoot(region, z, visible, zP)
-			out.SetParent(sz, parent)
 			if z.Len() > 1 {
-				sub := SPTEnv(env, branch, z, sz, z.Nodes())
+				sptMany(env, []*sim.Clock{branch}, z, []int32{sz}, z.Nodes(), []*amoebot.Forest{f})
 				for _, u := range z.Nodes() {
-					if u == sz {
-						continue
-					}
-					if p := sub.Parent(u); p != amoebot.None {
-						out.SetParent(u, p)
-					} else {
+					if u != sz && f.Parent(u) == amoebot.None {
 						panic(fmt.Sprintf("core: phase-2 SPT left node %d unparented", u))
 					}
 				}
 			}
+			f.SetParent(sz, parent)
 		})
 		clock.JoinMax(branches...)
 	}
-	return out
 }
 
 // towardPortal returns the directions from B towards P along the y- and

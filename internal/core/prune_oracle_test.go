@@ -119,7 +119,7 @@ func ettInVQ(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) []bool {
 func requirePruneMatchesOracle(t *testing.T, ctx string, f *amoebot.Forest, nodes, sources, dests []int32) {
 	t.Helper()
 	var got, want sim.Clock
-	g := pruneToDestinations(testEnv(), &got, f, nodes, sources, dests)
+	g := pruneToDestinations(testEnv(), &got, f, nodes, sources, dests, amoebot.NewForest(f.Structure()))
 	w := ettPruneOracle(&want, f, sources, dests)
 	if !reflect.DeepEqual(g, w) || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
 		t.Fatalf("%s: closed-form prune (%d rounds, %d beeps) differs from the ETT oracle (%d rounds, %d beeps)",
@@ -213,5 +213,5 @@ func TestPruneOracleRejectsCycle(t *testing.T) {
 		}
 	}()
 	var clock sim.Clock
-	pruneToDestinations(nil, &clock, f, amoebot.WholeRegion(s).Nodes(), []int32{1}, []int32{2})
+	pruneToDestinations(nil, &clock, f, amoebot.WholeRegion(s).Nodes(), []int32{1}, []int32{2}, amoebot.NewForest(s))
 }

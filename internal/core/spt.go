@@ -38,6 +38,20 @@ func SPTEnv(env *Env, clock *sim.Clock, region *amoebot.Region, source int32, de
 // solo SPTEnv call at every worker count — sharing changes host wall time
 // only.
 func SPTManyEnv(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources []int32, dests []int32) []*amoebot.Forest {
+	out := make([]*amoebot.Forest, len(sources))
+	for i := range out {
+		out[i] = amoebot.NewForest(region.Structure())
+	}
+	sptMany(env, clocks, region, sources, dests, out)
+	return out
+}
+
+// sptMany is SPTManyEnv writing sources[i]'s forest into out[i], which
+// must hold no member in the region; its entries outside the region stay
+// as they are. Its host work scales with the region: the chosen-parent
+// forests are scratch, and the decompositions it computes itself (those
+// the portal source does not memoize) hand their columns back.
+func sptMany(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources, dests []int32, out []*amoebot.Forest) {
 	if len(clocks) != len(sources) {
 		panic("core: clocks/sources length mismatch")
 	}
@@ -70,7 +84,6 @@ func SPTManyEnv(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources [
 
 	// Per axis: root the portal tree at portal_d(s) and prune subtrees
 	// without destination portals.
-	out := make([]*amoebot.Forest, len(sources))
 	for qi, source := range sources {
 		clock := clocks[qi]
 		var rps [amoebot.NumAxes]*portal.RootPruneResult
@@ -87,9 +100,14 @@ func SPTManyEnv(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources [
 		// usable tree structure, then the final root-and-prune with (s, D)
 		// extracts the destination tree and silences stray components (§4).
 		discoverChildren(clock, chosen, region.Nodes())
-		out[qi] = pruneToDestinations(env, clock, chosen, region.Nodes(), []int32{source}, dests)
+		pruneToDestinations(env, clock, chosen, region.Nodes(), []int32{source}, dests, out[qi])
+		chosen.ReleaseScratch(region.Nodes())
 	}
-	return out
+	for _, a := range axes {
+		if a.fresh {
+			a.ports.Release()
+		}
+	}
 }
 
 // chooseParents is the local parent choice of the SPT algorithm over the
@@ -97,11 +115,13 @@ func SPTManyEnv(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources [
 // of u iff for both axes not parallel to the edge (u,v), v's portal is the
 // parent of u's portal. Every amoebot picks its first feasible neighbor in
 // counterclockwise order; this is a purely local decision — each amoebot
-// writes only its own forest entry, so the sweep fans out.
+// writes only its own forest entry, so the sweep fans out. The forest is
+// scratch: it sets only region nodes (the source lies in the region), so
+// ReleaseScratch(region.Nodes()) hands its column back clean.
 func chooseParents(env *Env, region *amoebot.Region,
 	axes *[amoebot.NumAxes]axisInfo, rps *[amoebot.NumAxes]*portal.RootPruneResult,
 	source int32) *amoebot.Forest {
-	chosen := amoebot.NewForest(region.Structure())
+	chosen := amoebot.NewScratchForest(region.Structure())
 	chosen.SetRoot(source)
 	nodes := region.Nodes()
 	env.Exec().Range(len(nodes), func(lo, hi int) {

@@ -1,6 +1,6 @@
 // Package dense provides allocation-free set and map scratch structures
-// over dense int32 index spaces, plus a pooling Arena that recycles them
-// across queries.
+// over dense int32 index spaces, plus a pooling Arena and a sparse-reset
+// column pool (Columns) that recycle them across queries.
 //
 // Every hot loop of the solver stack operates on node or portal indices
 // that are already dense identifiers in [0, n): structure nodes, portal
@@ -292,3 +292,45 @@ func (a *Arena) PutBools(s []bool) {
 // in scope (Region.Components, leader election, the free-function solver
 // entry points).
 var Shared = NewArena()
+
+// Columns recycles n-sized []int32 columns for users that write a small
+// part of each: every entry of a pooled column, up to its capacity, holds
+// the fill value, so Take costs no pass over n and Put restores only the
+// written entries (Arena.Int32s clears all n on every take). Safe for
+// concurrent use.
+type Columns struct {
+	fill int32
+	pool sync.Pool
+}
+
+// NewColumns returns an empty pool of columns filled with fill.
+func NewColumns(fill int32) *Columns { return &Columns{fill: fill} }
+
+// Take returns a column of length n holding the fill value in every entry.
+// A pooled column too small for n is dropped for a new one, filled once.
+func (c *Columns) Take(n int) []int32 {
+	if p, ok := c.pool.Get().(*[]int32); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	s := make([]int32, n)
+	if c.fill != 0 {
+		for i := range s {
+			s[i] = c.fill
+		}
+	}
+	return s
+}
+
+// Put restores the fill at touched, which must hold every index written
+// since Take, and pools the column unless it exceeds the retention bound.
+// A user panicking between Take and Put drops its column, never dirty.
+func (c *Columns) Put(col []int32, touched []int32) {
+	if cap(col) == 0 || cap(col) > MaxRetainedIndexEntries {
+		return
+	}
+	for _, i := range touched {
+		col[i] = c.fill
+	}
+	col = col[:0]
+	c.pool.Put(&col)
+}

@@ -173,3 +173,71 @@ func TestArenaDiscardsOversizedBuffers(t *testing.T) {
 		t.Fatalf("recycled index not cleared")
 	}
 }
+
+// requireFilled fails unless every entry of col up to its capacity holds
+// fill.
+func requireFilled(t *testing.T, ctx string, col []int32, fill int32) {
+	t.Helper()
+	for i, v := range col[:cap(col)] {
+		if v != fill {
+			t.Errorf("%s: entry %d of %d holds %d, want %d", ctx, i, cap(col), v, fill)
+			return
+		}
+	}
+}
+
+// TestColumnsRecycleFilled pins the sparse reset of Columns: after
+// Put(col, touched), Take returns a column holding the fill in every entry
+// up to its capacity, a pooled column too small for a take is never
+// handed out, and concurrent users each see clean columns.
+func TestColumnsRecycleFilled(t *testing.T) {
+	c := NewColumns(-1)
+	col := c.Take(100)
+	requireFilled(t, "fresh column", col, -1)
+	touched := []int32{0, 3, 50, 99}
+	for _, i := range touched {
+		col[i] = i
+	}
+	c.Put(col, touched)
+	for i := 0; i < 4; i++ {
+		got := c.Take(60)
+		if len(got) != 60 {
+			t.Fatalf("Take(60) has length %d", len(got))
+		}
+		requireFilled(t, "recycled column", got, -1)
+		got[7], got[59] = 7, 59
+		c.Put(got, []int32{7, 59})
+	}
+
+	small := c.Take(10)
+	small[2] = 2
+	c.Put(small, []int32{2})
+	for i := 0; i < 4; i++ {
+		got := c.Take(200)
+		if len(got) != 200 || &got[0] == &small[0] {
+			t.Fatalf("Take(200) handed out a column of capacity %d", cap(got))
+		}
+		requireFilled(t, "column after a too-small one", got, -1)
+		c.Put(got, nil)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				n := 32 + (g*131+i*17)%400
+				col := c.Take(n)
+				requireFilled(t, "concurrent take", col, -1)
+				var touched []int32
+				for j := int32(g+i) % 5; j < int32(n); j += 5 {
+					col[j] = j
+					touched = append(touched, j)
+				}
+				c.Put(col, touched)
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"spforest/amoebot"
+	"spforest/internal/dense"
 	"spforest/internal/ett"
 )
 
@@ -31,6 +32,7 @@ type Portals struct {
 	Region *amoebot.Region
 
 	// ID maps each structure node to its portal id (-1 outside the region).
+	// It is a recycled column (see Release).
 	ID []int32
 	// Nbr lists each portal's adjacent portals (ascending ids).
 	Nbr [][]int32
@@ -57,18 +59,18 @@ type connEnds struct {
 	u, v int32
 }
 
+// idColumns recycles ID columns: a sub-region's decomposition writes and
+// releases only its own nodes' entries, not the structure's n.
+var idColumns = dense.NewColumns(-1)
+
 // Compute builds the portal decomposition of the region along the axis.
 func Compute(region *amoebot.Region, axis amoebot.Axis) *Portals {
-	s := region.Structure()
 	p := &Portals{
 		Axis:   axis,
 		Region: region,
-		ID:     make([]int32, s.N()),
+		ID:     idColumns.Take(region.Structure().N()),
 		off:    []int32{0},
 		conn:   make(map[[2]int32]connEnds),
-	}
-	for i := range p.ID {
-		p.ID[i] = -1
 	}
 	pos, neg := axis.Positive(), axis.Negative()
 	for _, u := range region.Nodes() {
@@ -101,6 +103,15 @@ func Compute(region *amoebot.Region, axis amoebot.Axis) *Portals {
 	}
 	p.buildNbr()
 	return p
+}
+
+// Release hands the ID column back to later Compute calls, resetting the
+// region's nodes (the CSR nodes), and sets ID to nil so any later use
+// panics. Call it only on a decomposition nothing else holds: never on a
+// memoized or patched one.
+func (p *Portals) Release() {
+	idColumns.Put(p.ID, p.nodes)
+	p.ID = nil
 }
 
 // buildNbr derives the per-portal adjacency lists from the crossing-edge
