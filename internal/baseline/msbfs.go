@@ -24,6 +24,10 @@ const MaxBFSLanes = 64
 // bit-identical forest: a node's depth in lane i equals the layer its lane-i
 // frontier bit was set, so the smallest-direction parent rule below picks
 // the same parent the solo run picks.
+//
+// Cells outside the region start seen in every lane, so no lane bit ever
+// reaches them and their frontier word stays 0: both sweeps read the
+// structure's adjacency with no membership test.
 func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]int32) []*amoebot.Forest {
 	lanes := len(sourceSets)
 	if lanes == 0 || lanes > MaxBFSLanes {
@@ -35,14 +39,22 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 	s := region.Structure()
 	forests := make([]*amoebot.Forest, lanes)
 	seen := make([]uint64, s.N())
+	if region.Len() < s.N() {
+		for i := range seen {
+			seen[i] = ^uint64(0)
+		}
+		for _, u := range region.Nodes() {
+			seen[u] = 0
+		}
+	}
 	frontier := make([]uint64, s.N())
 	next := make([]uint64, s.N())
-	var frontierNodes []int32
+	var frontierNodes, spare []int32 // spare: the previous frontier's list, reused
 	for l, sources := range sourceSets {
 		forests[l] = amoebot.NewForest(s)
 		bit := uint64(1) << uint(l)
 		for _, src := range sources {
-			if region.Contains(src) && seen[src]&bit == 0 {
+			if seen[src]&bit == 0 { // a source outside the region is seen
 				seen[src] |= bit
 				if frontier[src] == 0 {
 					frontierNodes = append(frontierNodes, src)
@@ -77,14 +89,15 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 		// the parent sweep), so discovery does not depend on the order of
 		// frontierNodes.
 		clear(sizeNext)
-		var nextNodes []int32
+		nextNodes := spare[:0]
 		for _, u := range frontierNodes {
+			fu := frontier[u]
 			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				v := region.Neighbor(u, d)
+				v := s.Neighbor(u, d)
 				if v == amoebot.None {
 					continue
 				}
-				if cand := frontier[u] &^ seen[v]; cand != 0 {
+				if cand := fu &^ seen[v]; cand != 0 {
 					old := next[v]
 					if old == 0 {
 						nextNodes = append(nextNodes, v)
@@ -104,7 +117,7 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 			seen[v] |= next[v]
 			rem := next[v]
 			for d := amoebot.Direction(0); d < amoebot.NumDirections && rem != 0; d++ {
-				u := region.Neighbor(v, d)
+				u := s.Neighbor(v, d)
 				if u == amoebot.None {
 					continue
 				}
@@ -119,7 +132,7 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 			frontier[u] = 0
 		}
 		frontier, next = next, frontier
-		frontierNodes = nextNodes
+		frontierNodes, spare = nextNodes, frontierNodes
 		size, sizeNext = sizeNext, size
 	}
 	return forests

@@ -193,7 +193,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		}
 	}
 	// ---- Corollary 57: prune every tree to its destinations.
-	return pruneToDestinations(env, clock, full, region.Nodes(), sources, dests, amoebot.NewForest(s))
+	return pruneToDestinations(env, clock, full, region, sources, dests, amoebot.NewForest(s))
 }
 
 // regionState is one current region with its (S∩region)-forest.
@@ -656,5 +656,5 @@ func ForestSequentialEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sou
 	for _, src := range ordered[1:] {
 		merge(env, clock, region.Nodes(), acc, SPTEnv(env, clock, region, src, region.Nodes()))
 	}
-	return pruneToDestinations(env, clock, acc, region.Nodes(), sources, dests, amoebot.NewForest(region.Structure()))
+	return pruneToDestinations(env, clock, acc, region, sources, dests, amoebot.NewForest(region.Structure()))
 }

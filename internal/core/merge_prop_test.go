@@ -117,7 +117,7 @@ func TestPruneAfterMergeKeepsSources(t *testing.T) {
 	m := MergeEnv(testEnv(), &clock, buildSPT(t, s, 0), buildSPT(t, s, 9))
 	// The only destination sits next to source 0; source 9's tree is
 	// pruned to the bare root.
-	pruned := pruneToDestinations(testEnv(), &clock, m, amoebot.WholeRegion(s).Nodes(), []int32{0, 9}, []int32{1}, amoebot.NewForest(s))
+	pruned := pruneToDestinations(testEnv(), &clock, m, amoebot.WholeRegion(s), []int32{0, 9}, []int32{1}, amoebot.NewForest(s))
 	if err := verify.Forest(s, []int32{0, 9}, []int32{1}, pruned); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"spforest/amoebot"
+	"spforest/internal/par"
 	"spforest/internal/portal"
 	"spforest/internal/sim"
 )
@@ -18,9 +19,10 @@ import (
 //
 // The three per-axis portal decompositions are resolved concurrently
 // (memoized ones through the env's portal source), the per-amoebot parent
-// choice fans out over index chunks, and the final prune runs per tree —
-// all bit-identical to the serial execution (the round accounting below
-// never depends on the host schedule). It is SPTManyEnv over one source.
+// choice fans out over index chunks, and the final prune walks up from the
+// destinations — all bit-identical to the serial execution (the round
+// accounting below never depends on the host schedule). It is SPTManyEnv
+// over one source.
 func SPTEnv(env *Env, clock *sim.Clock, region *amoebot.Region, source int32, dests []int32) *amoebot.Forest {
 	return SPTManyEnv(env, []*sim.Clock{clock}, region, []int32{source}, dests)[0]
 }
@@ -95,12 +97,14 @@ func sptMany(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources, des
 			root := axes[axis].ports.ID[source]
 			rps[axis] = portal.RootPrune(clock, axes[axis].view, root, inQ[axis])
 		}
-		chosen := chooseParents(env, region, &axes, &rps, source)
-		// Parents announce themselves so the chosen-parent forest becomes a
-		// usable tree structure, then the final root-and-prune with (s, D)
-		// extracts the destination tree and silences stray components (§4).
-		discoverChildren(clock, chosen, region.Nodes())
-		pruneToDestinations(env, clock, chosen, region.Nodes(), []int32{source}, dests, out[qi])
+		chosen, chose := chooseParents(env, region, &axes, &rps, source)
+		// Every amoebot that chose a parent beeps on the shared edge so
+		// parents learn their children (one round), then the final
+		// root-and-prune with (s, D) extracts the destination tree and
+		// silences stray components (§4).
+		clock.Tick(1)
+		clock.AddBeeps(chose)
+		pruneToDestinations(env, clock, chosen, region, []int32{source}, dests, out[qi])
 		chosen.ReleaseScratch(region.Nodes())
 	}
 	for _, a := range axes {
@@ -110,47 +114,62 @@ func sptMany(env *Env, clocks []*sim.Clock, region *amoebot.Region, sources, des
 	}
 }
 
+// crossAxes lists, per direction, the two axes not parallel to it.
+var crossAxes = func() (t [amoebot.NumDirections][2]amoebot.Axis) {
+	for d := range t {
+		a := amoebot.Direction(d).Axis()
+		t[d] = [2]amoebot.Axis{(a + 1) % amoebot.NumAxes, (a + 2) % amoebot.NumAxes}
+	}
+	return t
+}()
+
 // chooseParents is the local parent choice of the SPT algorithm over the
 // three pruned portal trees (Lemma 38 / Equation 1): v is a feasible parent
 // of u iff for both axes not parallel to the edge (u,v), v's portal is the
 // parent of u's portal. Every amoebot picks its first feasible neighbor in
 // counterclockwise order; this is a purely local decision — each amoebot
-// writes only its own forest entry, so the sweep fans out. The forest is
-// scratch: it sets only region nodes (the source lies in the region), so
-// ReleaseScratch(region.Nodes()) hands its column back clean.
+// writes only its own forest entry, so the sweep fans out over chunks and
+// sums the chunks' counts of amoebots that chose a parent, which it
+// returns with the forest. The forest is scratch: it sets only region
+// nodes (the source lies in the region), so ReleaseScratch(region.Nodes())
+// hands its column back clean.
+//
+// The rule needs no membership test. Parent is −1 for the root portal and
+// for pruned ones, so a wanted parent portal ≥ 0 puts u's portal in V_Q,
+// and a direction whose two wanted portals are not both ≥ 0 is skipped
+// unread. Portals.ID is −1 outside the region the decomposition covers —
+// the SPT's region — so a structure neighbor outside it never matches.
 func chooseParents(env *Env, region *amoebot.Region,
 	axes *[amoebot.NumAxes]axisInfo, rps *[amoebot.NumAxes]*portal.RootPruneResult,
-	source int32) *amoebot.Forest {
-	chosen := amoebot.NewScratchForest(region.Structure())
+	source int32) (*amoebot.Forest, int64) {
+	s := region.Structure()
+	chosen := amoebot.NewScratchForest(s)
 	chosen.SetRoot(source)
+	var ids, parents [amoebot.NumAxes][]int32
+	for a := range ids {
+		ids[a], parents[a] = axes[a].ports.ID, rps[a].Parent
+	}
 	nodes := region.Nodes()
-	env.Exec().Range(len(nodes), func(lo, hi int) {
+	n := par.Reduce(env.Exec(), len(nodes), func(lo, hi int) int64 {
+		n := int64(0)
 		for _, u := range nodes[lo:hi] {
-			if u == source {
-				continue
+			var want [amoebot.NumAxes]int32 // u's parent portals; the source's are all −1
+			for a := range want {
+				want[a] = parents[a][ids[a][u]]
 			}
-			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-				v := region.Neighbor(u, d)
-				if v == amoebot.None {
+			for d, ab := range crossAxes {
+				a, b := ab[0], ab[1]
+				if want[a] < 0 || want[b] < 0 {
 					continue
 				}
-				feasible := true
-				for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
-					if axis == d.Axis() {
-						continue // same portal on the edge's own axis
-					}
-					pu, pv := axes[axis].ports.ID[u], axes[axis].ports.ID[v]
-					if !rps[axis].InVQ[pu] || rps[axis].Parent[pu] != pv {
-						feasible = false
-						break
-					}
-				}
-				if feasible {
+				if v := s.Neighbor(u, amoebot.Direction(d)); v != amoebot.None && ids[a][v] == want[a] && ids[b][v] == want[b] {
 					chosen.SetParent(u, v)
+					n++
 					break
 				}
 			}
 		}
-	})
-	return chosen
+		return n
+	}, func(acc, part int64) int64 { return acc + part })
+	return chosen, n
 }
