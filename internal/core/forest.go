@@ -220,29 +220,31 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 	for _, u := range br.nodes.Nodes() {
 		inRegionPortal.Add(sp.ports.ID[u])
 	}
-	ordered := make([]int32, 0, 2)
-	var lca int32 = -1
-	for _, id := range br.qpPortals {
+	lca := -1
+	for i, id := range br.qpPortals {
 		if id == rPrime || rpQP.Parent[id] < 0 || !inRegionPortal.Has(rpQP.Parent[id]) {
-			lca = id
+			lca = i
 			break
 		}
 	}
 	if lca < 0 {
-		// Defensive: fall back to the first portal.
-		lca = br.qpPortals[0]
+		panic("core: base region without an LCA portal (Lemma 53)")
 	}
+	ordered := make([]int, 0, len(br.qpPortals))
 	ordered = append(ordered, lca)
-	for _, id := range br.qpPortals {
-		if id != lca {
-			ordered = append(ordered, id)
+	for i := range br.qpPortals {
+		if i != lca {
+			ordered = append(ordered, i)
 		}
 	}
 	clock.Tick(1) // the descendant portal (if any) beeps on the region circuit
 
+	// Each line forest lives on its portal run, and propagates into the
+	// side of the run the region lies on (none for a fused pure-segment
+	// region): B is the region minus the run.
 	var acc *amoebot.Forest
-	for i, id := range ordered {
-		pnodes := sp.portalNodesIn(br, id)
+	for i, qi := range ordered {
+		pnodes := sp.portalNodesIn(br, br.qpPortals[qi])
 		var segSources []int32
 		for _, u := range pnodes {
 			if isSource.Has(u) {
@@ -250,7 +252,9 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 			}
 		}
 		f := LineForestEnv(env, clock, s, pnodes, segSources)
-		propagateBothSides(env, clock, br.nodes, pnodes, f)
+		if side := br.sides[qi]; side != noSide {
+			propagate(env, clock, br.nodes, br.nodes, pnodes, pnodes, f, side)
+		}
 		if i == 0 {
 			acc = f
 		} else {
@@ -258,19 +262,6 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 		}
 	}
 	return &regionState{region: br.nodes, forest: acc}
-}
-
-// propagateBothSides extends a forest living on the portal run pnodes in
-// place to the sides of the run present in the region, splitting the
-// region at the run once for both sides.
-func propagateBothSides(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest) {
-	ar := env.Arena()
-	inP := portalRow(region.Structure(), pnodes, ar)
-	defer ar.PutBitSet(inP)
-	sides := splitSides(ar, region, inP)
-	for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
-		propagate(env, clock, region, pnodes, sides[side], f, side)
-	}
 }
 
 // mergeLevel executes one level of the merge schedule. The serial
@@ -391,13 +382,11 @@ func mergeAlongPortal(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *spli
 func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, p int32, touching []*regionState) *regionState {
 	ar := env.Arena()
 	pnodes := sp.ports.NodesOf(p)
-	inP := portalRow(s, pnodes, ar)
-	defer ar.PutBitSet(inP)
 	// Classify each touching region to a side of p: the side of its
 	// non-portal body adjacent to p.
 	var bySide [amoebot.NumSides][]*regionState
 	for _, st := range touching {
-		side, ok := regionSideOf(st.region, pnodes, inP)
+		side, ok := regionSideOf(st.region, pnodes)
 		if !ok {
 			// A pure-segment region (no body): park it on the side with
 			// fewer regions; it only contributes its portal nodes.
@@ -435,6 +424,8 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 	}
 
 	// Phase 2: join the (at most one per side) remaining regions across p.
+	// Each lies on its side of p, so north's forest propagates into
+	// south \ p and south's into north \ p.
 	north := collapseSame(bySide[amoebot.SideA])
 	south := collapseSame(bySide[amoebot.SideB])
 	var out *regionState
@@ -451,9 +442,8 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 		whole := north.region.Union(south.region).Union(amoebot.NewRegion(s, pnodes))
 		extendAlongPortal(ar, clock, north, pnodes)
 		extendAlongPortal(ar, clock, south, pnodes)
-		sides := splitSides(ar, whole, inP)
-		propagate(env, clock, whole, pnodes, sides[amoebot.SideB], north.forest, amoebot.SideB)
-		propagate(env, clock, whole, pnodes, sides[amoebot.SideA], south.forest, amoebot.SideA)
+		propagate(env, clock, whole, south.region, pnodes, whole.Nodes(), north.forest, amoebot.SideB)
+		propagate(env, clock, whole, north.region, pnodes, whole.Nodes(), south.forest, amoebot.SideA)
 		merge(env, clock, whole.Nodes(), north.forest, south.forest)
 		out = &regionState{region: whole, forest: north.forest}
 	}
@@ -473,8 +463,9 @@ func collapseSame(regions []*regionState) *regionState {
 }
 
 // regionSideOf classifies a region to the side of the portal its body lies
-// on. ok=false when the region consists of portal nodes only.
-func regionSideOf(r *amoebot.Region, pnodes []int32, inP *dense.BitSet) (amoebot.Side, bool) {
+// on. ok=false when the region consists of portal nodes only. A y- or
+// z-neighbor of a portal amoebot lies off the portal's row.
+func regionSideOf(r *amoebot.Region, pnodes []int32) (amoebot.Side, bool) {
 	for _, u := range pnodes {
 		if !r.Contains(u) {
 			continue
@@ -484,7 +475,7 @@ func regionSideOf(r *amoebot.Region, pnodes []int32, inP *dense.BitSet) (amoebot
 				continue
 			}
 			v := r.Neighbor(u, d)
-			if v == amoebot.None || inP.Has(v) {
+			if v == amoebot.None {
 				continue
 			}
 			side, _ := amoebot.AxisX.SideOf(d)

@@ -292,7 +292,7 @@ func propagatePacked(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes 
 	towardY, towardZ := towardPortal(into)
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	visY, visZ := visibility(ar, s, pnodes, bNodes, into)
+	visY, visZ := visibility(ar, amoebot.NewRegion(s, bNodes), pnodes, into)
 	defer ar.PutBitSet(visY)
 	defer ar.PutBitSet(visZ)
 	clock.Tick(1)

@@ -33,7 +33,9 @@ import (
 // bills the one-lane run. The phase-2 invisible components — disjoint
 // sub-regions by construction — run on worker goroutines with their branch
 // clocks joined in component order. Panics unless f is a forest over its
-// members.
+// members. B is found by a search over the components of region \ P
+// (splitSides), which panics when one of them touches P from both sides or
+// not at all.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
@@ -45,7 +47,8 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	ar := env.Arena()
 	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
-	propagate(env, clock, region, pnodes, splitSides(ar, region, inP)[into], out, into)
+	b := amoebot.NewRegion(region.Structure(), splitSides(ar, region, inP)[into])
+	propagate(env, clock, region, b, pnodes, region.Nodes(), out, into)
 	return out
 }
 
@@ -69,26 +72,39 @@ func portalRow(s *amoebot.Structure, pnodes []int32, ar *dense.Arena) *dense.Bit
 	return inP
 }
 
-// propagate is PropagateEnv extending f in place, with the side's nodes
-// bNodes (see splitSides) supplied by the caller, which checks the run
-// with portalRow and splits the region once for both sides. f lives on
-// A ∪ P, so its members are listed at the region's cost.
-func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNodes []int32, f *amoebot.Forest, into amoebot.Side) {
-	if len(bNodes) == 0 {
+// propagate is PropagateEnv extending f in place into B = body \ P, where
+// body lies on the given side of P and may hold part of P. Its callers
+// know that side without a search: a base region records it, and phase 2
+// of a merge joins one region per side. region holds B ∪ P and answers the
+// neighbor reads towards P; fNodes holds every member of f. pnodes is a
+// contiguous run of one row, ascending in x, as portalRow checks.
+func propagate(env *Env, clock *sim.Clock, region, body *amoebot.Region, pnodes, fNodes []int32, f *amoebot.Forest, into amoebot.Side) {
+	nb := body.Len()
+	for _, p := range pnodes {
+		if body.Contains(p) {
+			nb--
+		}
+	}
+	if nb == 0 {
 		return
 	}
 	ar := env.Arena()
-	members := membersAmong(f, region.Nodes(), ar)
+	members := membersAmong(f, fNodes, ar)
 	defer ar.PutInt32s(members)
 	if len(members) == 0 {
 		return
 	}
 	s := region.Structure()
 	zP := s.Coord(pnodes[0]).Z
+	x0 := s.Coord(pnodes[0]).X
 	towardY, towardZ := towardPortal(into)
+	onP := func(u int32) bool {
+		c := s.Coord(u)
+		return c.Z == zP && c.X >= x0 && c.X < x0+len(pnodes)
+	}
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	visY, visZ := visibility(ar, s, pnodes, bNodes, into)
+	visY, visZ := visibility(ar, body, pnodes, into)
 	defer ar.PutBitSet(visY)
 	defer ar.PutBitSet(visZ)
 	clock.Tick(1)
@@ -100,14 +116,14 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNode
 	// dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46). The
 	// projections sit at x = −Y_u − z_P (along y) and x = X_u (along z) of
 	// the run. The depths are taken before phase 1 writes into f.
+	// No amoebot of P is visible, so the loops over body need not skip P.
 	var depth []int32
-	if slices.ContainsFunc(bNodes, func(u int32) bool { return visY.Has(u) && visZ.Has(u) }) {
+	if slices.ContainsFunc(body.Nodes(), func(u int32) bool { return visY.Has(u) && visZ.Has(u) }) {
 		var vals pasc.Tally
 		depth = forestDepths(f, members, ar, &vals)
 		defer ar.PutInt32s(depth)
 		pasc.Charge(clock, 1, vals)
 	}
-	x0 := s.Coord(pnodes[0]).X
 	projDepth := func(x int) int32 {
 		if k := x - x0; k >= 0 && k < len(pnodes) {
 			if p := pnodes[k]; s.Coord(p).X == x && depth[p] != 0 {
@@ -116,7 +132,7 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNode
 		}
 		panic("core: projection of a visible amoebot missed the portal")
 	}
-	for _, u := range bNodes {
+	for _, u := range body.Nodes() {
 		switch vy, vz := visY.Has(u), visZ.Has(u); {
 		case vy && vz:
 			if cu := s.Coord(u); projDepth(-cu.Y-zP) <= projDepth(cu.X) {
@@ -138,8 +154,8 @@ func propagate(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes, bNode
 	// B' as its parent and runs the SPT algorithm inside Z (in parallel
 	// over all components; two rounds for the component circuits/election).
 	var invisible []int32
-	for _, u := range bNodes {
-		if !visible.Has(u) {
+	for _, u := range body.Nodes() {
+		if !visible.Has(u) && !onP(u) {
 			invisible = append(invisible, u)
 		}
 	}
@@ -179,27 +195,24 @@ func towardPortal(into amoebot.Side) (towardY, towardZ amoebot.Direction) {
 	return amoebot.DirNE, amoebot.DirNW
 }
 
-// visibility returns the amoebots of B (on the given side of the x-portal
-// P) that see P along the y-axis and along the z-axis: those whose y- (z-)
-// portal of P ∪ B contains an amoebot of P (Lemma 47). An axis line
-// crosses P's row once, so that portal holds a P amoebot exactly when
-// walking from the P amoebot away from P along the axis stays inside B up
-// to the amoebot. The walks cost O(|P| + |B|); portal decompositions of
-// P ∪ B would cost the whole structure. Release both sets with
-// ar.PutBitSet.
-func visibility(ar *dense.Arena, s *amoebot.Structure, pnodes, bNodes []int32, into amoebot.Side) (visY, visZ *dense.BitSet) {
-	inB := ar.BitSet(s.N())
-	defer ar.PutBitSet(inB)
-	for _, u := range bNodes {
-		inB.Add(u)
-	}
+// visibility returns the amoebots of B = body \ P (on the given side of
+// the x-portal P) that see P along the y-axis and along the z-axis: those
+// whose y- (z-) portal of P ∪ B contains an amoebot of P (Lemma 47). An
+// axis line crosses P's row once, so that portal holds a P amoebot exactly
+// when walking from the P amoebot away from P along the axis stays inside
+// B up to the amoebot; a walk away from P never re-enters P's row, so it
+// tests membership in body. The walks cost O(|P| + |B|); portal
+// decompositions of P ∪ B would cost the whole structure. Release both
+// sets with ar.PutBitSet.
+func visibility(ar *dense.Arena, body *amoebot.Region, pnodes []int32, into amoebot.Side) (visY, visZ *dense.BitSet) {
+	s := body.Structure()
 	towardY, towardZ := towardPortal(into)
 	visY, visZ = ar.BitSet(s.N()), ar.BitSet(s.N())
 	for _, p := range pnodes {
-		for v := s.Neighbor(p, towardY.Opposite()); v != amoebot.None && inB.Has(v); v = s.Neighbor(v, towardY.Opposite()) {
+		for v := s.Neighbor(p, towardY.Opposite()); v != amoebot.None && body.Contains(v); v = s.Neighbor(v, towardY.Opposite()) {
 			visY.Add(v)
 		}
-		for v := s.Neighbor(p, towardZ.Opposite()); v != amoebot.None && inB.Has(v); v = s.Neighbor(v, towardZ.Opposite()) {
+		for v := s.Neighbor(p, towardZ.Opposite()); v != amoebot.None && body.Contains(v); v = s.Neighbor(v, towardZ.Opposite()) {
 			visZ.Add(v)
 		}
 	}
@@ -210,7 +223,9 @@ func visibility(ar *dense.Arena, s *amoebot.Structure, pnodes, bNodes []int32, i
 // P, from one walk over the components of region \ P (in its fixed walk
 // order; propagation treats B as a set). Every component touches P from
 // exactly one side (the portal graph is a tree); a component touching from
-// the other side belongs to A.
+// the other side belongs to A. Only PropagateEnv, whose callers pass a
+// region with both sides, searches for the sides; the forest algorithm
+// knows them from its split.
 func splitSides(ar *dense.Arena, region *amoebot.Region, inP *dense.BitSet) [amoebot.NumSides][]int32 {
 	seen := ar.BitSet(region.Structure().N())
 	defer ar.PutBitSet(seen)

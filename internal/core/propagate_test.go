@@ -144,3 +144,54 @@ func TestPropagateEmptyForest(t *testing.T) {
 		t.Fatal("empty forest propagated to a non-empty forest")
 	}
 }
+
+// TestPropagateEnvRejectsRegionsWithoutSides: PropagateEnv finds B by a
+// search over the components of region \ P, which must each touch P from
+// exactly one side. A ring around a hole, cut once by P, touches P from
+// both sides; a component away from P touches it from neither.
+func TestPropagateEnvRejectsRegionsWithoutSides(t *testing.T) {
+	s := shapes.Hexagon(3)
+	node := func(x, z int) int32 {
+		u, ok := s.Index(amoebot.XZ(x, z))
+		if !ok {
+			t.Fatalf("no amoebot at (%d, %d)", x, z)
+		}
+		return u
+	}
+	// The ring: the amoebots at distance 2 or 3 from the center. Its middle
+	// row splits into two runs; P is the western one.
+	var ring []int32
+	for u := int32(0); u < int32(s.N()); u++ {
+		if s.Coord(u).Dist(amoebot.Coord{}) >= 2 {
+			ring = append(ring, u)
+		}
+	}
+	ringP := []int32{node(-3, 0), node(-2, 0)}
+	// Away: P is the middle row; the region adds the row south of it and
+	// the row three south of it, which no P amoebot neighbors.
+	var away []int32
+	for u := int32(0); u < int32(s.N()); u++ {
+		if z := s.Coord(u).Z; z == 0 || z == 1 || z == 3 {
+			away = append(away, u)
+		}
+	}
+	var rowP []int32
+	for x := -3; x <= 3; x++ {
+		rowP = append(rowP, node(x, 0))
+	}
+	for _, bad := range []struct {
+		name, want    string
+		nodes, pnodes []int32
+	}{
+		{"ring around a hole", "touches the portal from both sides", ring, ringP},
+		{"component away from P", "not adjacent to the portal", away, rowP},
+	} {
+		region := amoebot.NewRegion(s, bad.nodes)
+		f := amoebot.NewForest(s)
+		f.SetRoot(bad.pnodes[0])
+		for _, into := range []amoebot.Side{amoebot.SideA, amoebot.SideB} {
+			var clock sim.Clock
+			mustPanicWith(t, "PropagateEnv "+bad.name, bad.want, func() { PropagateEnv(testEnv(), &clock, region, bad.pnodes, f, into) })
+		}
+	}
+}

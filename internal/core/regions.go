@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"spforest/amoebot"
@@ -14,14 +16,15 @@ type splitRegions struct {
 	ports *portal.Portals
 	inQP  []bool // per portal: member of Q'
 
-	// marksOf lists, per Q' portal, its still-marked amoebots (connectors
-	// towards V_Q neighbors minus the westernmost), in ascending x order.
-	marksOf map[int32][]int32
+	// marksOf lists, per portal, its still-marked amoebots (connectors
+	// towards V_Q neighbors minus the westernmost), in ascending x order;
+	// nil outside Q'.
+	marksOf [][]int32
 
-	// segmentsOf lists, per Q' portal, its node runs split at the marked
+	// segmentsOf lists, per portal, its node runs split at the marked
 	// amoebots; marks belong to both adjacent segments. Segments are in
-	// ascending x order.
-	segmentsOf map[int32][][]int32
+	// ascending x order; nil outside Q'.
+	segmentsOf [][][]int32
 
 	// regions are the base regions: each intersects one or two portals of
 	// Q' (Lemma 52) and overlaps its neighbors on portal segments.
@@ -30,11 +33,22 @@ type splitRegions struct {
 
 type baseRegion struct {
 	nodes *amoebot.Region
-	// qpPortals lists the region's Q' portals (1 or 2).
+	// qpPortals lists the region's Q' portals (1 or 2), ascending.
 	qpPortals []int32
+	// sides holds, per entry of qpPortals, the side of that portal the
+	// region's segment copies lie on. The construction joins a blob only to
+	// the copy on its own side (Lemma 52), and no path of a hole-free
+	// structure crosses a portal elsewhere (Lemma 9), so the region minus
+	// the portal lies on that side. noSide marks a fused pure-segment
+	// region: both copies of one segment and no body.
+	sides []amoebot.Side
 	// segs lists the region's segment copies as (portal, segment index).
 	segs [][2]int32
 }
+
+// noSide is the side of a region holding both copies of one segment and
+// nothing else: it has no body to propagate into.
+const noSide = amoebot.NumSides
 
 // segCopy identifies one side copy of one segment of one Q' portal in the
 // region-construction graph H.
@@ -53,14 +67,18 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 	sp := &splitRegions{
 		ports:      ports,
 		inQP:       inQP,
-		marksOf:    make(map[int32][]int32),
-		segmentsOf: make(map[int32][][]int32),
+		marksOf:    make([][]int32, ports.Len()),
+		segmentsOf: make([][][]int32, ports.Len()),
 	}
 	// Marks: every Q' portal marks its connector towards each V_Q neighbor,
-	// then unmarks the westernmost mark. markSeen deduplicates connectors
-	// (one amoebot can connect towards several neighbors); its bits are
-	// removed again after each portal so the set never needs a full reset.
-	markSeen := ar.BitSet(s.N())
+	// then unmarks the westernmost mark. isMark deduplicates connectors (one
+	// amoebot can connect towards several neighbors) and afterwards holds
+	// the marks that remain; segFirst maps every Q' portal amoebot to the
+	// first segment holding it (a mark also begins the next one).
+	isMark := ar.BitSet(s.N())
+	defer ar.PutBitSet(isMark)
+	segFirst := ar.Int32s(s.N())
+	defer ar.PutInt32s(segFirst)
 	for id := int32(0); id < int32(ports.Len()); id++ {
 		if !inQP[id] {
 			continue
@@ -70,8 +88,8 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 			// The edge to nb survives pruning iff nb is the parent (id is
 			// in V_Q as a Q' member) or nb is a surviving child.
 			if nb == rp.Parent[id] || (rp.Parent[nb] == id && rp.InVQ[nb]) {
-				if m := ports.Connector(id, nb); !markSeen.Has(m) {
-					markSeen.Add(m)
+				if m := ports.Connector(id, nb); !isMark.Has(m) {
+					isMark.Add(m)
 					marks = append(marks, m)
 				}
 			}
@@ -79,10 +97,8 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 		sort.Slice(marks, func(a, b int) bool {
 			return s.Coord(marks[a]).X < s.Coord(marks[b]).X
 		})
-		for _, m := range marks {
-			markSeen.Remove(m)
-		}
 		if len(marks) > 0 {
+			isMark.Remove(marks[0])
 			marks = marks[1:] // unmark the westernmost
 		}
 		sp.marksOf[id] = marks
@@ -94,6 +110,7 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 		var segs [][]int32
 		cur := []int32{}
 		for _, u := range run {
+			segFirst[u] = int32(len(segs))
 			cur = append(cur, u)
 			if mi < len(marks) && marks[mi] == u {
 				mi++
@@ -104,7 +121,6 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 		segs = append(segs, cur)
 		sp.segmentsOf[id] = segs
 	}
-	ar.PutBitSet(markSeen)
 
 	// H-graph: vertices are the blobs (components of region minus Q'
 	// portal nodes) and the side copies of the segments; edges follow the
@@ -122,19 +138,14 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 			qpNodes = append(qpNodes, u)
 		}
 	}
-	// Marks belong to two segments; segOf resolves them via explicit
-	// lookup.
-	segOf := func(id int32, u int32) []int32 {
-		var out []int32
-		for si, seg := range sp.segmentsOf[id] {
-			for _, v := range seg {
-				if v == u {
-					out = append(out, int32(si))
-					break
-				}
-			}
+	// segsOf returns the segments holding the Q' portal amoebot u: first
+	// to last, two for a mark.
+	segsOf := func(u int32) (first, last int32) {
+		first = segFirst[u]
+		if isMark.Has(u) {
+			return first, first + 1
 		}
-		return out
+		return first, first
 	}
 
 	rest := region.Filter(func(i int32) bool { return !qpPortalOf.Has(i) })
@@ -190,7 +201,8 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 				continue
 			}
 			side, _ := amoebot.AxisX.SideOf(d)
-			for _, si := range segOf(id, u) {
+			first, last := segsOf(u)
+			for si := first; si <= last; si++ {
 				from := idxOf(segCopy{portal: id, seg: si, side: side})
 				if bi, isBlob := blobOf.Get(v); isBlob {
 					union(from, int(bi))
@@ -199,7 +211,8 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 					// segment copies (their facing sides).
 					vp := qpPortalOf.At(v)
 					oside, _ := amoebot.AxisX.SideOf(d.Opposite())
-					for _, vsi := range segOf(vp, v) {
+					vfirst, vlast := segsOf(v)
+					for vsi := vfirst; vsi <= vlast; vsi++ {
 						union(from, idxOf(segCopy{portal: vp, seg: vsi, side: oside}))
 					}
 				}
@@ -284,6 +297,7 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 		members := group[root]
 		var nodes []int32
 		var qps []int32
+		var sides []amoebot.Side
 		var segs [][2]int32
 		addNode := func(u int32) {
 			if !nodeSeen.Has(u) {
@@ -299,15 +313,16 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 				continue
 			}
 			c := copies[m-len(blobs)]
-			qpKnown := false
-			for _, q := range qps {
-				if q == c.portal {
-					qpKnown = true
-					break
+			if k, known := slices.BinarySearch(qps, c.portal); !known {
+				qps = slices.Insert(qps, k, c.portal)
+				sides = slices.Insert(sides, k, c.side)
+			} else if sides[k] != c.side {
+				// Both side copies of one segment and nothing else: a
+				// fused pure-segment region, which has no body.
+				if len(members) != 2 || segs[0] != [2]int32{c.portal, c.seg} {
+					panic(fmt.Sprintf("core: base region lies on both sides of Q' portal %d", c.portal))
 				}
-			}
-			if !qpKnown {
-				qps = append(qps, c.portal)
+				sides[k] = noSide
 			}
 			segs = append(segs, [2]int32{c.portal, c.seg})
 			for _, u := range sp.segmentsOf[c.portal][c.seg] {
@@ -320,10 +335,10 @@ func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *
 		if len(nodes) == 0 {
 			continue
 		}
-		sort.Slice(qps, func(a, b int) bool { return qps[a] < qps[b] })
 		sp.regions = append(sp.regions, &baseRegion{
 			nodes:     amoebot.NewRegion(s, nodes),
 			qpPortals: qps,
+			sides:     sides,
 			segs:      dedupeSegs(segs),
 		})
 	}

@@ -39,8 +39,8 @@ func TestVisibilityMatchesPortalDefinition(t *testing.T) {
 				for _, u := range b {
 					inB.Add(u)
 				}
-				visY, visZ := visibility(nil, s, pnodes, b, side)
 				pb := amoebot.NewRegion(s, append(append([]int32(nil), pnodes...), b...))
+				visY, visZ := visibility(nil, pb, pnodes, side)
 				for _, axis := range []amoebot.Axis{amoebot.AxisY, amoebot.AxisZ} {
 					vis := visY
 					if axis == amoebot.AxisZ {
