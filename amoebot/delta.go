@@ -1,6 +1,7 @@
 package amoebot
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -108,10 +109,12 @@ func NeighborArcs(occ func(Coord) bool, c Coord) (deg, arcs int) {
 }
 
 // Apply builds the structure obtained by removing d.Remove and adding
-// d.Add, leaving the receiver untouched. The new structure is built
-// copy-on-write: the canonical coordinate order is produced by an O(n)
-// merge and the adjacency rows of amoebots not neighboring any delta cell
-// are index-remapped from the old rows instead of being recomputed.
+// d.Add, leaving the receiver untouched. In canonical order every amoebot
+// between two consecutive delta positions moves by the same amount, so the
+// new structure is built in one pass over those index segments: each
+// segment's coordinates are copied, its adjacency rows are the old rows
+// shifted by that amount, and only the rows around added cells are probed
+// with Index (see applySegments).
 //
 // Apply requires the result to satisfy the paper's preconditions
 // (connected and hole-free) and returns an error otherwise. When the base
@@ -130,28 +133,28 @@ func NeighborArcs(occ func(Coord) bool, c Coord) (deg, arcs int) {
 // and removed, removing every amoebot — are rejected before any structure
 // is built.
 func (s *Structure) Apply(d Delta) (*Structure, error) {
-	ns, _, _, err := s.ApplyRemap(d)
+	ns, _, err := s.ApplyRemap(d)
 	return ns, err
 }
 
-// ApplyRemap is Apply that also hands over the index translations the
-// copy-on-write merge builds: remap maps each old index to its new index
-// (None for a removed cell) and oldOf maps each new index to its old one
-// (None for an added cell). Both are nil for an empty delta, which returns
-// the receiver.
-func (s *Structure) ApplyRemap(d Delta) (ns *Structure, remap, oldOf []int32, err error) {
+// ApplyRemap is Apply that also hands over the index translation the
+// segment pass builds: remap maps each old index to its new index (None
+// for a removed cell). Between delta positions it is the identity plus a
+// constant, so it is increasing on the surviving amoebots. It is nil for
+// an empty delta, which returns the receiver.
+func (s *Structure) ApplyRemap(d Delta) (ns *Structure, remap []int32, err error) {
 	if d.IsEmpty() {
-		return s, nil, nil, nil
+		return s, nil, nil
 	}
 	addSet, removeSet, err := s.checkDelta(d)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	ns, remap, oldOf = s.applyCOW(d)
+	ns, remap = s.applySegments(d)
 	if err := s.checkResult(ns, addSet, removeSet); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return ns, remap, oldOf, nil
+	return ns, remap, nil
 }
 
 // checkDelta rejects a malformed delta and returns its add and remove
@@ -215,82 +218,114 @@ func (s *Structure) checkResult(ns *Structure, addSet, removeSet map[Coord]bool)
 	return fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
 }
 
-// applyCOW builds the mutated structure of a well-formed delta — merged
-// canonical coordinates, their row table, and adjacency rows remapped from
-// the old structure wherever no neighbor changed — and returns it with the
-// translations remap (old → new) and oldOf (new → old).
-func (s *Structure) applyCOW(d Delta) (ns *Structure, remap, oldOf []int32) {
+// segment is a run [lo, hi) of old indices between two delta positions;
+// each of its amoebots moves to its old index plus shift.
+type segment struct{ lo, hi, shift int32 }
+
+// applySegments builds the mutated structure of a well-formed delta and
+// the old → new remap. The removed cells and the insertion points of the
+// added cells cut the old index range into segments. Each segment's
+// coordinates are copied and its remap entries filled with one shift, and
+// the row table is read off the new coordinates. A surviving amoebot's
+// adjacency row is its old row with every neighbor translated: plus the
+// shift inside the segment, through remap outside it, None kept. A
+// removed neighbor cuts the segments, so remap already holds None for it;
+// only an added cell is a neighbor the old rows lack, so the rows of the
+// added cells are probed with Index and each occupied neighbor gets the
+// edge back.
+func (s *Structure) applySegments(d Delta) (*Structure, []int32) {
 	adds := slices.Clone(d.Add)
 	sort.Slice(adds, func(i, j int) bool { return lessCoord(adds[i], adds[j]) })
-
-	n2 := s.N() + len(d.Add) - len(d.Remove)
-	coords2 := make([]Coord, 0, n2)
-	// remap doubles as the removed mark: removed cells hold None before
-	// the merge fills in the survivors.
-	remap = make([]int32, s.N())
-	for _, c := range d.Remove {
-		i, _ := s.Index(c)
-		remap[i] = None
+	// at holds each added cell's insertion point among the old indices
+	// until the pass places it, then its new index.
+	at := make([]int32, len(adds))
+	for k, c := range adds {
+		at[k] = s.rank(c)
 	}
-	oldOf = make([]int32, 0, n2)
-	ai := 0
-	for i, c := range s.coords {
-		for ai < len(adds) && lessCoord(adds[ai], c) {
-			oldOf = append(oldOf, None)
-			coords2 = append(coords2, adds[ai])
-			ai++
-		}
-		if remap[i] == None {
-			continue
-		}
-		remap[i] = int32(len(coords2))
-		oldOf = append(oldOf, int32(i))
-		coords2 = append(coords2, c)
+	rems := make([]int32, len(d.Remove))
+	for k, c := range d.Remove {
+		rems[k], _ = s.Index(c)
 	}
-	for ; ai < len(adds); ai++ {
-		oldOf = append(oldOf, None)
-		coords2 = append(coords2, adds[ai])
-	}
+	slices.Sort(rems)
 
-	ns = &Structure{coords: coords2, nbr: make([][NumDirections]int32, n2)}
-	ns.rowZ, ns.rowOff = rowTable(coords2)
-
-	// Amoebots adjacent to a delta cell need their row recomputed; every
-	// other surviving row is the old row with indices remapped.
-	touched := make([]bool, n2)
-	markAround := func(c Coord) {
-		if j, ok := ns.Index(c); ok {
-			touched[j] = true
+	n := int32(s.N())
+	n2 := n + int32(len(adds)) - int32(len(rems))
+	ns := &Structure{coords: make([]Coord, n2), nbr: make([][NumDirections]int32, n2)}
+	remap := make([]int32, n)
+	segs := make([]segment, 0, len(adds)+len(rems)+1)
+	var i, j int32 // the next old and new index
+	ai, ri := 0, 0
+	for i < n || ai < len(adds) {
+		next := n
+		if ai < len(adds) {
+			next = at[ai]
 		}
-		for dir := Direction(0); dir < NumDirections; dir++ {
-			if j, ok := ns.Index(c.Neighbor(dir)); ok {
-				touched[j] = true
+		if ri < len(rems) {
+			next = min(next, rems[ri])
+		}
+		if i < next {
+			shift := j - i
+			copy(ns.coords[j:], s.coords[i:next])
+			for k := i; k < next; k++ {
+				remap[k] = k + shift
 			}
+			segs = append(segs, segment{i, next, shift})
+			j += next - i
+			i = next
+		}
+		// An added cell goes before the old cell at its insertion point.
+		if ai < len(adds) && at[ai] == i {
+			ns.coords[j], at[ai] = adds[ai], j
+			j++
+			ai++
+		} else if ri < len(rems) && rems[ri] == i {
+			remap[i] = None
+			i++
+			ri++
 		}
 	}
-	for _, c := range d.Add {
-		markAround(c)
-	}
-	for _, c := range d.Remove {
-		markAround(c)
-	}
-	for i := range coords2 {
-		if old := oldOf[i]; old != None && !touched[i] {
-			for dir := Direction(0); dir < NumDirections; dir++ {
-				if j := s.nbr[old][dir]; j != None {
-					ns.nbr[i][dir] = remap[j]
-				} else {
-					ns.nbr[i][dir] = None
+	ns.rowZ, ns.rowOff = rowTable(ns.coords)
+
+	for _, sg := range segs {
+		span := uint32(sg.hi - sg.lo)
+		for i := sg.lo; i < sg.hi; i++ {
+			old, out := &s.nbr[i], &ns.nbr[i+sg.shift]
+			for dir, v := range old {
+				switch {
+				case uint32(v-sg.lo) < span:
+					out[dir] = v + sg.shift
+				case v == None:
+					out[dir] = None
+				default:
+					out[dir] = remap[v]
 				}
 			}
-			continue
-		}
-		c := coords2[i]
-		for dir := Direction(0); dir < NumDirections; dir++ {
-			ns.nbr[i][dir], _ = ns.Index(c.Neighbor(dir))
 		}
 	}
-	return ns, remap, oldOf
+	for k, c := range adds {
+		a := at[k]
+		for dir := Direction(0); dir < NumDirections; dir++ {
+			u, ok := ns.Index(c.Neighbor(dir))
+			ns.nbr[a][dir] = u
+			if ok {
+				ns.nbr[u][dir.Opposite()] = a
+			}
+		}
+	}
+	return ns, remap
+}
+
+// rank returns the number of amoebots before c in canonical order, the
+// old index an unoccupied c is inserted at.
+func (s *Structure) rank(c Coord) int32 {
+	r, ok := slices.BinarySearch(s.rowZ, c.Z)
+	lo := s.rowOff[r]
+	if !ok {
+		return lo
+	}
+	row := s.coords[lo:s.rowOff[r+1]]
+	k, _ := slices.BinarySearchFunc(row, c.X, func(e Coord, x int) int { return cmp.Compare(e.X, x) })
+	return lo + int32(k)
 }
 
 // eulerAfter reports whether the mutated structure has Euler characteristic

@@ -265,7 +265,7 @@ func TestFingerprint(t *testing.T) {
 // TestApplyDifferentialRandom drives Apply with random deltas — valid,
 // hole-creating, disconnecting — and checks that its verdict and its
 // structure agree exactly with rebuilding from scratch and running the
-// full Validate, and that ApplyRemap's translations agree with coordinate
+// full Validate, and that ApplyRemap's remap agrees with coordinate
 // lookups. On success the chain continues from the mutated structure,
 // exercising long delta sequences.
 func TestApplyDifferentialRandom(t *testing.T) {
@@ -274,7 +274,7 @@ func TestApplyDifferentialRandom(t *testing.T) {
 		s := shapes.RandomBlob(rng, 60)
 		for step := 0; step < 120; step++ {
 			d := randomDelta(rng, s)
-			got, remap, oldOf, gotErr := s.ApplyRemap(d)
+			got, remap, gotErr := s.ApplyRemap(d)
 			want, wantErr := applyByRebuild(s, d)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d step %d: Apply err = %v, rebuild err = %v (delta %v)",
@@ -293,13 +293,55 @@ func TestApplyDifferentialRandom(t *testing.T) {
 				t.Fatalf("seed %d step %d: fingerprint mismatch", seed, step)
 			}
 			if d.IsEmpty() {
-				if got != s || remap != nil || oldOf != nil {
-					t.Fatalf("seed %d step %d: empty delta did not return the receiver with nil translations", seed, step)
+				if got != s || remap != nil {
+					t.Fatalf("seed %d step %d: empty delta did not return the receiver with a nil remap", seed, step)
 				}
-			} else if err := amoebot.RemapErr(s, got, remap, oldOf); err != nil {
+			} else if err := amoebot.RemapErr(s, got, remap); err != nil {
 				t.Fatalf("seed %d step %d: ApplyRemap(%v): %v", seed, step, d, err)
 			}
 			s = got
+		}
+	}
+}
+
+// TestApplyRemapAtIndexEnds applies a delta that removes the first and the
+// last amoebot of the canonical order and adds a cell at both ends of one
+// row, so the index segments are cut at 0, at n−1 and at both ends of
+// that row: the result, its remap and its row table must agree with a
+// rebuild.
+func TestApplyRemapAtIndexEnds(t *testing.T) {
+	s := shapes.Hexagon(3)
+	n := int32(s.N())
+	mid := s.Coord(n / 2) // on the middle row, which spans X −3..3
+	d := amoebot.Delta{
+		Remove: []amoebot.Coord{s.Coord(0), s.Coord(n - 1)},
+		Add:    []amoebot.Coord{amoebot.XZ(-4, mid.Z), amoebot.XZ(4, mid.Z)},
+	}
+	got, remap, err := s.ApplyRemap(d)
+	if err != nil {
+		t.Fatalf("ApplyRemap(%v): %v", d, err)
+	}
+	want, err := applyByRebuild(s, d)
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if !sameStructure(got, want) {
+		t.Fatal("structure differs from the rebuild")
+	}
+	if err := amoebot.RemapErr(s, got, remap); err != nil {
+		t.Fatal(err)
+	}
+	if remap[0] != amoebot.None || remap[n-1] != amoebot.None || remap[1] != 0 {
+		t.Fatalf("remap ends %d, %d, %d; want None, 0 and None", remap[0], remap[1], remap[n-1])
+	}
+	for _, c := range d.Add {
+		if i, ok := got.Index(c); !ok || got.Coord(i) != c {
+			t.Fatalf("added %v not found", c)
+		}
+	}
+	for _, c := range d.Remove {
+		if got.Occupied(c) {
+			t.Fatalf("removed %v still occupied", c)
 		}
 	}
 }

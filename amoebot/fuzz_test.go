@@ -56,13 +56,25 @@ func FuzzValidate(f *testing.F) {
 	})
 }
 
-// checkIndexOracle checks Index and Occupied against a map from each input
-// cell to its rank in canonical order, on every cell of the padded bounding
-// box, and checks that each amoebot's X and Z with a wrong Y miss.
+// checkIndexOracle checks the row table against one read cell by cell,
+// and Index and Occupied against a map from each input cell to its rank in
+// canonical order, on every cell of the padded bounding box, and checks
+// that each amoebot's X and Z with a wrong Y miss.
 func checkIndexOracle(t *testing.T, s *Structure, cs []Coord) {
 	t.Helper()
 	sorted := slices.Clone(cs)
 	sort.Slice(sorted, func(i, j int) bool { return lessCoord(sorted[i], sorted[j]) })
+	var rowZ []int
+	var rowOff []int32
+	for i, c := range sorted {
+		if i == 0 || c.Z != sorted[i-1].Z {
+			rowZ, rowOff = append(rowZ, c.Z), append(rowOff, int32(i))
+		}
+	}
+	rowOff = append(rowOff, int32(len(sorted)))
+	if !slices.Equal(s.rowZ, rowZ) || !slices.Equal(s.rowOff, rowOff) {
+		t.Fatalf("row table Z %v at %v; cell by cell %v at %v", s.rowZ, s.rowOff, rowZ, rowOff)
+	}
 	want := make(map[Coord]int32, len(sorted))
 	for i, c := range sorted {
 		want[c] = int32(i)
@@ -90,29 +102,43 @@ func checkIndexOracle(t *testing.T, s *Structure, cs []Coord) {
 	}
 }
 
-// RemapErr reports the first disagreement of ApplyRemap's translations
-// with coordinate lookups: remap[i] must be ns.Index(s.Coord(i)) and
-// oldOf[j] must be s.Index(ns.Coord(j)), None when absent, and the two
-// must be inverse on the surviving amoebots. It is exported for the
-// external test package.
-func RemapErr(s, ns *Structure, remap, oldOf []int32) error {
-	if len(remap) != s.N() || len(oldOf) != ns.N() {
-		return fmt.Errorf("translation lengths %d, %d for %d, %d amoebots", len(remap), len(oldOf), s.N(), ns.N())
+// RemapErr reports the first disagreement of ApplyRemap's translation
+// with coordinate lookups: remap[i] must be ns.Index(s.Coord(i)), None when
+// absent, and increasing on the surviving amoebots. The new → old
+// translation derived from it must be s.Index(ns.Coord(j)) at every new
+// index, None for an added cell, and the two must be inverse on the
+// surviving amoebots; ns.Index must find every new cell at its index. It
+// is exported for the external test package.
+func RemapErr(s, ns *Structure, remap []int32) error {
+	if len(remap) != s.N() {
+		return fmt.Errorf("remap length %d for %d amoebots", len(remap), s.N())
 	}
+	oldOf := make([]int32, ns.N())
+	for j := range oldOf {
+		oldOf[j] = None
+	}
+	last := None
 	for i, j := range remap {
 		if want, _ := ns.Index(s.Coord(int32(i))); j != want {
 			return fmt.Errorf("remap[%d] = %d, want %d", i, j, want)
 		}
-		if j != None && oldOf[j] != int32(i) {
-			return fmt.Errorf("oldOf[remap[%d]] = %d", i, oldOf[j])
+		if j == None {
+			continue
 		}
+		if j <= last {
+			return fmt.Errorf("remap[%d] = %d after %d: not increasing", i, j, last)
+		}
+		last, oldOf[j] = j, int32(i)
 	}
 	for j, i := range oldOf {
+		if k, ok := ns.Index(ns.Coord(int32(j))); !ok || k != int32(j) {
+			return fmt.Errorf("the new structure's Index(%v) = %d, %v, want %d", ns.Coord(int32(j)), k, ok, j)
+		}
 		if want, _ := s.Index(ns.Coord(int32(j))); i != want {
-			return fmt.Errorf("oldOf[%d] = %d, want %d", j, i, want)
+			return fmt.Errorf("new index %d comes from old index %d, want %d", j, i, want)
 		}
 		if i != None && remap[i] != int32(j) {
-			return fmt.Errorf("remap[oldOf[%d]] = %d", j, remap[i])
+			return fmt.Errorf("remap[%d] = %d, not the inverse of new index %d", i, remap[i], j)
 		}
 	}
 	return nil
@@ -134,13 +160,15 @@ func fuzzBase() *Structure {
 	return MustStructure(cs)
 }
 
-// FuzzApplyDelta differentially tests Structure.Apply — copy-on-write
-// adjacency reuse plus incremental Euler/peeling validation — against a
+// FuzzApplyDelta differentially tests Structure.Apply — segment-shifted
+// adjacency rows plus incremental Euler/peeling validation — against a
 // from-scratch rebuild: whenever Apply accepts a delta, the result must
 // equal NewStructure of the mutated coordinate set (same fingerprint, same
-// adjacency) and be valid, and ApplyRemap's translations must agree with
-// coordinate lookups (RemapErr); whenever Apply rejects a structurally
-// well-formed delta, the rebuilt result must really be invalid.
+// adjacency) and be valid, its row table must answer every cell of the
+// padded bounding box (checkIndexOracle), and ApplyRemap's remap must
+// agree with coordinate lookups (RemapErr); whenever Apply rejects a
+// structurally well-formed delta, the rebuilt result must really be
+// invalid.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0, 4, 0})                   // add one east cell
 	f.Add([]byte{1, 0, 0})                   // remove the center
@@ -157,7 +185,7 @@ func FuzzApplyDelta(f *testing.F) {
 				d.Remove = append(d.Remove, c)
 			}
 		}
-		ns, remap, oldOf, err := s.ApplyRemap(d)
+		ns, remap, err := s.ApplyRemap(d)
 		if err != nil {
 			if !wellFormed(s, d) {
 				return // malformed deltas must be rejected; nothing to cross-check
@@ -179,20 +207,21 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("Apply accepted %v but result invalid: %v", d, verr)
 		}
 		if d.IsEmpty() {
-			if ns != s || remap != nil || oldOf != nil {
-				t.Fatal("empty delta did not return the receiver with nil translations")
+			if ns != s || remap != nil {
+				t.Fatal("empty delta did not return the receiver with a nil remap")
 			}
-		} else if rerr := RemapErr(s, ns, remap, oldOf); rerr != nil {
+		} else if rerr := RemapErr(s, ns, remap); rerr != nil {
 			t.Fatalf("ApplyRemap(%v): %v", d, rerr)
 		}
 		rebuilt := MustStructure(mutatedCoords(s, d))
+		checkIndexOracle(t, ns, mutatedCoords(s, d))
 		if ns.Fingerprint() != rebuilt.Fingerprint() {
 			t.Fatalf("Apply result differs from rebuild for %v", d)
 		}
 		for i := int32(0); i < int32(ns.N()); i++ {
 			for dir := Direction(0); dir < NumDirections; dir++ {
 				if ns.Neighbor(i, dir) != rebuilt.Neighbor(i, dir) {
-					t.Fatalf("copy-on-write adjacency of node %d dir %v diverged", i, dir)
+					t.Fatalf("segment-shifted adjacency of node %d dir %v diverged", i, dir)
 				}
 			}
 		}

@@ -20,6 +20,17 @@ type Region struct {
 
 // WholeRegion returns the region containing every amoebot of s.
 func WholeRegion(s *Structure) *Region {
+	return WholeRegionFrom(s, nil)
+}
+
+// WholeRegionFrom is WholeRegion sharing the node list of prev, a whole
+// region of a structure with as many amoebots as s: a whole region's node
+// list is the identity 0, 1, …, n−1, so a chain of derived structures of
+// one size keeps one identity list instead of writing one per structure.
+// The shared list lives as long as any region holding it, and only a list
+// of s's own size is shared, so none larger than s's is kept alive. A nil
+// prev, or one not whole or of another size, gets a fresh list.
+func WholeRegionFrom(s *Structure, prev *Region) *Region {
 	n := s.N()
 	words := make([]uint64, (n+63)/64)
 	for i := range words {
@@ -27,6 +38,9 @@ func WholeRegion(s *Structure) *Region {
 	}
 	if r := n % 64; r != 0 {
 		words[len(words)-1] = (uint64(1) << uint(r)) - 1
+	}
+	if prev != nil && prev.Len() == n && prev.s.N() == n {
+		return &Region{s: s, words: words, nodes: prev.nodes}
 	}
 	nodes := make([]int32, n)
 	for i := range nodes {

@@ -28,6 +28,42 @@ func TestWholeRegion(t *testing.T) {
 	}
 }
 
+// TestWholeRegionFrom checks that a whole region shares its identity node
+// list only with a structure of the same size, and that every result is
+// the whole region.
+func TestWholeRegionFrom(t *testing.T) {
+	s := grid5x5()
+	r := WholeRegion(s)
+	apply := func(d Delta) *Structure {
+		ns, err := s.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+	moved := apply(Delta{Add: []Coord{XZ(5, 0)}, Remove: []Coord{XZ(4, 4)}})
+	grown := apply(Delta{Add: []Coord{XZ(5, 0)}})
+	shrunk := apply(Delta{Remove: []Coord{XZ(4, 4)}})
+	for _, tc := range []struct {
+		name  string
+		s     *Structure
+		share bool
+	}{{"moved", moved, true}, {"grown", grown, false}, {"shrunk", shrunk, false}} {
+		w := WholeRegionFrom(tc.s, r)
+		if w.Structure() != tc.s || w.Len() != tc.s.N() {
+			t.Fatalf("%s: region of %d nodes, want the %d of its structure", tc.name, w.Len(), tc.s.N())
+		}
+		for k, u := range w.Nodes() {
+			if u != int32(k) || !w.Contains(u) {
+				t.Fatalf("%s: node %d is %d", tc.name, k, u)
+			}
+		}
+		if shared := &w.Nodes()[0] == &r.Nodes()[0]; shared != tc.share {
+			t.Errorf("%s: shares the node list: %v, want %v", tc.name, shared, tc.share)
+		}
+	}
+}
+
 func TestRegionNeighborRestriction(t *testing.T) {
 	s := grid5x5()
 	a, _ := s.Index(XZ(0, 0))

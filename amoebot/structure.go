@@ -83,13 +83,20 @@ func NewStructure(coords []Coord) (*Structure, error) {
 
 // rowTable returns the row table of coordinates in canonical order: the
 // distinct Z values, ascending, and the offset at which each row starts,
-// closed by len(cs).
+// closed by len(cs). Each row's end is found by galloping from its start
+// and then binary search, so a row of m amoebots costs O(log m) probes
+// instead of m.
 func rowTable(cs []Coord) (rowZ []int, rowOff []int32) {
-	for i, c := range cs {
-		if i == 0 || c.Z != cs[i-1].Z {
-			rowZ = append(rowZ, c.Z)
-			rowOff = append(rowOff, int32(i))
+	for lo := 0; lo < len(cs); {
+		z := cs[lo].Z
+		rowZ, rowOff = append(rowZ, z), append(rowOff, int32(lo))
+		// The row holds cs[lo+step/2] and ends at most at lo+step.
+		step := 1
+		for lo+step < len(cs) && cs[lo+step].Z == z {
+			step *= 2
 		}
+		in, hi := lo+step/2+1, min(lo+step, len(cs))
+		lo = in + sort.Search(hi-in, func(k int) bool { return cs[in+k].Z != z })
 	}
 	return rowZ, append(rowOff, int32(len(cs)))
 }

@@ -8,17 +8,19 @@ import (
 	"testing"
 
 	"spforest"
+	"spforest/amoebot"
 	"spforest/engine"
 )
 
 // TestForestQueryAllocationBound pins the host memory of a forest query
 // on a 16k-amoebot blob: with 16 sources and every amoebot a destination,
-// the median query allocates at most 20 MB. Sub-region steps that
-// allocated n-sized portal-ID columns and forests for every invisible
-// component and merge measured 40 MB per query. The race detector makes
-// sync.Pool drop a random quarter of its puts, hence the build tag.
+// the median query allocates at most 8 MB (about 5 MB here). Sub-region
+// steps that allocated n-sized portal-ID columns and forests for every
+// invisible component and merge measured 40 MB per query, and the
+// searched portal sides 7 MB. The race detector makes sync.Pool drop a
+// random quarter of its puts, hence the build tag.
 func TestForestQueryAllocationBound(t *testing.T) {
-	const maxBytes = 20 << 20
+	const maxBytes = 8 << 20
 	s := spforest.RandomBlob(1, 16000)
 	e, err := engine.New(s, &engine.Config{Seed: 1, IntraWorkers: 1})
 	if err != nil {
@@ -48,5 +50,44 @@ func TestForestQueryAllocationBound(t *testing.T) {
 	if median > maxBytes {
 		t.Fatalf("forest query allocates %.1f MB (median of %v bytes), want at most %d MB",
 			float64(median)/(1<<20), bytes, maxBytes>>20)
+	}
+}
+
+// TestApplyAllocationBound pins the host memory of a churn step: along
+// the translateChains (10 translate-front steps in each of the six
+// directions on a warmed Hexagon(100) engine), the median Apply allocates
+// at most 2.4 MB. The
+// derived structure must own about 2.2 MB: coordinates, adjacency, the
+// remap, three portal-ID columns and the y and z CSR node lists. A step
+// that also builds a new → old index column, n-sized dirty-zone or
+// footprint marks, or its own identity and x-portal node lists allocates
+// 2.73 MB and fails.
+func TestApplyAllocationBound(t *testing.T) {
+	const maxBytes = 2.4 * (1 << 20)
+	e0, chains := translateChains(t)
+	var bytes []uint64
+	for dir, chain := range chains {
+		e := e0
+		var before, after runtime.MemStats
+		for _, d := range chain {
+			runtime.ReadMemStats(&before)
+			ne, err := e.Apply(d)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs := ne.CacheStats(); cs.PortalsPatched != int64(amoebot.NumAxes) {
+				t.Fatalf("direction %v: %d axes patched, want all %d", amoebot.Direction(dir), cs.PortalsPatched, amoebot.NumAxes)
+			}
+			bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+			e = ne
+		}
+	}
+	slices.Sort(bytes)
+	median := bytes[len(bytes)/2]
+	t.Logf("median %.2f MB allocated per Apply (%.2f–%.2f MB over %d steps)",
+		float64(median)/(1<<20), float64(bytes[0])/(1<<20), float64(bytes[len(bytes)-1])/(1<<20), len(bytes))
+	if float64(median) > maxBytes {
+		t.Fatalf("Apply allocates %.2f MB per step (median), want at most 2.4 MB", float64(median)/(1<<20))
 	}
 }

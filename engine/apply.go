@@ -12,9 +12,14 @@ import (
 // survives the mutation instead of rebuilding from scratch:
 //
 //   - the structure itself is mutated with amoebot.Structure.ApplyRemap
-//     (copy-on-write adjacency, incremental validation — no O(n)
-//     re-validate on the common path), which also hands over the old↔new
-//     index translations the migrations below share;
+//     (one pass over the index segments between delta positions, each
+//     copied and its adjacency rows shifted; incremental validation — no
+//     O(n) re-validate on the common path), which also hands over the
+//     old → new index remap the migrations below share;
+//   - a derived engine of the receiver's size shares its identity node
+//     list (amoebot.WholeRegionFrom), and so does its x decomposition,
+//     so a translate step allocates only the columns the new structure
+//     must own;
 //   - the leader survives whenever its amoebot does: the derived engine is
 //     primed with it and no query is ever charged a re-election. Only a
 //     delta that removes the leader (or a configured Config.Leader) sends
@@ -23,10 +28,11 @@ import (
 //     remapped onto the new indexing and incrementally repaired
 //     (baseline.RepairExact); only entries that lost a source are evicted;
 //   - every portal decomposition the receiver memoized is patched around
-//     the delta's footprint (portal.Patch) when the footprint admits local
-//     repair, and invalidated back to lazy recomputation otherwise; the
-//     child takes the patched decomposition's whole view with it — see
-//     migratePortals and DESIGN.md §8.
+//     the delta's footprint (portal.Patch, which reads the x axis off the
+//     rows) when the footprint admits local repair, and invalidated back
+//     to lazy recomputation otherwise; the child takes the patched
+//     decomposition's whole view with it — see migratePortals and
+//     DESIGN.md §8.
 //
 // The receiver is unchanged and remains usable; both engines may serve
 // queries concurrently. The derived engine's CacheStats records the
@@ -34,7 +40,7 @@ import (
 // PortalsRebuilt) and its Generation is the receiver's plus one. An empty
 // delta returns the receiver itself, every memo intact.
 func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
-	ns, remap, _, err := e.s.ApplyRemap(d)
+	ns, remap, err := e.s.ApplyRemap(d)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +49,7 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 	}
 	ne := &Engine{
 		s:       ns,
-		region:  amoebot.WholeRegion(ns),
+		region:  amoebot.WholeRegionFrom(ns, e.region), // the parent's identity node list
 		cfg:     e.cfg,
 		workers: e.workers,
 		gen:     e.gen + 1,
@@ -100,7 +106,7 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 		return
 	}
 	fp := d.Footprint()
-	// Local-repair policy: the patch walks the whole index space once but
+	// Local-repair policy: the patch copies the clean portals once but
 	// does portal-shaped work only inside the footprint; past a quarter of
 	// the structure the dirty zone dominates and a fresh compute is no
 	// worse. A holed parent keeps the lazy rebuild too. Patch would be exact
@@ -123,7 +129,7 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 			footNew = append(footNew, i)
 		}
 	}
-	sp := portal.NewPatchSpec(ne.region, remap, footOld, footNew)
+	sp := &portal.PatchSpec{Region: ne.region, Remap: remap, FootOld: footOld, FootNew: footNew}
 	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
 		if !e.inspect.portalBuilt[axis].Load() {
 			continue

@@ -1,10 +1,13 @@
 package engine_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"spforest"
+	"spforest/amoebot"
 	"spforest/engine"
+	"spforest/internal/shapes"
 )
 
 // BenchmarkAmortization measures the engine's amortization win on the
@@ -89,4 +92,52 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// translateChains returns a warmed Hexagon(100) engine and, for each of
+// the six directions, a 10-step chain of translate-front deltas from its
+// structure: the bench's churn-30k steps, without their queries.
+func translateChains(tb testing.TB) (*engine.Engine, [amoebot.NumDirections][]amoebot.Delta) {
+	s := shapes.Hexagon(100)
+	e0, err := engine.New(s, &engine.Config{Seed: 1, IntraWorkers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e0.Warm()
+	ldr, _ := e0.Leader()
+	rng := rand.New(rand.NewSource(7))
+	var chains [amoebot.NumDirections][]amoebot.Delta
+	for dir := range chains {
+		for cur := s; len(chains[dir]) < 10; {
+			d := shapes.DirectedDelta(rng, cur, amoebot.Direction(dir), 6, 6, false, ldr)
+			if cur, err = cur.Apply(d); err != nil {
+				tb.Fatal(err)
+			}
+			chains[dir] = append(chains[dir], d)
+		}
+	}
+	return e0, chains
+}
+
+// BenchmarkApplyTranslate measures one churn step's Engine.Apply along
+// the translateChains, each step applied to the engine the one before
+// derived.
+func BenchmarkApplyTranslate(b *testing.B) {
+	e0, chains := translateChains(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		for _, chain := range chains {
+			e := e0
+			for _, d := range chain {
+				var err error
+				if e, err = e.Apply(d); err != nil {
+					b.Fatal(err)
+				}
+				if i++; i == b.N {
+					return
+				}
+			}
+		}
+	}
 }

@@ -2,44 +2,29 @@ package portal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spforest/amoebot"
 )
 
 // PatchSpec describes one structure mutation to the portal layer: the index
-// remappings between the old and new structures and the delta's footprint
+// remapping from the old to the new structure and the delta's footprint
 // (the mutated cells plus their closed neighborhoods, amoebot.Footprint).
 // One spec serves all three axes of an Engine.Apply.
 //
 // The footprint is the locality boundary: a cell outside it keeps its
-// occupancy and its entire neighborhood, so every purely local property —
-// run maximality, the crossing tree-edge rule (IsTreeEdge inspects only
-// u's own neighborhood) — is preserved verbatim for such cells.
+// occupancy and its entire neighborhood, so run maximality is preserved
+// verbatim for such cells.
 type PatchSpec struct {
 	// Region is the new structure's whole region.
 	Region *amoebot.Region
-	// Remap maps old node index -> new node index (-1 for removed cells).
+	// Remap maps old node index -> new node index (-1 for removed cells);
+	// it is increasing on the surviving cells (amoebot.ApplyRemap).
 	Remap []int32
 	// FootOld / FootNew are the footprint cells present in the old / new
-	// structure, as sorted node indices of the respective structure.
+	// structure, as node indices of the respective structure.
 	FootOld []int32
 	FootNew []int32
-	// FootOldMark is FootOld as a bitmap.
-	FootOldMark []bool
-}
-
-// NewPatchSpec assembles a PatchSpec, deriving the bitmap.
-func NewPatchSpec(region *amoebot.Region, remap, footOld, footNew []int32) *PatchSpec {
-	sp := &PatchSpec{
-		Region: region, Remap: remap,
-		FootOld: footOld, FootNew: footNew,
-		FootOldMark: make([]bool, len(remap)),
-	}
-	for _, i := range footOld {
-		sp.FootOldMark[i] = true
-	}
-	return sp
 }
 
 // Patch derives the new structure's portal decomposition from the
@@ -47,10 +32,14 @@ func NewPatchSpec(region *amoebot.Region, remap, footOld, footNew []int32) *Patc
 // node in the footprint survive exactly — their (remapped) node sets are
 // still maximal runs, because both run membership and maximality depend
 // only on their cells' unchanged neighborhoods — so their CSR spans are
-// copied through the remap and their crossing-edge entries migrate by key
-// translation. Every other new run consists entirely of dirty-zone nodes
-// (footprint cells plus survivors of footprint-intersecting portals) and
-// is rebuilt by the same scan Compute uses, restricted to that zone.
+// copied through the remap. Every other new run consists entirely of
+// dirty-zone nodes (footprint cells plus survivors of
+// footprint-intersecting portals) and is walked from its start, which the
+// zone's list of run starts holds. The same pass writes the ID column.
+// The crossing tree edges are derived from the new representatives, as
+// Compute derives them (link). The x decomposition is read off the rows
+// instead: an x-portal is a row's gap-free run, so Compute's pass over
+// the rows writes no more than a patch would copy.
 //
 // New portal ids are assigned in ascending run-start order, exactly as
 // Compute assigns them, so the result is deep-equal to
@@ -60,114 +49,77 @@ func (p *Portals) Patch(sp *PatchSpec) *Portals {
 	if len(p.nodes) != len(sp.Remap) {
 		panic("portal: Patch requires a whole-structure decomposition")
 	}
-	n2 := sp.Region.Structure().N()
+	s := sp.Region.Structure()
+	n2 := s.N()
+	if p.Axis == amoebot.AxisX {
+		return compute(sp.Region, p.Axis, make([]int32, n2))
+	}
 	pos, neg := p.Axis.Positive(), p.Axis.Negative()
 
-	// Dirty old portals: any portal owning a footprint cell.
-	dirty := make([]bool, p.Len())
+	// Dirty old portals, ascending: any portal owning a footprint cell.
+	dirty := make([]int32, 0, len(sp.FootOld))
 	for _, i := range sp.FootOld {
-		dirty[p.ID[i]] = true
+		dirty = append(dirty, p.ID[i])
 	}
-	// Dirty zone (new indices) and the new run starts inside it. Every node
-	// of every non-surviving new run lies in the zone: a node outside the
-	// footprint whose old portal were clean would make its maximal run that
-	// clean portal's image.
-	zone := make([]bool, n2)
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
+	// The starts of the dirty zone's runs, ascending. Every node of every
+	// non-surviving new run lies in the zone: a node outside the footprint
+	// whose old portal were clean would make its maximal run that clean
+	// portal's image.
 	var starts []int32
-	addZone := func(w int32) {
-		if zone[w] {
-			return
-		}
-		zone[w] = true
-		if sp.Region.Neighbor(w, neg) == amoebot.None {
+	addStart := func(w int32) {
+		if s.Neighbor(w, neg) == amoebot.None {
 			starts = append(starts, w)
 		}
 	}
 	for _, w := range sp.FootNew {
-		addZone(w)
+		addStart(w)
 	}
-	cleanIDs := make([]int32, 0, p.Len())
-	for id := int32(0); id < int32(p.Len()); id++ {
-		if !dirty[id] {
-			cleanIDs = append(cleanIDs, id)
-			continue
-		}
+	for _, id := range dirty {
 		for _, g := range p.NodesOf(id) {
 			if w := sp.Remap[g]; w >= 0 {
-				addZone(w)
+				addStart(w)
 			}
 		}
 	}
-	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
 
-	np := &Portals{
-		Axis:   p.Axis,
-		Region: sp.Region,
-		ID:     make([]int32, n2),
-		nodes:  make([]int32, 0, n2),
-		off:    make([]int32, 1, p.Len()+len(starts)+1),
-		conn:   make(map[[2]int32]connEnds, len(p.conn)),
-	}
 	// Merge surviving portals (ascending old id — their new starts ascend
-	// with them, the remap being monotonic) with the dirty-zone runs
+	// with them, the remap being increasing) with the dirty-zone runs
 	// (ascending start): ids come out in ascending new-run-start order,
 	// matching Compute's assignment.
-	ci, di := 0, 0
-	for ci < len(cleanIDs) || di < len(starts) {
-		takeClean := di == len(starts) ||
-			(ci < len(cleanIDs) && sp.Remap[p.Rep(cleanIDs[ci])] < starts[di])
-		if takeClean {
-			id := cleanIDs[ci]
-			ci++
-			for _, g := range p.NodesOf(id) {
-				np.nodes = append(np.nodes, sp.Remap[g])
+	ids, nodes := make([]int32, n2), make([]int32, 0, n2)
+	off := make([]int32, 1, p.Len()+len(starts)+1)
+	old, di, si := int32(0), 0, 0
+	for {
+		for di < len(dirty) && dirty[di] == old {
+			old, di = old+1, di+1
+		}
+		id := int32(len(off) - 1)
+		if old < int32(p.Len()) && (si == len(starts) || sp.Remap[p.Rep(old)] < starts[si]) {
+			for _, g := range p.NodesOf(old) {
+				w := sp.Remap[g]
+				ids[w] = id
+				nodes = append(nodes, w)
 			}
+			old++
+		} else if si < len(starts) {
+			for v := starts[si]; v != amoebot.None; v = s.Neighbor(v, pos) {
+				ids[v] = id
+				nodes = append(nodes, v)
+			}
+			si++
 		} else {
-			w := starts[di]
-			di++
-			for v := w; v != amoebot.None; v = sp.Region.Neighbor(v, pos) {
-				np.nodes = append(np.nodes, v)
-			}
+			break
 		}
-		np.off = append(np.off, int32(len(np.nodes)))
+		off = append(off, int32(len(nodes)))
 	}
-	if len(np.nodes) != n2 {
-		panic(fmt.Sprintf("portal: Patch covered %d of %d nodes", len(np.nodes), n2))
+	if len(nodes) != n2 {
+		panic(fmt.Sprintf("portal: Patch covered %d of %d nodes", len(nodes), n2))
 	}
-	for id := int32(0); id < int32(np.Len()); id++ {
-		for _, w := range np.NodesOf(id) {
-			np.ID[w] = id
-		}
-	}
-
-	// Crossing-edge table: entries whose connector is outside the footprint
-	// keep their (still unique, still tree) edge — only the ids and indices
-	// are translated. Entries owned by footprint cells are recomputed by
-	// the local rule, exactly as Compute would.
-	for _, e := range p.conn {
-		if sp.FootOldMark[e.u] {
-			continue
-		}
-		nu, nv := sp.Remap[e.u], sp.Remap[e.v]
-		key := [2]int32{np.ID[nu], np.ID[nv]}
-		if prev, dup := np.conn[key]; dup && prev.u != nu {
-			panic(fmt.Sprintf("portal: Patch: two crossing tree edges between portals %d and %d", key[0], key[1]))
-		}
-		np.conn[key] = connEnds{nu, nv}
-	}
-	for _, w := range sp.FootNew {
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if d.Axis() == p.Axis || !np.IsTreeEdge(w, d) {
-				continue
-			}
-			x := sp.Region.Neighbor(w, d)
-			key := [2]int32{np.ID[w], np.ID[x]}
-			if prev, dup := np.conn[key]; dup && prev.u != w {
-				panic(fmt.Sprintf("portal: Patch: two crossing tree edges between portals %d and %d", key[0], key[1]))
-			}
-			np.conn[key] = connEnds{w, x}
-		}
-	}
-	np.buildNbr()
+	np := &Portals{Axis: p.Axis, Region: sp.Region, ID: ids, nodes: nodes, off: off}
+	np.link()
 	return np
 }

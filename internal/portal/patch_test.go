@@ -9,8 +9,9 @@ import (
 	"spforest/internal/shapes"
 )
 
-// specFor builds the PatchSpec for a delta the way the engine does: index
-// remaps from coordinate lookups, footprint sets from Delta.Footprint.
+// specFor builds the PatchSpec for a delta the way the engine does, with
+// the index remap from coordinate lookups and the footprint sets from
+// Delta.Footprint.
 func specFor(s, ns *amoebot.Structure, d amoebot.Delta) *PatchSpec {
 	remap := make([]int32, s.N())
 	for i := int32(0); i < int32(s.N()); i++ {
@@ -29,9 +30,11 @@ func specFor(s, ns *amoebot.Structure, d amoebot.Delta) *PatchSpec {
 			footNew = append(footNew, i)
 		}
 	}
-	return NewPatchSpec(amoebot.WholeRegion(ns), remap, footOld, footNew)
+	return &PatchSpec{Region: amoebot.WholeRegion(ns), Remap: remap, FootOld: footOld, FootNew: footNew}
 }
 
+// requirePortalsEqual deep-compares two decompositions: ID, off, nodes,
+// Nbr and the crossing edges.
 func requirePortalsEqual(t *testing.T, got, want *Portals, ctx string) {
 	t.Helper()
 	if !reflect.DeepEqual(got.ID, want.ID) {
@@ -46,8 +49,8 @@ func requirePortalsEqual(t *testing.T, got, want *Portals, ctx string) {
 	if !reflect.DeepEqual(got.Nbr, want.Nbr) {
 		t.Fatalf("%s: Nbr mismatch", ctx)
 	}
-	if !reflect.DeepEqual(got.conn, want.conn) {
-		t.Fatalf("%s: conn mismatch\n got %v\nwant %v", ctx, got.conn, want.conn)
+	if !reflect.DeepEqual(got.via, want.via) || !reflect.DeepEqual(got.nbrOff, want.nbrOff) {
+		t.Fatalf("%s: crossing edges mismatch\n got %v %v\nwant %v %v", ctx, got.nbrOff, got.via, want.nbrOff, want.via)
 	}
 }
 
@@ -79,5 +82,91 @@ func TestPatchMatchesCompute(t *testing.T) {
 			}
 			s = ns
 		}
+	}
+}
+
+// gappedBlob returns a random blob with a row of several x-portals.
+func gappedBlob(t *testing.T, rng *rand.Rand) *amoebot.Structure {
+	t.Helper()
+	for try := 0; try < 20; try++ {
+		s := shapes.RandomBlob(rng, 150)
+		rows := map[int]bool{}
+		for _, c := range s.Coords() {
+			rows[c.Z] = true
+		}
+		if Compute(amoebot.WholeRegion(s), amoebot.AxisX).Len() > len(rows) {
+			return s
+		}
+	}
+	t.Fatal("no random blob with a gapped row")
+	return nil
+}
+
+// TestPatchMatchesComputeOnMovingStructures maintains every axis through
+// Patch along translate-front and grow-tail chains in all six directions,
+// on Hexagon(12) and on a random blob whose rows have gaps, and
+// deep-compares each step with a fresh Compute. Moving fronts put delta
+// positions at row ends and at both ends of the index range, where the
+// segments of Structure.ApplyRemap start and stop; the test asserts that
+// the chains reached all four index ends.
+func TestPatchMatchesComputeOnMovingStructures(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	bases := []struct {
+		name string
+		s    *amoebot.Structure
+	}{{"hexagon12", shapes.Hexagon(12)}, {"gapped blob", gappedBlob(t, rng)}}
+	var removedFirst, removedLast, addedFirst, addedLast int
+	for _, base := range bases {
+		for dir := amoebot.Direction(0); dir < amoebot.NumDirections; dir++ {
+			for _, tail := range []bool{false, true} {
+				s := base.s
+				var cur [amoebot.NumAxes]*Portals
+				for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
+					cur[axis] = Compute(amoebot.WholeRegion(s), axis)
+				}
+				adds, removes := 6, 6
+				if tail {
+					adds, removes = 5, 1
+				}
+				for step := 0; step < 8; step++ {
+					d := shapes.DirectedDelta(rng, s, dir, adds, removes, tail)
+					if d.IsEmpty() {
+						continue
+					}
+					ns, remap, err := s.ApplyRemap(d)
+					if err != nil {
+						t.Fatalf("%s dir %v tail %v step %d: apply: %v", base.name, dir, tail, step, err)
+					}
+					sp := specFor(s, ns, d)
+					if !reflect.DeepEqual(remap, sp.Remap) {
+						t.Fatalf("%s dir %v tail %v step %d: ApplyRemap's remap differs from coordinate lookups", base.name, dir, tail, step)
+					}
+					for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
+						cur[axis] = cur[axis].Patch(sp)
+						fresh := Compute(sp.Region, axis)
+						requirePortalsEqual(t, cur[axis], fresh, base.name+" "+dir.String()+" "+axis.String())
+						requireTreeEdgeRule(t, fresh, base.name+" "+dir.String()+" "+axis.String())
+					}
+					if remap[0] == amoebot.None {
+						removedFirst++
+					}
+					if remap[s.N()-1] == amoebot.None {
+						removedLast++
+					}
+					if !s.Occupied(ns.Coord(0)) {
+						addedFirst++
+					}
+					if !s.Occupied(ns.Coord(int32(ns.N() - 1))) {
+						addedLast++
+					}
+					s = ns
+				}
+			}
+		}
+	}
+	t.Logf("steps removing index 0: %d, index n-1: %d; adding at index 0: %d, at n-1: %d",
+		removedFirst, removedLast, addedFirst, addedLast)
+	if removedFirst == 0 || removedLast == 0 || addedFirst == 0 || addedLast == 0 {
+		t.Fatal("the chains missed an end of the index range")
 	}
 }

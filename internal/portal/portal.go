@@ -19,7 +19,6 @@ package portal
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
@@ -34,7 +33,8 @@ type Portals struct {
 	// ID maps each structure node to its portal id (-1 outside the region).
 	// It is a recycled column (see Release).
 	ID []int32
-	// Nbr lists each portal's adjacent portals (ascending ids).
+	// Nbr lists each portal's adjacent portals (ascending ids). The lists
+	// share one backing array.
 	Nbr [][]int32
 
 	// Portal membership in CSR layout: portal id's amoebots are
@@ -43,20 +43,16 @@ type Portals struct {
 	// array instead of a slice header + allocation per portal — a
 	// million-amoebot structure has hundreds of thousands of single-node
 	// portals, and the AoS layout paid 24 bytes of header and a cache miss
-	// each.
+	// each. An x-portal is a run of consecutive indices, so the x
+	// decomposition's nodes is the region's own node list.
 	nodes []int32
 	off   []int32
 
-	// conn maps each directed adjacent portal pair to the endpoints of its
-	// unique crossing tree edge: u is the connector amoebot in "from", v its
-	// neighbor in "to". Storing both endpoints lets Patch remap surviving
-	// entries without re-probing the grid.
-	conn map[[2]int32]connEnds
-}
-
-// connEnds is a directed crossing tree edge (u in "from", v in "to").
-type connEnds struct {
-	u, v int32
+	// The crossing tree edges, parallel to the concatenated Nbr lists: the
+	// edge from portal id to Nbr[id][j] leaves the connector amoebot
+	// via[nbrOff[id]+j] of id.
+	via    []int32
+	nbrOff []int32
 }
 
 // idColumns recycles ID columns: a sub-region's decomposition writes and
@@ -65,13 +61,31 @@ var idColumns = dense.NewColumns(-1)
 
 // Compute builds the portal decomposition of the region along the axis.
 func Compute(region *amoebot.Region, axis amoebot.Axis) *Portals {
-	p := &Portals{
-		Axis:   axis,
-		Region: region,
-		ID:     idColumns.Take(region.Structure().N()),
-		off:    []int32{0},
-		conn:   make(map[[2]int32]connEnds),
+	return compute(region, axis, idColumns.Take(region.Structure().N()))
+}
+
+// compute builds the decomposition into the ID column ids, which must
+// hold -1 at every node outside the region.
+func compute(region *amoebot.Region, axis amoebot.Axis, ids []int32) *Portals {
+	p := &Portals{Axis: axis, Region: region, ID: ids}
+	if axis == amoebot.AxisX {
+		// x-portals are the maximal gap-free runs of the rows (paper §2.3),
+		// and in canonical order a run is consecutive indices: a run starts
+		// wherever the west neighbor, index u-1, is not the region's
+		// previous node.
+		s := region.Structure()
+		p.nodes = region.Nodes()
+		for k, u := range p.nodes {
+			if k == 0 || p.nodes[k-1] != u-1 || s.Neighbor(u, amoebot.DirW) == amoebot.None {
+				p.off = append(p.off, int32(k))
+			}
+			ids[u] = int32(len(p.off) - 1)
+		}
+		p.off = append(p.off, int32(len(p.nodes)))
+		p.link()
+		return p
 	}
+	p.nodes, p.off = make([]int32, 0, region.Len()), []int32{0}
 	pos, neg := axis.Positive(), axis.Negative()
 	for _, u := range region.Nodes() {
 		if region.Neighbor(u, neg) != amoebot.None {
@@ -84,24 +98,7 @@ func Compute(region *amoebot.Region, axis amoebot.Axis) *Portals {
 		}
 		p.off = append(p.off, int32(len(p.nodes)))
 	}
-	// Crossing edges of the implicit tree give the portal adjacency. The
-	// conn map already holds exactly one entry per directed adjacent pair,
-	// so the neighbor lists fall out of its keys — no per-portal hash sets.
-	for _, u := range region.Nodes() {
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if d.Axis() == axis || !p.IsTreeEdge(u, d) {
-				continue
-			}
-			v := region.Neighbor(u, d)
-			p1, p2 := p.ID[u], p.ID[v]
-			key := [2]int32{p1, p2}
-			if prev, dup := p.conn[key]; dup && prev.u != u {
-				panic(fmt.Sprintf("portal: two crossing tree edges between portals %d and %d", p1, p2))
-			}
-			p.conn[key] = connEnds{u, v}
-		}
-	}
-	p.buildNbr()
+	p.link()
 	return p
 }
 
@@ -114,16 +111,65 @@ func (p *Portals) Release() {
 	p.ID = nil
 }
 
-// buildNbr derives the per-portal adjacency lists from the crossing-edge
-// map's keys, sorted ascending.
-func (p *Portals) buildNbr() {
+// link derives the portal adjacency and its crossing tree edges from the
+// portals' representatives. A crossing edge u→u+c belongs to the implicit
+// tree only if u is its portal's negative-most amoebot, and u→u+c' (c' =
+// c + positive) only if u has no c-neighbor, which makes u+c' the
+// negative-most amoebot of its portal, its negative neighbor being u+c
+// (IsTreeEdge). So every crossing tree edge has a representative at one
+// end: per representative s and side, s→s+c and s−c'→s wherever the far
+// end is in the region, O(1) probes per portal. The edges are counted per
+// source portal, placed, and each portal's list sorted by neighbor.
+func (p *Portals) link() {
+	r := p.Region
+	var dirs [amoebot.NumSides][2]amoebot.Direction // c and -c' per side
+	for side := range dirs {
+		c, cp := p.Axis.CrossPair(amoebot.Side(side))
+		dirs[side] = [2]amoebot.Direction{c, cp.Opposite()}
+	}
+	// A portal tree has 2(Len-1) directed edges.
+	from := make([]int32, 0, 2*p.Len())
+	edges := make([]uint64, 0, 2*p.Len()) // to<<32 | connector
+	for id := int32(0); id < int32(p.Len()); id++ {
+		s := p.Rep(id)
+		for _, d := range dirs {
+			if t := r.Neighbor(s, d[0]); t != amoebot.None {
+				from, edges = append(from, id), append(edges, uint64(p.ID[t])<<32|uint64(s))
+			}
+			if u := r.Neighbor(s, d[1]); u != amoebot.None {
+				from, edges = append(from, p.ID[u]), append(edges, uint64(id)<<32|uint64(u))
+			}
+		}
+	}
+	// Counting: off[id] first counts id's edges, then ends its range, and
+	// placing by decrement leaves it at the range's start.
+	off := make([]int32, p.Len()+1)
+	for _, f := range from {
+		off[f]++
+	}
+	for id := 1; id < len(off); id++ {
+		off[id] += off[id-1]
+	}
+	keys := make([]uint64, len(edges))
+	for k, f := range from {
+		off[f]--
+		keys[off[f]] = edges[k]
+	}
+	adj := make([]int32, len(keys))
+	p.via = make([]int32, len(keys))
 	p.Nbr = make([][]int32, p.Len())
-	for key := range p.conn {
-		p.Nbr[key[0]] = append(p.Nbr[key[0]], key[1])
+	for id := range p.Nbr {
+		lo, hi := off[id], off[id+1]
+		slices.Sort(keys[lo:hi])
+		for k := lo; k < hi; k++ {
+			adj[k], p.via[k] = int32(keys[k]>>32), int32(uint32(keys[k]))
+			if k > lo && adj[k] == adj[k-1] {
+				panic(fmt.Sprintf("portal: two crossing tree edges between portals %d and %d", id, adj[k]))
+			}
+		}
+		p.Nbr[id] = adj[lo:hi:hi]
 	}
-	for i := range p.Nbr {
-		sort.Slice(p.Nbr[i], func(a, b int) bool { return p.Nbr[i][a] < p.Nbr[i][b] })
-	}
+	p.nbrOff = off
 }
 
 // Len returns the number of portals.
@@ -140,16 +186,16 @@ func (p *Portals) Rep(id int32) int32 { return p.nodes[p.off[id]] }
 // incident to the unique implicit-tree edge towards the adjacent portal
 // "to". By construction (Definition 12) it exists and is unique.
 func (p *Portals) Connector(from, to int32) int32 {
-	e, ok := p.conn[[2]int32{from, to}]
+	j, ok := slices.BinarySearch(p.Nbr[from], to)
 	if !ok {
 		panic(fmt.Sprintf("portal: portals %d and %d are not adjacent", from, to))
 	}
-	return e.u
+	return p.via[p.nbrOff[from]+int32(j)]
 }
 
 // Adjacent reports whether two portals share an implicit-tree edge.
 func (p *Portals) Adjacent(a, b int32) bool {
-	_, ok := p.conn[[2]int32{a, b}]
+	_, ok := slices.BinarySearch(p.Nbr[a], b)
 	return ok
 }
 
@@ -185,9 +231,11 @@ func (p *Portals) IsTreeEdge(u int32, d amoebot.Direction) bool {
 // pairs.
 func (p *Portals) IsPortalGraphTree() bool {
 	pairs := 0
-	for k := range p.conn {
-		if k[0] < k[1] {
-			pairs++
+	for a, nb := range p.Nbr {
+		for _, b := range nb {
+			if int32(a) < b {
+				pairs++
+			}
 		}
 	}
 	if pairs != p.Len()-1 {

@@ -1,8 +1,11 @@
 package portal
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spforest/amoebot"
@@ -207,5 +210,66 @@ func TestSubViewRestriction(t *testing.T) {
 	}
 	if tree, nodes := v.ImplicitTree(); tree.Len() != 8 || len(nodes) != 8 {
 		t.Fatalf("subview tree size = %d over %d nodes", tree.Len(), len(nodes))
+	}
+}
+
+// treeEdgesByScan lists the decomposition's crossing tree edges by the
+// literal rule of Definition 12: every region amoebot u and crossing
+// direction d with IsTreeEdge(u, d), as (ID[u], ID[u+d], u), sorted.
+func treeEdgesByScan(p *Portals) [][3]int32 {
+	var out [][3]int32
+	for _, u := range p.Region.Nodes() {
+		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
+			if d.Axis() != p.Axis && p.IsTreeEdge(u, d) {
+				out = append(out, [3]int32{p.ID[u], p.ID[p.Region.Neighbor(u, d)], u})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b [3]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]), cmp.Compare(a[2], b[2]))
+	})
+	return out
+}
+
+// requireTreeEdgeRule checks Nbr and Connector against treeEdgesByScan:
+// each directed adjacent pair has exactly the one crossing tree edge the
+// scan finds.
+func requireTreeEdgeRule(t *testing.T, p *Portals, ctx string) {
+	t.Helper()
+	var got [][3]int32
+	for id := int32(0); id < int32(p.Len()); id++ {
+		for _, to := range p.Nbr[id] {
+			got = append(got, [3]int32{id, to, p.Connector(id, to)})
+		}
+	}
+	if want := treeEdgesByScan(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: crossing edges from the representatives\n%v\ndiffer from the scan\n%v", ctx, got, want)
+	}
+}
+
+// TestCrossingEdgesMatchTreeEdgeRule: the crossing tree edges Compute
+// derives from the portals' representatives are exactly those the local
+// rule selects at every amoebot, on hole-free and holed blobs, the comb,
+// hop balls and random (often disconnected) sub-regions, along every axis.
+func TestCrossingEdgesMatchTreeEdgeRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 12; trial++ {
+		structures := []*amoebot.Structure{
+			shapes.RandomBlob(rng, 30+rng.Intn(250)),
+			shapes.Comb(3, 4),
+			shapes.RandomHoledBlob(rng, 200, 3),
+		}
+		for _, s := range structures {
+			regions := []*amoebot.Region{
+				amoebot.WholeRegion(s),
+				ballRegion(s, int32(rng.Intn(s.N())), 1+rng.Intn(5)),
+				amoebot.NewRegion(s, shapes.RandomSubset(rng, s, 1+rng.Intn(s.N()))),
+			}
+			for _, r := range regions {
+				for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
+					requireTreeEdgeRule(t, Compute(r, axis), fmt.Sprintf("trial %d, %v of %d amoebots, axis %v", trial, r, s.N(), axis))
+				}
+			}
+		}
 	}
 }
