@@ -14,47 +14,60 @@ import (
 )
 
 // TestIntraWorkersByteIdentical pins the engine-level determinism contract
-// on a structure large enough to clear the parallel layer's fan-out
+// on structures large enough to clear the parallel layer's fan-out
 // thresholds: every solver must produce byte-identical forests and
-// identical rounds/beeps at IntraWorkers ∈ {1, 2, GOMAXPROCS}.
+// identical rounds/beeps at IntraWorkers ∈ {1, 2, GOMAXPROCS}. On the comb
+// with k = 4 (TestEnvelopeForestIndependentOfDiameter's input) two active
+// portals of one centroid level touch the same region, so the forest's
+// parallel merge level falls back to its serial walk.
 func TestIntraWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	s := shapes.RandomBlob(rng, 1200)
-	srcIdx := shapes.RandomSubset(rng, s, 6)
-	sources := make([]amoebot.Coord, len(srcIdx))
-	for i, idx := range srcIdx {
-		sources[i] = s.Coord(idx)
+	blob := shapes.RandomBlob(rng, 1200)
+	comb := shapes.Comb(8, 250)
+	inputs := []struct {
+		name   string
+		s      *amoebot.Structure
+		srcIdx []int32
+	}{
+		{"blob", blob, shapes.RandomSubset(rng, blob, 6)},
+		{"comb", comb, shapes.RandomSubset(rand.New(rand.NewSource(13)), comb, 4)},
 	}
 	matrix := []int{1, 2, runtime.GOMAXPROCS(0)}
-	type key struct{ algo string }
-	ref := map[key]*engine.Result{}
-	for mi, workers := range matrix {
-		e, err := engine.New(s, &engine.Config{Seed: 7, IntraWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range inputs {
+		s := in.s
+		sources := make([]amoebot.Coord, len(in.srcIdx))
+		for i, idx := range in.srcIdx {
+			sources[i] = s.Coord(idx)
 		}
-		for _, algo := range engine.Solvers() {
-			q, ok := queryForAlgo(s, algo, sources)
-			if !ok {
-				continue
-			}
-			res, err := e.Run(q)
+		ref := map[string]*engine.Result{}
+		for mi, workers := range matrix {
+			e, err := engine.New(s, &engine.Config{Seed: 7, IntraWorkers: workers})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", algo, workers, err)
+				t.Fatal(err)
 			}
-			if mi == 0 {
-				ref[key{algo}] = res
-				continue
-			}
-			want := ref[key{algo}]
-			if res.Stats.Rounds != want.Stats.Rounds || res.Stats.Beeps != want.Stats.Beeps {
-				t.Errorf("%s: workers=%d charged %d/%d rounds/beeps, serial charged %d/%d",
-					algo, workers, res.Stats.Rounds, res.Stats.Beeps, want.Stats.Rounds, want.Stats.Beeps)
-			}
-			got, _ := res.Forest.MarshalText()
-			exp, _ := want.Forest.MarshalText()
-			if !bytes.Equal(got, exp) {
-				t.Errorf("%s: forest at workers=%d diverges byte-wise from the serial path", algo, workers)
+			for _, algo := range engine.Solvers() {
+				q, ok := queryForAlgo(s, algo, sources)
+				if !ok {
+					continue
+				}
+				res, err := e.Run(q)
+				if err != nil {
+					t.Fatalf("%s %s workers=%d: %v", in.name, algo, workers, err)
+				}
+				if mi == 0 {
+					ref[algo] = res
+					continue
+				}
+				want := ref[algo]
+				if res.Stats.Rounds != want.Stats.Rounds || res.Stats.Beeps != want.Stats.Beeps {
+					t.Errorf("%s %s: workers=%d charged %d/%d rounds/beeps, serial charged %d/%d",
+						in.name, algo, workers, res.Stats.Rounds, res.Stats.Beeps, want.Stats.Rounds, want.Stats.Beeps)
+				}
+				got, _ := res.Forest.MarshalText()
+				exp, _ := want.Forest.MarshalText()
+				if !bytes.Equal(got, exp) {
+					t.Errorf("%s %s: forest at workers=%d diverges byte-wise from the serial path", in.name, algo, workers)
+				}
 			}
 		}
 	}

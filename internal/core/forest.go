@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"spforest/amoebot"
-	"spforest/internal/counter"
 	"spforest/internal/dense"
 	"spforest/internal/portal"
 	"spforest/internal/sim"
@@ -174,14 +173,13 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		}
 		perLevelOverhead = int64(2*bits.Len(uint(qpCount))) + 2
 	}
-	levelCounter := counter.New(bits.Len(uint(len(levels) + 1)))
 	for _, level := range levels {
-		clock.Tick(perLevelOverhead) // recompute / re-identify the level's portals
-		levelCounter.Increment(clock)
+		// Recompute / re-identify the level's portals, then increment the
+		// level counter: its carry ripples along the chain in one beep
+		// round on the prefix circuit of 1-bits (DESIGN.md §2).
+		clock.Tick(perLevelOverhead + 1)
+		clock.AddBeeps(1)
 		states = mergeLevel(env, clock, s, sp, level, states)
-	}
-	if levelCounter.Value() != uint64(len(levels)) {
-		panic("core: level counter out of sync")
 	}
 	if len(states) != 1 {
 		panic(fmt.Sprintf("core: %d regions left after the merge phase", len(states)))
@@ -278,9 +276,13 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 //
 // which is exactly what the concurrent path produces, so the state-list
 // evolution — and with it every later touching/rest split and side
-// classification — is bit-identical. Overlapping touching sets (possible
-// only for degenerate schedules) fall back to the serial walk. Branch
-// clocks join in level order on both paths.
+// classification — is bit-identical. Overlapping touching sets fall back
+// to the serial walk, and the centroid schedule does produce them: a base
+// region that buildSplit leaves meeting more than two Q' portals (Lemma
+// 52's bound) touches each of them, and two of them can share a level;
+// Comb(8, 250) with k = 4 yields a region meeting four, three on one
+// level (TestIntraWorkersByteIdentical runs it). Branch clocks join in
+// level order on both paths.
 func mergeLevel(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, level []int32, states []*regionState) []*regionState {
 	serial := func() []*regionState {
 		lb := make([]*sim.Clock, 0, len(level))

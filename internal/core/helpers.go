@@ -23,8 +23,6 @@ import (
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
-	"spforest/internal/ett"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -36,7 +34,7 @@ import (
 // with its depth as value, and forestDepths adds each to vals. Panics when
 // a member's parent is no member or a parent cycle makes f no forest.
 // Release the column with ar.PutInt32s.
-func forestDepths(f *amoebot.Forest, members []int32, ar *dense.Arena, vals *pasc.Tally) []int32 {
+func forestDepths(f *amoebot.Forest, members []int32, ar *dense.Arena, vals *sim.Tally) []int32 {
 	const onPath = -1
 	depth := ar.Int32s(f.Structure().N())
 	var path []int32
@@ -103,7 +101,7 @@ var pruneFates = dense.NewColumns(0)
 // stopping at the first member an earlier walk resolved, finds those paths
 // and counts each tree's destinations m; a walk that ends at a root other
 // than a source, or closes a parent cycle, is dropped. Each source tree
-// with more than one member is charged ett.Charge(branch, m) (a one-member
+// with more than one member is charged branch.ChargeETT(m) (a one-member
 // tree decides locally).
 func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, region *amoebot.Region, sources, dests []int32, out *amoebot.Forest) *amoebot.Forest {
 	// fate per node: 0 unresolved, dropped, onWalk, or k+1 for a member of
@@ -170,7 +168,7 @@ func pruneToDestinations(env *Env, clock *sim.Clock, f *amoebot.Forest, region *
 		if f.Member(src) {
 			if k := fate[src] - 1; hasChild[k] {
 				branch := clock.Fork()
-				ett.Charge(branch, m[k])
+				branch.ChargeETT(m[k])
 				branches = append(branches, branch)
 			}
 		}

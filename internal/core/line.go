@@ -2,7 +2,6 @@ package core
 
 import (
 	"spforest/amoebot"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -19,8 +18,9 @@ import (
 // The two PASC executions are evaluated in closed form (DESIGN.md §2): one
 // sweep per direction yields every slot's streamed distance, the slot
 // compares the two integers its comparator would have settled on, and
-// pasc.Charge bills the joint two-lane run. The per-slot scratch draws from
-// the arena, so a stream of line queries allocates only the output forest.
+// sim.Clock.ChargePASC bills the joint two-lane run. The per-slot scratch
+// draws from the arena, so a stream of line queries allocates only the
+// output forest.
 func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
 	ar := env.Arena()
 	n := len(chain)
@@ -57,7 +57,7 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 	// when it is no source), and slot i streams distE(i), its distance to
 	// the nearest root at or west of it. The westward run is symmetric with
 	// slot n−1, and the backward sweep resolves each slot as it goes.
-	var vals pasc.Tally
+	var vals sim.Tally
 	distE := ar.Int32s(n)
 	defer ar.PutInt32s(distE)
 	for i := 1; i < n; i++ {
@@ -85,6 +85,6 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 			f.SetParent(g, chain[i+1])
 		}
 	}
-	pasc.Charge(clock, 2, vals)
+	clock.ChargePASC(2, vals)
 	return f
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"spforest/amoebot"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -19,8 +18,8 @@ import (
 // The two tree-PASC executions are evaluated in closed form (DESIGN.md
 // §2): one memoized walk up each forest's parent links yields every
 // member's depth — the value its execution streams — a doubly covered
-// amoebot compares the two depths, and pasc.Charge bills the joint
-// two-lane run on the merge's clock. Panics unless both forests are
+// amoebot compares the two depths, and sim.Clock.ChargePASC bills the
+// joint two-lane run on the merge's clock. Panics unless both forests are
 // forests over their members.
 func MergeEnv(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Forest {
 	if f2.Structure() != f1.Structure() {
@@ -46,12 +45,12 @@ func merge(env *Env, clock *sim.Clock, nodes []int32, f1, f2 *amoebot.Forest) {
 		}
 		return
 	}
-	var vals pasc.Tally
+	var vals sim.Tally
 	depth1 := forestDepths(f1, members1, ar, &vals)
 	defer ar.PutInt32s(depth1)
 	depth2 := forestDepths(f2, members2, ar, &vals)
 	defer ar.PutInt32s(depth2)
-	pasc.Charge(clock, 2, vals)
+	clock.ChargePASC(2, vals)
 
 	// f2 is strictly nearer exactly where both depths are set and depth1 is
 	// the larger; a non-member's entry is 0. f1 keeps every other member.

@@ -6,7 +6,6 @@ import (
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 )
 
@@ -29,13 +28,13 @@ import (
 //
 // The tree-PASC of phase 1 is evaluated in closed form (DESIGN.md §2): one
 // memoized walk up f's parent links yields every member's depth, a
-// both-visible amoebot compares its projections' depths, and pasc.Charge
-// bills the one-lane run. The phase-2 invisible components — disjoint
-// sub-regions by construction — run on worker goroutines with their branch
-// clocks joined in component order. Panics unless f is a forest over its
-// members. B is found by a search over the components of region \ P
-// (splitSides), which panics when one of them touches P from both sides or
-// not at all.
+// both-visible amoebot compares its projections' depths, and
+// sim.Clock.ChargePASC bills the one-lane run. The phase-2 invisible
+// components — disjoint sub-regions by construction — run on worker
+// goroutines with their branch clocks joined in component order. Panics
+// unless f is a forest over its members. B is found by a search over the
+// components of region \ P (splitSides), which panics when one of them
+// touches P from both sides or not at all.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
@@ -119,10 +118,10 @@ func propagate(env *Env, clock *sim.Clock, region, body *amoebot.Region, pnodes,
 	// No amoebot of P is visible, so the loops over body need not skip P.
 	var depth []int32
 	if slices.ContainsFunc(body.Nodes(), func(u int32) bool { return visY.Has(u) && visZ.Has(u) }) {
-		var vals pasc.Tally
+		var vals sim.Tally
 		depth = forestDepths(f, members, ar, &vals)
 		defer ar.PutInt32s(depth)
-		pasc.Charge(clock, 1, vals)
+		clock.ChargePASC(1, vals)
 	}
 	projDepth := func(x int) int32 {
 		if k := x - x0; k >= 0 && k < len(pnodes) {

@@ -255,10 +255,10 @@ func TestETTEmptyQ(t *testing.T) {
 }
 
 // TestChargeMatchesPrefixSumOracle checks the closed-form ETT charge
-// against the PASC it stands for: a prefix-sum run over a chain whose m
-// marked slots are interleaved with unmarked ones, stepped to completion,
-// must take the same iterations, rounds and beeps as Charge(m), for every
-// m in 0..1024.
+// sim.Clock.ChargeETT against the PASC it stands for: a prefix-sum run over
+// a chain whose m marked slots are interleaved with unmarked ones, stepped
+// to completion, must take the same iterations, rounds and beeps as
+// ChargeETT(m), for every m in 0..1024.
 func TestChargeMatchesPrefixSumOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for m := 0; m <= 1024; m++ {
@@ -276,9 +276,9 @@ func TestChargeMatchesPrefixSumOracle(t *testing.T) {
 		for !run.Done() {
 			run.Step(&want)
 		}
-		iters := Charge(&got, m)
+		iters := got.ChargeETT(m)
 		if iters != run.Iterations() || got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
-			t.Fatalf("m=%d: Charge %d iterations (%d rounds, %d beeps), PASC %d iterations (%d rounds, %d beeps)",
+			t.Fatalf("m=%d: ChargeETT %d iterations (%d rounds, %d beeps), PASC %d iterations (%d rounds, %d beeps)",
 				m, iters, got.Rounds(), got.Beeps(), run.Iterations(), want.Rounds(), want.Beeps())
 		}
 	}

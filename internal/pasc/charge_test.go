@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spforest/internal/pasc"
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
@@ -45,12 +44,12 @@ func randChargeLane(rng *rand.Rand, n, roots, partPct int, chain bool) chargeLan
 	return cl
 }
 
-// TestChargeMatchesPackedOracle pins pasc.Charge against the bit-level
-// execution it stands for: random multi-lane forests with random
+// TestChargeMatchesPackedOracle pins sim.Clock.ChargePASC against the
+// bit-level execution it stands for: random multi-lane forests with random
 // participants — among them a lane without participants, a one-slot lane
 // and lanes of very different depths — stepped jointly to completion with
-// wave.Packed.StepRound must take the helper's iterations, rounds and
-// beeps. A participant value of 0 (a root's) is rejected.
+// wave.Packed.StepRound must take the charge's iterations, rounds and
+// beeps. A participant value of 0 (a root's) is rejected by sim.Tally.
 func TestChargeMatchesPackedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 200; trial++ {
@@ -73,7 +72,7 @@ func TestChargeMatchesPackedOracle(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("trial=%d/lanes=%d", trial, len(lanes)), func(t *testing.T) {
 			p := wave.NewPacked(nil)
-			var tally pasc.Tally
+			var tally sim.Tally
 			for _, cl := range lanes {
 				p.AddLane(cl.parent, cl.part)
 				for _, v := range cl.values {
@@ -87,11 +86,11 @@ func TestChargeMatchesPackedOracle(t *testing.T) {
 				p.StepRound(&want)
 			}
 			var got sim.Clock
-			if gi := pasc.Charge(&got, len(lanes), tally); gi != iters {
-				t.Fatalf("Charge: %d iterations, the packed run took %d", gi, iters)
+			if gi := got.ChargePASC(len(lanes), tally); gi != iters {
+				t.Fatalf("ChargePASC: %d iterations, the packed run took %d", gi, iters)
 			}
 			if got.Rounds() != want.Rounds() || got.Beeps() != want.Beeps() {
-				t.Fatalf("Charge: %d rounds / %d beeps, the packed run charged %d / %d",
+				t.Fatalf("ChargePASC: %d rounds / %d beeps, the packed run charged %d / %d",
 					got.Rounds(), got.Beeps(), want.Rounds(), want.Beeps())
 			}
 		})
@@ -102,7 +101,7 @@ func TestChargeMatchesPackedOracle(t *testing.T) {
 				t.Fatal("Tally.Add(0) did not panic")
 			}
 		}()
-		var tally pasc.Tally
+		var tally sim.Tally
 		tally.Add(0)
 	}()
 }

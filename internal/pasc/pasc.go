@@ -18,83 +18,29 @@
 // are exactly those whose value is divisible by 2^(i-1); the PASC therefore
 // terminates after ⌊log₂ max⌋ + 1 iterations.
 //
-// This package holds the paper-level configurations (chain distance, tree
-// distance, prefix sums), the closed form Charge and the
-// circuit-materialized reference CircuitChain. The algorithms of
-// internal/core evaluate their PASC executions in closed form: one
-// traversal yields the streamed values, the values are compared as
-// integers, and Charge bills the clock what the bit-level execution costs
-// (DESIGN.md §2). Bit-level execution belongs to wave.Packed: a Run is a
-// one-lane view over it, which propagates the arriving track directly (an
-// XOR along the tree) instead of materializing the two circuits —
-// observationally identical and linear per iteration.
+// This package holds the bit-level executions of the paper-level
+// configurations (chain distance, tree distance, prefix sums) and the
+// circuit-materialized reference CircuitChain. No query runs them: the
+// algorithms of internal/core evaluate their PASC executions in closed
+// form — one traversal yields the streamed values, the values are compared
+// as integers, and sim.Clock.ChargePASC bills the clock what the bit-level
+// execution costs (DESIGN.md §2). The executions are the references its
+// Oracle test checks that charge against, and the subjects of E12 and the
+// benchmark's pasc.tree probe. Bit-level execution belongs to wave.Packed:
+// a Run is a one-lane view over it, which propagates the arriving track
+// directly (an XOR along the tree) instead of materializing the two
+// circuits — observationally identical and linear per iteration.
 package pasc
 
 import (
-	"math/bits"
-
 	"spforest/internal/sim"
 	"spforest/internal/wave"
 )
-
-// Tally collects, for Charge, the participant values of PASC waves stepped
-// jointly on one clock. A participant's value is the number of
-// participating non-root slots on its root path, itself included.
-type Tally struct {
-	max   uint
-	zeros int64 // Σ tz(v) over the participants
-}
-
-// Add records one participant's value. A value below 1 panics: roots and
-// non-participants are not participants.
-func (t *Tally) Add(v int) {
-	if v < 1 {
-		panic("pasc: participant value below 1")
-	}
-	t.max = max(t.max, uint(v))
-	t.zeros += int64(bits.TrailingZeros(uint(v)))
-}
-
-// Charge charges the clock exactly what stepping the given number of lanes
-// jointly to completion (wave.Packed.StepRound until every lane is done)
-// costs when t holds all their participants, and returns the iteration
-// count. A participant with value v turns passive in iteration tz(v)+1,
-// and the values on a root path are 1..v, so the run lasts
-// I = max(1, bits.Len(max v)) iterations of 2 rounds (Lemma 4). Every lane
-// beeps its track once per iteration, finished lanes included, and a
-// participant beeps on the termination circuit in the tz(v) iterations
-// that end with it still active: lanes·I + Σ tz(v) beeps. All bits of
-// every value arrive within the I iterations, so an LSB-first comparator
-// fed by the run ends on the integer comparison of its two values.
-func Charge(clock *sim.Clock, lanes int, t Tally) (iterations int) {
-	iterations = max(1, bits.Len(t.max))
-	clock.Tick(int64(2 * iterations))
-	clock.AddBeeps(int64(lanes*iterations) + t.zeros)
-	return iterations
-}
 
 // Run is one PASC execution over a forest of slots: a one-lane wave.Packed.
 // Roots act as sources: they always toggle the track and always read bit 0.
 type Run struct {
 	p *wave.Packed
-}
-
-// New creates a PASC run over slots 0..len(parent)-1 with the given forest
-// structure (parent[i] == -1 marks a root/source). participant[i] selects
-// the slots that take part in the counting; non-participants forward the
-// tracks unchanged and read the prefix value of their nearest participating
-// ancestor. Roots' participant flags are ignored (sources always toggle).
-func New(parent []int32, participant []bool) *Run {
-	if len(participant) != len(parent) {
-		panic("pasc: length mismatch")
-	}
-	part := make([]uint8, len(parent))
-	for i, ok := range participant {
-		if ok {
-			part[i] = 1
-		}
-	}
-	return newRun(parent, part)
 }
 
 // newRun seals a one-lane execution; a nil participant column means every
@@ -104,13 +50,6 @@ func newRun(parent []int32, part []uint8) *Run {
 	p.AddLane(parent, part)
 	p.Seal()
 	return &Run{p: p}
-}
-
-// NewChain creates a run over a chain of n slots (slot 0 the source).
-// With all participants it computes each slot's distance to slot 0
-// (Lemma 3).
-func NewChain(n int, participant []bool) *Run {
-	return New(chainParent(n), participant)
 }
 
 // NewChainDistance creates the Lemma 3 configuration: a chain of n slots,

@@ -184,8 +184,7 @@ func TestNonParticipantsInheritPrefix(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	mustPanic(t, "no root", func() { New([]int32{1, 0}, []bool{true, true}) })
-	mustPanic(t, "length mismatch", func() { New([]int32{-1}, nil) })
+	mustPanic(t, "no root", func() { NewTreeDistance([]int32{1, 0}) })
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

@@ -156,7 +156,8 @@ func TestSubViewOnSubtrees(t *testing.T) {
 		}
 	}
 	v := p.SubView(ids)
-	tree, nodes := v.ImplicitTree()
+	rows, nodes := v.ImplicitTree()
+	tree := ett.MustTree(rows)
 	if tree.Len() != len(nodes) {
 		t.Fatal("subview tree size mismatch")
 	}

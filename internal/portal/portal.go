@@ -11,9 +11,12 @@
 //
 // The primitives run on a View, a connected set of portal ids, and never
 // build T: root-and-prune and Q-centroids read portal-subtree counts off
-// the portal graph, and the election walks T's Euler tour edge by edge
-// with the local rule (DESIGN.md §2). View.ImplicitTree builds T for the
-// oracle tests that check the primitives against executions on it.
+// the portal graph and charge the ETT with sim.Clock's closed forms, and
+// the election walks T's Euler tour edge by edge with the local rule
+// (DESIGN.md §2). View.ImplicitTree lists T's adjacency rows for the oracle
+// tests, which wrap them in an ett.Tree and check the primitives against
+// the executions of internal/treeprim and internal/ett on it; this package
+// imports neither.
 package portal
 
 import (
@@ -22,7 +25,6 @@ import (
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
-	"spforest/internal/ett"
 )
 
 // Portals is the portal decomposition of a region along one axis.
@@ -266,7 +268,7 @@ func (p *Portals) IsPortalGraphTree() bool {
 // on which the §3.5 primitives run. A view is its portal ids: the
 // primitives evaluate the implicit portal tree restricted to the view's
 // portals locally, through IsTreeEdge and the portal membership of each
-// neighbor, and never build it (ImplicitTree builds it for the oracle
+// neighbor, and never build it (ImplicitTree lists it for the oracle
 // tests).
 type View struct {
 	P      *Portals
@@ -311,17 +313,17 @@ func (v *View) treeEdge(u int32, d amoebot.Direction) bool {
 	return v.P.IsTreeEdge(u, d) && v.inView[v.P.ID[v.P.Region.Neighbor(u, d)]]
 }
 
-// ImplicitTree builds the view's implicit tree for the oracle tests: nodes
-// lists the view's amoebots in ascending structure order, and tree row i
-// holds node i's tree neighbors as indices into nodes, in counterclockwise
-// direction order from E. It panics unless the result is a tree. Every
-// call builds afresh; the primitives never call it.
-func (v *View) ImplicitTree() (tree *ett.Tree, nodes []int32) {
+// ImplicitTree lists the view's implicit tree for the oracle tests: nodes
+// lists the view's amoebots in ascending structure order, and row i holds
+// node i's tree neighbors as indices into nodes, in counterclockwise
+// direction order from E. ett.MustTree(rows) validates the rows as a tree.
+// Every call builds afresh; the primitives never call it.
+func (v *View) ImplicitTree() (rows [][]int32, nodes []int32) {
 	for _, id := range v.IDs {
 		nodes = append(nodes, v.P.NodesOf(id)...)
 	}
 	slices.Sort(nodes)
-	rows := make([][]int32, len(nodes))
+	rows = make([][]int32, len(nodes))
 	for i, u := range nodes {
 		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
 			if v.treeEdge(u, d) {
@@ -330,5 +332,5 @@ func (v *View) ImplicitTree() (tree *ett.Tree, nodes []int32) {
 			}
 		}
 	}
-	return ett.MustTree(rows), nodes
+	return rows, nodes
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spforest/amoebot"
+	"spforest/internal/ett"
 	"spforest/internal/shapes"
 )
 
@@ -72,7 +73,7 @@ func TestCombXPortalsSplitRows(t *testing.T) {
 
 // TestLemma9PortalGraphsAreTrees checks that all three portal graphs of
 // random hole-free structures are trees, and that the implicit portal tree
-// is a spanning tree of the region (validated by ImplicitTree).
+// is a spanning tree of the region (ett.MustTree validates its rows).
 func TestLemma9PortalGraphsAreTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 25; trial++ {
@@ -83,8 +84,8 @@ func TestLemma9PortalGraphsAreTrees(t *testing.T) {
 			if !p.IsPortalGraphTree() {
 				t.Fatalf("trial %d axis %v: portal graph not a tree (n=%d)", trial, axis, s.N())
 			}
-			tree, _ := p.WholeView().ImplicitTree() // panics unless a tree
-			if tree.Len() != s.N() {
+			rows, _ := p.WholeView().ImplicitTree()
+			if ett.MustTree(rows).Len() != s.N() { // panics unless a tree
 				t.Fatalf("implicit tree does not span the structure")
 			}
 			// Adjacency must be symmetric with consistent connectors.
@@ -208,8 +209,8 @@ func TestSubViewRestriction(t *testing.T) {
 	if v.Contains(2) {
 		t.Fatal("subview contains excluded portal")
 	}
-	if tree, nodes := v.ImplicitTree(); tree.Len() != 8 || len(nodes) != 8 {
-		t.Fatalf("subview tree size = %d over %d nodes", tree.Len(), len(nodes))
+	if rows, nodes := v.ImplicitTree(); ett.MustTree(rows).Len() != 8 || len(nodes) != 8 {
+		t.Fatalf("subview tree size = %d over %d nodes", len(rows), len(nodes))
 	}
 }
 

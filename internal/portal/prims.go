@@ -5,9 +5,7 @@ import (
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
-	"spforest/internal/ett"
 	"spforest/internal/sim"
-	"spforest/internal/treeprim"
 )
 
 // RootPruneResult is the outcome of the portal root-and-prune primitive
@@ -34,7 +32,7 @@ type RootPruneResult struct {
 // one on the per-directed-edge circuits (parent identification, Fig. 4b).
 // The connectors' prefix differences are portal-subtree counts (see
 // rootPortalTree), evaluated with one traversal of the portal tree; the
-// ETT is charged with ett.Charge (DESIGN.md §2).
+// ETT is charged with sim.Clock.ChargeETT (DESIGN.md §2).
 func RootPrune(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *RootPruneResult {
 	if v.singleAmoebot() {
 		res := newRootPruneResult(v.P.Len())
@@ -127,7 +125,7 @@ func (t *portalTree) release() {
 func (t *portalTree) rootPrune(clock *sim.Clock) *RootPruneResult {
 	res := newRootPruneResult(len(t.parent))
 	res.QSize = uint64(t.m())
-	ett.Charge(clock, int(t.m()))
+	clock.ChargeETT(int(t.m()))
 	beeps := int64(0)
 	for i, id := range t.order {
 		if t.sub[id] == 0 {
@@ -288,7 +286,7 @@ func Centroids(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) *Centroi
 	defer t.release()
 	res.RP = t.rootPrune(clock)
 	m := t.m()
-	treeprim.ChargeBroadcastETT(clock, int(m))
+	clock.ChargeBroadcastETT(int(m))
 	// One beep per (Q portal, view neighbor) connector whose component
 	// exceeds ⌊|Q|/2⌋.
 	beeps := int64(0)

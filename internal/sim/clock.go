@@ -10,6 +10,17 @@
 // synchronization beep. Primitives executed on disjoint regions "in
 // parallel" cost the maximum of the per-region rounds (plus any explicit
 // synchronization), which Clock expresses with Fork/JoinMax.
+//
+// A primitive whose circuit shape is known is charged in closed form: a
+// beep's outcome depends only on which partition sets share a circuit, so
+// its rounds and beeps follow from the values it streams (DESIGN.md §2).
+// ChargePASC bills jointly stepped PASC waves (Lemma 4) from a Tally of
+// their participant values, ChargeETT one Euler tour execution
+// (Corollary 15) with m marked instances, and ChargeBroadcastETT the
+// centroid primitives' second ETT with its interleaved broadcast
+// (Lemmas 23 and 36). The bit-level executions they stand for, pasc.Run
+// over wave.Packed and ett.Run, are the references of the Oracle tests in
+// internal/pasc, internal/ett and internal/treeprim; no query runs them.
 package sim
 
 import (

@@ -98,8 +98,8 @@ type implicitTree struct {
 }
 
 func newImplicitTree(v *portal.View) implicitTree {
-	tree, nodes := v.ImplicitTree()
-	return implicitTree{tree, nodes}
+	rows, nodes := v.ImplicitTree()
+	return implicitTree{ett.MustTree(rows), nodes}
 }
 
 // local returns the local index of a structure node of the view.

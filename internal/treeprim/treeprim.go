@@ -2,8 +2,10 @@
 // reconfigurable circuits: root-and-prune, election, Q-centroids,
 // augmentation sets, and centroid decomposition. The primitives operate on
 // abstract trees (ett.Tree) and are not limited to the geometric amoebot
-// model, exactly as the paper notes; the portal package lifts them to
-// implicit portal trees.
+// model, exactly as the paper notes. They are E6's subject and the
+// references of the oracle tests: the portal package lifts them to
+// implicit portal trees without importing this package, charging the same
+// sim.Clock closed forms.
 package treeprim
 
 import (
@@ -34,8 +36,8 @@ type RootPruneResult struct {
 // prefix-sum difference of each incident edge against zero. By Lemma 17
 // that difference is sub(u) = |Q ∩ subtree(u)| towards u's parent and
 // −sub(c) towards a child c, so the primitive evaluates the subtree counts
-// with one traversal and charges the execution with ett.Charge — the same
-// rounds and beeps as the streamed run (DESIGN.md §2).
+// with one traversal and charges the execution with sim.Clock.ChargeETT —
+// the same rounds and beeps as the streamed run (DESIGN.md §2).
 func RootAndPrune(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *RootPruneResult {
 	res, _, _ := rootAndPrune(clock, tree, root, inQ)
 	return res
@@ -58,7 +60,7 @@ func rootAndPrune(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) (res
 		return res, nil, nil
 	}
 	parentOrd, sub = subtreeCounts(tree, root, inQ)
-	ett.Charge(clock, int(sub[root]))
+	clock.ChargeETT(int(sub[root]))
 	res.QSize = uint64(sub[root])
 	for u, ns := range tree.Neighbors {
 		if sub[u] == 0 {
@@ -206,7 +208,7 @@ func Centroids(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *Centro
 		return res
 	}
 	m := sub[root]
-	ChargeBroadcastETT(clock, int(m))
+	clock.ChargeBroadcastETT(int(m))
 	for u, ns := range tree.Neighbors {
 		if !inQ[u] {
 			continue // only candidates evaluate sizes
@@ -220,16 +222,6 @@ func Centroids(clock *sim.Clock, tree *ett.Tree, root int32, inQ []bool) *Centro
 		res.IsCentroid[u] = ok
 	}
 	return res
-}
-
-// ChargeBroadcastETT charges the second ETT of the centroid primitives
-// (Lemmas 23 and 36) over m marked instances: the ETT itself plus, per
-// iteration, one round and one beep in which the root broadcasts the
-// current bit of |Q|.
-func ChargeBroadcastETT(clock *sim.Clock, m int) {
-	iters := ett.Charge(clock, m)
-	clock.Tick(int64(iters))
-	clock.AddBeeps(int64(iters))
 }
 
 // DecompResult is the outcome of the centroid decomposition (§3.4).

@@ -2,12 +2,13 @@
 // as lanes of a single execution, stepping every slot's track bit
 // iteration by iteration. A single wave is simply a one-lane execution.
 //
-// The algorithms of internal/core evaluate PASC in closed form (pasc.Charge,
-// DESIGN.md §2): a wave's rounds and beeps depend only on the values it
-// streams, and an LSB-first comparator fed by it ends on the integer
-// comparison. This package remains the execution those closed forms are
-// checked against, and it is what pasc.Run steps for the paper-level
-// configurations (E12, ett.Run, the benchmark's PASC probe).
+// The algorithms of internal/core evaluate PASC in closed form
+// (sim.Clock.ChargePASC, DESIGN.md §2): a wave's rounds and beeps depend
+// only on the values it streams, and an LSB-first comparator fed by it
+// ends on the integer comparison. This package remains the execution
+// those closed forms are checked against, and it is what pasc.Run steps
+// for the paper-level configurations (E12, ett.Run, the benchmark's PASC
+// probe).
 //
 // Feldmann et al. (arXiv:2105.05071) observe that reconfigurable circuits
 // are reusable across waves — one circuit, many signals. All waves of one
