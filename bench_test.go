@@ -265,15 +265,26 @@ func BenchmarkE7_PortalPrimitives(b *testing.B) {
 		}
 		reportRounds(b, rounds)
 	})
-	b.Run("election", func(b *testing.B) {
-		var rounds int64
-		for i := 0; i < b.N; i++ {
-			var clock sim.Clock
-			portal.ElectPortal(&clock, view, 0, inQ)
-			rounds = clock.Rounds()
-		}
-		reportRounds(b, rounds)
-	})
+	// The election returns at once when its root portal is in Q, so it is
+	// rooted outside Q; with Q empty it walks the whole tour.
+	electRoot := int32(0)
+	for inQ[electRoot] {
+		electRoot++
+	}
+	for _, c := range []struct {
+		name string
+		inQ  []bool
+	}{{"election", inQ}, {"election-emptyQ", make([]bool, ports.Len())}} {
+		b.Run(c.name, func(b *testing.B) {
+			var rounds int64
+			for i := 0; i < b.N; i++ {
+				var clock sim.Clock
+				portal.ElectPortal(&clock, view, electRoot, c.inQ)
+				rounds = clock.Rounds()
+			}
+			reportRounds(b, rounds)
+		})
+	}
 	b.Run("centroid", func(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {

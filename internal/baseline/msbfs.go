@@ -8,15 +8,22 @@ import (
 )
 
 // MaxBFSLanes is the number of BFS waves one BFSForestMany call can carry:
-// one per bit of the per-node lane words.
+// one per bit of the widest per-node lane word.
 const MaxBFSLanes = 64
+
+// laneWord is a per-node lane word: bit l belongs to lane l.
+type laneWord interface {
+	uint8 | uint16 | uint32 | uint64
+}
 
 // BFSForestMany runs up to 64 BFSForestExec wavefronts over one region as lanes
 // of a single physical sweep (MS-BFS-style lane packing; the intra-query
 // analogue of the circuit reuse in DESIGN.md §10): per node, the seen /
-// frontier / next sets of all lanes live in one uint64 word each, so every
+// frontier / next sets of all lanes live in one lane word each, so every
 // layer expands all still-running waves in one pass over the union frontier
-// instead of one pass per source set.
+// instead of one pass per source set. The word is the narrowest of uint8,
+// uint16, uint32 and uint64 that holds the lanes, so a sweep of few lanes
+// reads few bytes per node.
 //
 // Lane i advances on clocks[i] and is charged exactly what its solo
 // BFSForestExec run charges — one round and frontier-size beeps per layer,
@@ -36,23 +43,38 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 	if len(clocks) != lanes {
 		panic("baseline: BFSForestMany clock count mismatch")
 	}
+	switch {
+	case lanes <= 8:
+		return bfsForestMany[uint8](clocks, region, sourceSets)
+	case lanes <= 16:
+		return bfsForestMany[uint16](clocks, region, sourceSets)
+	case lanes <= 32:
+		return bfsForestMany[uint32](clocks, region, sourceSets)
+	default:
+		return bfsForestMany[uint64](clocks, region, sourceSets)
+	}
+}
+
+// bfsForestMany is BFSForestMany's sweep over lane words of type W.
+func bfsForestMany[W laneWord](clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]int32) []*amoebot.Forest {
+	lanes := len(sourceSets)
 	s := region.Structure()
 	forests := make([]*amoebot.Forest, lanes)
-	seen := make([]uint64, s.N())
+	seen := make([]W, s.N())
 	if region.Len() < s.N() {
 		for i := range seen {
-			seen[i] = ^uint64(0)
+			seen[i] = ^W(0)
 		}
 		for _, u := range region.Nodes() {
 			seen[u] = 0
 		}
 	}
-	frontier := make([]uint64, s.N())
-	next := make([]uint64, s.N())
+	frontier := make([]W, s.N())
+	next := make([]W, s.N())
 	var frontierNodes, spare []int32 // spare: the previous frontier's list, reused
 	for l, sources := range sourceSets {
 		forests[l] = amoebot.NewForest(s)
-		bit := uint64(1) << uint(l)
+		bit := W(1) << uint(l)
 		for _, src := range sources {
 			if seen[src]&bit == 0 { // a source outside the region is seen
 				seen[src] |= bit
@@ -71,7 +93,7 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 	sizeNext := make([]int64, lanes)
 	for _, u := range frontierNodes {
 		for w := frontier[u]; w != 0; w &= w - 1 {
-			size[bits.TrailingZeros64(w)]++
+			size[bits.TrailingZeros64(uint64(w))]++
 		}
 	}
 	for len(frontierNodes) > 0 {
@@ -103,7 +125,7 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 						nextNodes = append(nextNodes, v)
 					}
 					for w := cand &^ old; w != 0; w &= w - 1 {
-						sizeNext[bits.TrailingZeros64(w)]++
+						sizeNext[bits.TrailingZeros64(uint64(w))]++
 					}
 					next[v] |= cand
 				}
@@ -123,7 +145,7 @@ func BFSForestMany(clocks []*sim.Clock, region *amoebot.Region, sourceSets [][]i
 				}
 				take := rem & frontier[u]
 				for w := take; w != 0; w &= w - 1 {
-					forests[bits.TrailingZeros64(w)].SetParent(v, u)
+					forests[bits.TrailingZeros64(uint64(w))].SetParent(v, u)
 				}
 				rem &^= take
 			}

@@ -19,7 +19,7 @@ import (
 // source sets are drawn from the whole blob, so some sources lie outside.
 func TestLaneBFSForestManyMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(431))
-	for _, lanes := range []int{1, 5, 64} {
+	for _, lanes := range []int{1, 5, 8, 9, 16, 17, 32, 33, 64} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			for trial := 0; trial < 16; trial++ {
 				s := shapes.RandomBlob(rng, 40+rng.Intn(300))

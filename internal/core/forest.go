@@ -34,8 +34,9 @@ const (
 //
 //  1. Q = x-portals holding sources, Q' = Q ∪ A_Q (Lemma 51),
 //  2. split the structure at the Q' portals and at the marked connector
-//     amoebots into base regions meeting ≤ 2 portals of Q' (Lemma 52),
-//  3. per base region: line algorithm on its Q' portal segment(s),
+//     amoebots into base regions (Lemma 52 bounds the Q' portals a region
+//     meets by two; buildSplit's regions can meet more),
+//  3. per base region: line algorithm on each of its Q' portal segments,
 //     propagation into the region, merging (Lemma 54),
 //  4. merge regions level by level along the Q'-centroid decomposition of
 //     the x-portal tree, deepest centroids first (Lemmas 37/55),
@@ -202,8 +203,9 @@ type regionState struct {
 
 // baseCase computes the (S∩Y)-forest of one base region (Lemma 54): the
 // line algorithm on the region's LCA portal segment, propagation into the
-// region; if the region meets a second Q' portal, the same from there and a
-// merge.
+// region; then the same from each further Q' portal the region meets (one
+// under Lemma 52, possibly more in buildSplit's regions), each merged into
+// the forest so far.
 func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, br *baseRegion, rPrime int32, rpQP *portal.RootPruneResult, sources []int32) *regionState {
 	ar := env.Arena()
 	isSource := ar.BitSet(s.N())

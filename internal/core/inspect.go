@@ -12,7 +12,7 @@ import (
 type SplitInfo struct {
 	// Regions are the base regions (overlapping on portal segments).
 	Regions []*amoebot.Region
-	// QPPortals lists, per region, its one or two Q' portal ids.
+	// QPPortals lists, per region, its Q' portal ids (one or more).
 	QPPortals [][]int32
 	// Marks are the still-marked connector amoebots.
 	Marks []int32

@@ -26,14 +26,16 @@ type splitRegions struct {
 	// ascending x order; nil outside Q'.
 	segmentsOf [][][]int32
 
-	// regions are the base regions: each intersects one or two portals of
-	// Q' (Lemma 52) and overlaps its neighbors on portal segments.
+	// regions are the base regions: each intersects at least one portal of
+	// Q' and overlaps its neighbors on portal segments. Lemma 52 bounds the
+	// Q' portals a region meets by two; this split does not keep that bound
+	// (see buildSplit).
 	regions []*baseRegion
 }
 
 type baseRegion struct {
 	nodes *amoebot.Region
-	// qpPortals lists the region's Q' portals (1 or 2), ascending.
+	// qpPortals lists the region's Q' portals (one or more), ascending.
 	qpPortals []int32
 	// sides holds, per entry of qpPortals, the side of that portal the
 	// region's segment copies lie on. The construction joins a blob only to
@@ -60,8 +62,13 @@ type segCopy struct {
 
 // buildSplit computes marks, segments and base regions. It mirrors the
 // paper's construction: split the structure at every Q' portal (the portal
-// joining both sides), then split further at the marked amoebots, so that
-// every region meets at most two portals of Q' (Lemma 52).
+// joining both sides), then split further at the marked amoebots; the base
+// regions are the components of the graph H of blobs and segment copies.
+// Lemma 52 states that every region then meets at most two portals of Q',
+// but the regions this split builds can meet more: Comb(8, 250) with k = 4
+// gives one meeting four, and 9 of 100 k = 16 source sets on the 16k
+// benchmark blob give one meeting three. baseCase handles any number, one
+// line forest per portal merged in turn.
 func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *portal.RootPruneResult, ar *dense.Arena) *splitRegions {
 	s := region.Structure()
 	sp := &splitRegions{

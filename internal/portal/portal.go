@@ -12,11 +12,11 @@
 // The primitives run on a View, a connected set of portal ids, and never
 // build T: root-and-prune and Q-centroids read portal-subtree counts off
 // the portal graph and charge the ETT with sim.Clock's closed forms, and
-// the election walks T's Euler tour edge by edge with the local rule
-// (DESIGN.md §2). View.ImplicitTree lists T's adjacency rows for the oracle
-// tests, which wrap them in an ett.Tree and check the primitives against
-// the executions of internal/treeprim and internal/ett on it; this package
-// imports neither.
+// the election walks the portal tree in the order of T's Euler tour, one
+// portal at a time (DESIGN.md §2). View.ImplicitTree lists T's adjacency
+// rows for the oracle tests, which wrap them in an ett.Tree and check the
+// primitives against the executions of internal/treeprim and internal/ett
+// on it; this package imports neither.
 package portal
 
 import (
@@ -267,9 +267,8 @@ func (p *Portals) IsPortalGraphTree() bool {
 // View is a connected sub-set of portals (a subtree of the portal graph)
 // on which the §3.5 primitives run. A view is its portal ids: the
 // primitives evaluate the implicit portal tree restricted to the view's
-// portals locally, through IsTreeEdge and the portal membership of each
-// neighbor, and never build it (ImplicitTree lists it for the oracle
-// tests).
+// portals through the portal adjacency and its crossing edges, and never
+// build it (ImplicitTree lists it for the oracle tests).
 type View struct {
 	P      *Portals
 	IDs    []int32 // portal ids in the view, ascending
@@ -308,7 +307,8 @@ func (v *View) singleAmoebot() bool {
 
 // treeEdge reports whether the edge from u in direction d belongs to the
 // view's implicit tree: an implicit portal tree edge whose far end lies in
-// one of the view's portals.
+// one of the view's portals. ImplicitTree and the tests' amoebot walk read
+// it; the primitives do not.
 func (v *View) treeEdge(u int32, d amoebot.Direction) bool {
 	return v.P.IsTreeEdge(u, d) && v.inView[v.P.ID[v.P.Region.Neighbor(u, d)]]
 }

@@ -1,7 +1,10 @@
 package portal
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
@@ -205,7 +208,7 @@ func Augment(clock *sim.Clock, v *View, rp *RootPruneResult) []bool {
 // amoebot learns the outcome. The tour splits at the first instance of each
 // marked amoebot, so the root's beep reaches exactly the first marked
 // amoebot on the canonical Euler tour; firstOnTour finds it by walking the
-// tour. Returns -1 when Q ∩ view is empty.
+// view's portal tree in tour order. Returns -1 when Q ∩ view is empty.
 func ElectPortal(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) int32 {
 	if v.singleAmoebot() {
 		clock.Tick(2)
@@ -225,42 +228,191 @@ func ElectPortal(clock *sim.Clock, v *View, rootPortal int32, inQ []bool) int32 
 	return elected
 }
 
-// firstOnTour walks the canonical Euler tour of the view's implicit tree
-// (ett.BuildTour's rule) from the root portal's representative without
-// building the tree: the walk leaves the root along its first tree edge
-// counterclockwise from E, and on each arrival takes the next tree edge
-// counterclockwise after the one it came in on. It returns the portal of
-// the first amoebot that represents a Q portal, or -1 once the walk is
-// back at the root about to leave along its first edge again (the
-// successor map on directed edges is a permutation, so it always gets
-// there). The walk costs the tour prefix it covers.
+// firstOnTour returns the portal of the first amoebot on the canonical
+// Euler tour of the view's implicit tree (ett.BuildTour's rule, from the
+// root portal's representative) that represents a Q portal, or -1 if none
+// does. It walks the view's portal tree, not its amoebots, so it costs the
+// portals it passes.
+//
+// A slot is an amoebot of a portal and a crossing direction d, written
+// rel = (d − Positive) mod 6: side A is rel 1 and 2, side B rel 4 and 5.
+// With the portal's amoebots u_0 … u_{m−1} in axis order (u_0 its
+// representative), the tour passes the portal's slots in one cycle: side B
+// (rel 4, then 5) at u_0, …, u_{m−1}, then side A (rel 1, then 2) at
+// u_{m−1}, …, u_0. Between crossing a tree edge at a slot and crossing it
+// back, the tour covers the far portal's whole subtree. So the walk enters
+// a child portal at the slot of its connector towards the parent, takes the
+// child's own children in cycle order from there, and reaches the child's
+// representative on entry if that connector is u_0, and otherwise just
+// before slot (u_0, rel 1). The root is visited first, at its
+// representative, and its cycle starts at the slot of its first tree edge
+// counterclockwise from E (rootSlot).
+//
+// Each crossing edge's slots come from the connector's offset along its
+// portal and the tree-edge rule of Definition 12: the edge leaves the
+// representative of one end in direction c, or reaches the representative
+// of one end in direction c' = c + Positive (see link). One explicit stack
+// of portal frames holds the walk: a Line decomposed along y or z is a
+// path of single-amoebot portals.
 func firstOnTour(v *View, rootPortal int32, inQ []bool) int32 {
 	if inQ[rootPortal] {
 		return rootPortal // the root is the representative of its portal
 	}
+	w := tourWalks.Get().(*tourWalk)
+	defer tourWalks.Put(w)
+	w.frames, w.kids = w.frames[:0], w.kids[:0]
+	w.enter(v, rootPortal, -1, rootSlot[v.P.Axis], false)
+	for len(w.frames) > 0 {
+		f := &w.frames[len(w.frames)-1]
+		if f.next == f.rep && inQ[f.id] {
+			return f.id
+		}
+		if f.next == f.end {
+			w.frames = w.frames[:len(w.frames)-1]
+			if len(w.frames) > 0 {
+				w.kids = w.kids[:w.frames[len(w.frames)-1].end]
+			}
+			continue
+		}
+		k := w.kids[f.next]
+		f.next++
+		if k.atRep && inQ[k.id] {
+			return k.id
+		}
+		w.enter(v, k.id, f.id, k.entry, !k.atRep)
+	}
+	return -1
+}
+
+// tourWalk is firstOnTour's scratch: the stack of portal frames from the
+// root and, per frame, its children in cycle order.
+type tourWalk struct {
+	frames []tourFrame
+	kids   []tourKid
+}
+
+var tourWalks = sync.Pool{New: func() any { return new(tourWalk) }}
+
+// tourFrame is a portal on the walk's path from the root. Its children not
+// yet entered are kids[next:end], and the walk reaches its representative
+// when next == rep; rep is -1 when it did so on entry (the root, or a
+// portal entered at its representative).
+type tourFrame struct {
+	id             int32
+	next, end, rep int32
+}
+
+// tourKid is a child portal of a frame. pos is the position of its
+// crossing slot on the frame's cycle, counted from the slot the walk
+// entered the frame at; entry is the position of its connector towards the
+// frame on its own cycle, atRep whether that connector is its
+// representative.
+type tourKid struct {
+	pos, id, entry int32
+	atRep          bool
+}
+
+// enter pushes the frame of portal id, entered from parent (-1 for the
+// root) at cycle position entry; repPending says whether the walk still has
+// to reach its representative.
+func (w *tourWalk) enter(v *View, id, parent, entry int32, repPending bool) {
 	p := v.P
-	root := p.Rep(rootPortal)
-	// next returns u's first tree edge counterclockwise after direction d.
-	next := func(u int32, d amoebot.Direction) amoebot.Direction {
-		for i := amoebot.Direction(1); i < amoebot.NumDirections; i++ {
-			if e := (d + i) % amoebot.NumDirections; v.treeEdge(u, e) {
-				return e
+	axis := p.Axis
+	g := &tourAxes[axis]
+	s := p.Region.Structure()
+	m := p.off[id+1] - p.off[id]
+	cycle := 4 * m
+	rep := s.Coord(p.Rep(id))
+	along0, inv0 := axis.Along(rep), axis.Invariant(rep)
+	start := int32(len(w.kids))
+	nbrOff := p.nbrOff[id]
+	for k, nb := range p.Nbr[id] {
+		if nb == parent || !v.inView[nb] {
+			continue
+		}
+		a := axis.Along(s.Coord(p.via[nbrOff+int32(k)])) // the connector
+		far := s.Coord(p.Rep(nb))
+		side := amoebot.SideB
+		if axis.Invariant(far)-inv0 == g.invA {
+			side = amoebot.SideA
+		}
+		// The edge leaves the connector in direction c' iff it reaches nb's
+		// representative that way (then any offset is possible on this side,
+		// and nb's connector is its representative); otherwise it is c from
+		// this portal's representative, and lands at an offset of nb.
+		prime := axis.Along(far) == a+g.alongC[side]+1
+		j := 0
+		if !prime {
+			j = a + g.alongC[side] - axis.Along(far)
+		}
+		mn := p.off[nb+1] - p.off[nb]
+		w.kids = append(w.kids, tourKid{
+			pos:   (slot(m, int32(a-along0), side, prime) - entry + cycle) % cycle,
+			id:    nb,
+			entry: slot(mn, int32(j), 1-side, !prime),
+			atRep: j == 0,
+		})
+	}
+	kids := w.kids[start:]
+	slices.SortFunc(kids, func(x, y tourKid) int { return cmp.Compare(x.pos, y.pos) })
+	f := tourFrame{id: id, next: start, end: int32(len(w.kids)), rep: -1}
+	if repPending {
+		// The walk reaches the representative just before slot (u_0, rel 1).
+		at := (slot(m, 0, amoebot.SideA, true) - entry + cycle) % cycle
+		f.rep = start + int32(len(kids))
+		for i, k := range kids {
+			if k.pos >= at {
+				f.rep = start + int32(i)
+				break
 			}
 		}
-		return d // no other tree edge: a leaf leaves the way it came
 	}
-	first := next(root, amoebot.NumDirections-1)
-	for u, d := root, first; ; {
-		w := p.Region.Neighbor(u, d)
-		if id := p.ID[w]; inQ[id] && p.Rep(id) == w {
-			return id
-		}
-		u, d = w, next(w, d.Opposite())
-		if u == root && d == first {
-			return -1
-		}
-	}
+	w.frames = append(w.frames, f)
 }
+
+// slot returns the position on a portal's cycle of m amoebots of the slot
+// at offset i on the side, in direction c' if prime and c otherwise: side B
+// (c = rel 4, c' = rel 5) ascends the offsets from 0, side A (c' = rel 1,
+// c = rel 2) then descends them to 2m … 4m−1.
+func slot(m, i int32, side amoebot.Side, prime bool) int32 {
+	var s int32
+	if side == amoebot.SideB {
+		s = 2 * i
+	} else {
+		s = 4*m - 2 - 2*i
+	}
+	if prime == (side == amoebot.SideB) {
+		s++
+	}
+	return s
+}
+
+// rootSlot is, per axis, the cycle position of the root's first slot
+// counterclockwise from E at its representative: E is rel 0 on x, so the
+// tour runs along the portal first and starts at (u_1, rel 4), or at
+// (u_0, rel 1) on a one-amoebot portal, both position 2; E is rel 5 on y,
+// position 1, and rel 4 on z, position 0.
+var rootSlot = [amoebot.NumAxes]int32{2, 1, 0}
+
+// tourAxis is what the walk reads off coordinates along one axis: the
+// invariant step of a side-A crossing, and per side the along step of
+// direction c (c' = c + Positive steps one further).
+type tourAxis struct {
+	invA   int
+	alongC [amoebot.NumSides]int
+}
+
+var tourAxes = func() (t [amoebot.NumAxes]tourAxis) {
+	for axis := amoebot.Axis(0); axis < amoebot.NumAxes; axis++ {
+		cA, _ := axis.CrossPair(amoebot.SideA)
+		t[axis].invA = axis.Invariant(cA.Delta())
+		for side := amoebot.Side(0); side < amoebot.NumSides; side++ {
+			c, _ := axis.CrossPair(side)
+			t[axis].alongC[side] = axis.Along(c.Delta())
+		}
+	}
+	return t
+}()
 
 // CentroidResult is the outcome of the portal Q-centroid primitive.
 type CentroidResult struct {
