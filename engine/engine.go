@@ -216,8 +216,7 @@ func (e *Engine) planQuery(q Query) plannedQuery {
 		return pq
 	}
 	if e.holed && !holeTolerant(solver) {
-		pq.err = fmt.Errorf("engine: algorithm %q requires a hole-free structure (%d hole(s); hole-tolerant solvers: %s)",
-			algo, e.s.Holes(), strings.Join(HoleTolerantSolvers(), ", "))
+		pq.err = e.holeFreeErr(algo)
 		return pq
 	}
 	pq.solver = solver
@@ -229,6 +228,13 @@ func (e *Engine) planQuery(q Query) plannedQuery {
 		pq.dests, pq.err = e.resolve(q.Dests, "destination")
 	}
 	return pq
+}
+
+// holeFreeErr is the precondition error of a portal-based algorithm on a
+// holed structure.
+func (e *Engine) holeFreeErr(algo string) error {
+	return fmt.Errorf("engine: algorithm %q requires a hole-free structure (%d hole(s); hole-tolerant solvers: %s)",
+		algo, e.s.Holes(), strings.Join(HoleTolerantSolvers(), ", "))
 }
 
 // runPlanned executes a successfully planned query on a fresh clock.

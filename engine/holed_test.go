@@ -37,8 +37,9 @@ func TestHoleTolerantRegistry(t *testing.T) {
 
 // TestAllowHolesAdmitsHoledStructures: with AllowHoles the engine binds to
 // a holed structure, the hole-tolerant solvers agree with the memoized
-// exact distances, and the portal-based solvers fail with a precondition
-// error instead of panicking inside the portal machinery.
+// exact distances, and the portal-based solvers and the base-region split
+// fail with a precondition error instead of panicking inside the portal
+// machinery.
 func TestAllowHolesAdmitsHoledStructures(t *testing.T) {
 	s := spforest.RandomHoledBlob(21, 150, 3)
 	if _, err := engine.New(s, nil); err == nil {
@@ -78,6 +79,9 @@ func TestAllowHolesAdmitsHoledStructures(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "hole-free") {
 			t.Fatalf("%s on holed structure: err = %v, want hole-free precondition error", algo, err)
 		}
+	}
+	if _, err := e.BaseRegions(sources); err == nil || !strings.Contains(err.Error(), "hole-free") {
+		t.Fatalf("BaseRegions on holed structure: err = %v, want hole-free precondition error", err)
 	}
 }
 

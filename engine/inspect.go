@@ -126,8 +126,12 @@ type Decomposition struct {
 // BaseRegions computes the base-region decomposition the forest algorithm
 // would use for the given sources, rooted at the engine's memoized leader
 // (electing it on first need; the simulated cost is accounted exactly as
-// by Engine.Leader).
+// by Engine.Leader). Like the forest algorithm, it requires a hole-free
+// structure.
 func (e *Engine) BaseRegions(sources []amoebot.Coord) (*Decomposition, error) {
+	if e.holed {
+		return nil, e.holeFreeErr(AlgoForest)
+	}
 	srcs, err := e.resolve(sources, "source")
 	if err != nil {
 		return nil, err

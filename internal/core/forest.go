@@ -47,10 +47,11 @@ const (
 // selects the merge schedule: ScheduleCentroid is the paper's, and
 // ScheduleTreeDepth exists for the ablation study.
 //
-// The x-portal decomposition resolves through the env's portal memo, the
-// base cases fan out per region, and each centroid level's merges run
-// concurrently when their region sets are host-disjoint (see mergeLevel).
-// Outputs and round accounting are bit-identical at every worker count.
+// The x-portal decomposition resolves through the env's portal memo; one
+// computed for the call is released on return. The base cases fan out per
+// region, and each centroid level's merges run concurrently when their
+// region sets are host-disjoint (see mergeLevel). Outputs and round
+// accounting are bit-identical at every worker count.
 func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dests []int32, leader int32, sched Schedule) *amoebot.Forest {
 	if len(sources) == 0 {
 		panic("core: no sources")
@@ -62,35 +63,18 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 	ar := env.Arena()
 
 	// ---- §5.4.1: Q, Q', marks, base regions.
-	ports, view, _ := env.portalsView(region, amoebot.AxisX)
-	inQ := ar.Bools(ports.Len())
-	defer ar.PutBools(inQ)
-	for _, src := range sources {
-		inQ[ports.ID[src]] = true
+	ports, view, fresh := env.portalsView(region, amoebot.AxisX)
+	if fresh {
+		defer ports.Release()
 	}
-	clock.Tick(1) // sources beep on their portal circuits (computes Q)
-	clock.AddBeeps(int64(len(sources)))
-	leaderPortal := ports.ID[leader]
-	rpQ := portal.RootPrune(clock, view, leaderPortal, inQ)
-	aq := portal.Augment(clock, view, rpQ)
-	inQP := ar.Bools(ports.Len())
-	defer ar.PutBools(inQP)
-	qpCount := 0
-	for id := range inQP {
-		inQP[id] = inQ[id] || aq[id]
-		if inQP[id] {
-			qpCount++
-		}
-	}
-	sp := buildSplit(region, ports, inQP, rpQ, ar)
-	clock.Tick(1) // unmark the westernmost marked amoebot per portal (Lemma 52)
+	sp := splitAtQPrime(clock, ar, ports, view, sources, leader)
 
 	// ---- §5.4.2 preprocessing: elect R' and root the portal tree at it.
-	rPrime := portal.ElectPortal(clock, view, leaderPortal, inQP)
+	rPrime := portal.ElectPortal(clock, view, ports.ID[leader], sp.inQP)
 	if rPrime < 0 {
 		panic("core: no Q' portal despite sources")
 	}
-	rpQP := portal.RootPrune(clock, view, rPrime, inQP)
+	rpQP := portal.RootPrune(clock, view, rPrime, sp.inQP)
 
 	// ---- Base case per region, in parallel (Lemma 54). The regions are
 	// disjoint computations over read-only shared data, so the simulator
@@ -115,7 +99,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 	switch sched {
 	case ScheduleCentroid:
 		var decClock sim.Clock
-		dec := portal.Decompose(&decClock, view, rPrime, inQP)
+		dec := portal.Decompose(&decClock, view, rPrime, sp.inQP)
 		maxDepth := 0
 		for _, d := range dec.Depth {
 			if d > maxDepth {
@@ -159,7 +143,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		}
 		var all []pd
 		for id := int32(0); id < int32(ports.Len()); id++ {
-			if inQP[id] {
+			if sp.inQP[id] {
 				all = append(all, pd{id, depthOf(id)})
 			}
 		}
@@ -172,7 +156,7 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 		for _, e := range all {
 			levels = append(levels, []int32{e.id})
 		}
-		perLevelOverhead = int64(2*bits.Len(uint(qpCount))) + 2
+		perLevelOverhead = int64(2*bits.Len(uint(len(all)))) + 2
 	}
 	for _, level := range levels {
 		// Recompute / re-identify the level's portals, then increment the
@@ -244,7 +228,7 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 	// region): B is the region minus the run.
 	var acc *amoebot.Forest
 	for i, qi := range ordered {
-		pnodes := sp.portalNodesIn(br, br.qpPortals[qi])
+		pnodes := br.runs[qi]
 		var segSources []int32
 		for _, u := range pnodes {
 			if isSource.Has(u) {

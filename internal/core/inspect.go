@@ -25,26 +25,16 @@ type SplitInfo struct {
 // It is a read-only inspection hook; the returned round cost is discarded.
 func SplitRegions(region *amoebot.Region, sources []int32, leader int32) *SplitInfo {
 	ports := portal.Compute(region, amoebot.AxisX)
-	view := ports.WholeView()
-	inQ := make([]bool, ports.Len())
-	for _, src := range sources {
-		inQ[ports.ID[src]] = true
-	}
+	defer ports.Release() // the SplitInfo keeps no part of it
 	var clock sim.Clock
-	rpQ := portal.RootPrune(&clock, view, ports.ID[leader], inQ)
-	aq := portal.Augment(&clock, view, rpQ)
-	inQP := make([]bool, ports.Len())
-	for id := range inQP {
-		inQP[id] = inQ[id] || aq[id]
-	}
-	sp := buildSplit(region, ports, inQP, rpQ, dense.Shared)
+	sp := splitAtQPrime(&clock, dense.Shared, ports, ports.WholeView(), sources, leader)
 	info := &SplitInfo{}
 	for _, br := range sp.regions {
 		info.Regions = append(info.Regions, br.nodes)
 		info.QPPortals = append(info.QPPortals, br.qpPortals)
 	}
 	for id := int32(0); id < int32(ports.Len()); id++ {
-		if inQP[id] {
+		if sp.inQP[id] {
 			info.Marks = append(info.Marks, sp.marksOf[id]...)
 			info.QPrimeNodes = append(info.QPrimeNodes, ports.NodesOf(id)...)
 		}

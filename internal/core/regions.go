@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"spforest/amoebot"
 	"spforest/internal/dense"
 	"spforest/internal/portal"
+	"spforest/internal/sim"
 )
 
 // splitRegions is the outcome of the §5.4.1 decomposition of the structure
@@ -17,14 +18,10 @@ type splitRegions struct {
 	inQP  []bool // per portal: member of Q'
 
 	// marksOf lists, per portal, its still-marked amoebots (connectors
-	// towards V_Q neighbors minus the westernmost), in ascending x order;
-	// nil outside Q'.
+	// towards V_Q neighbors minus the westernmost), ascending; nil outside
+	// Q'. The marks split the portal into segments, each mark ending one
+	// segment and beginning the next.
 	marksOf [][]int32
-
-	// segmentsOf lists, per portal, its node runs split at the marked
-	// amoebots; marks belong to both adjacent segments. Segments are in
-	// ascending x order; nil outside Q'.
-	segmentsOf [][][]int32
 
 	// regions are the base regions: each intersects at least one portal of
 	// Q' and overlaps its neighbors on portal segments. Lemma 52 bounds the
@@ -44,8 +41,9 @@ type baseRegion struct {
 	// the portal lies on that side. noSide marks a fused pure-segment
 	// region: both copies of one segment and no body.
 	sides []amoebot.Side
-	// segs lists the region's segment copies as (portal, segment index).
-	segs [][2]int32
+	// runs holds, per entry of qpPortals, the region's amoebots on that
+	// portal: consecutive whole segments, as a sub-slice of NodesOf.
+	runs [][]int32
 }
 
 // noSide is the side of a region holding both copies of one segment and
@@ -60,6 +58,27 @@ type segCopy struct {
 	side   amoebot.Side
 }
 
+// splitAtQPrime derives Q, the x-portals holding sources, and Q' = Q ∪ A_Q
+// (Lemma 51) on the portal tree rooted at the leader's portal, and splits
+// the decomposition's region into base regions (§5.4.1), charging clock.
+func splitAtQPrime(clock *sim.Clock, ar *dense.Arena, ports *portal.Portals, view *portal.View, sources []int32, leader int32) *splitRegions {
+	inQ := ar.Bools(ports.Len())
+	defer ar.PutBools(inQ)
+	for _, src := range sources {
+		inQ[ports.ID[src]] = true
+	}
+	clock.Tick(1) // sources beep on their portal circuits (computes Q)
+	clock.AddBeeps(int64(len(sources)))
+	rpQ := portal.RootPrune(clock, view, ports.ID[leader], inQ)
+	inQP := portal.Augment(clock, view, rpQ) // A_Q, then Q ∪ A_Q
+	for id, q := range inQ {
+		inQP[id] = inQP[id] || q
+	}
+	sp := buildSplit(ports, inQP, rpQ, ar)
+	clock.Tick(1) // unmark the westernmost marked amoebot per portal (Lemma 52)
+	return sp
+}
+
 // buildSplit computes marks, segments and base regions. It mirrors the
 // paper's construction: split the structure at every Q' portal (the portal
 // joining both sides), then split further at the marked amoebots; the base
@@ -69,332 +88,220 @@ type segCopy struct {
 // gives one meeting four, and 9 of 100 k = 16 source sets on the 16k
 // benchmark blob give one meeting three. baseCase handles any number, one
 // line forest per portal merged in turn.
-func buildSplit(region *amoebot.Region, ports *portal.Portals, inQP []bool, rp *portal.RootPruneResult, ar *dense.Arena) *splitRegions {
+//
+// An x-portal is a run of consecutive node indices, so a segment is a
+// sub-slice of NodesOf and a node's segments follow from a binary search
+// among its portal's marks.
+func buildSplit(ports *portal.Portals, inQP []bool, rp *portal.RootPruneResult, ar *dense.Arena) *splitRegions {
+	region := ports.Region
 	s := region.Structure()
-	sp := &splitRegions{
-		ports:      ports,
-		inQP:       inQP,
-		marksOf:    make([][]int32, ports.Len()),
-		segmentsOf: make([][][]int32, ports.Len()),
-	}
-	// Marks: every Q' portal marks its connector towards each V_Q neighbor,
-	// then unmarks the westernmost mark. isMark deduplicates connectors (one
-	// amoebot can connect towards several neighbors) and afterwards holds
-	// the marks that remain; segFirst maps every Q' portal amoebot to the
-	// first segment holding it (a mark also begins the next one).
-	isMark := ar.BitSet(s.N())
-	defer ar.PutBitSet(isMark)
-	segFirst := ar.Int32s(s.N())
-	defer ar.PutInt32s(segFirst)
+	sp := &splitRegions{ports: ports, inQP: inQP, marksOf: make([][]int32, ports.Len())}
+	// Marks: every Q' portal marks its connector towards each neighbor
+	// whose edge survives pruning (the parent, as id is in V_Q, and each
+	// surviving child), then unmarks the westernmost. Its segment copies
+	// take the copy slots from slot0[id] on, two per segment.
+	slot0 := make([]int32, ports.Len())
+	slots := int32(0)
 	for id := int32(0); id < int32(ports.Len()); id++ {
 		if !inQP[id] {
 			continue
 		}
 		var marks []int32
 		for _, nb := range ports.Nbr[id] {
-			// The edge to nb survives pruning iff nb is the parent (id is
-			// in V_Q as a Q' member) or nb is a surviving child.
 			if nb == rp.Parent[id] || (rp.Parent[nb] == id && rp.InVQ[nb]) {
-				if m := ports.Connector(id, nb); !isMark.Has(m) {
-					isMark.Add(m)
-					marks = append(marks, m)
+				marks = append(marks, ports.Connector(id, nb))
+			}
+		}
+		slices.Sort(marks)
+		marks = slices.Compact(marks) // one connector can face several neighbors
+		if len(marks) > 0 {
+			marks = marks[1:]
+		}
+		sp.marksOf[id] = marks
+		slot0[id] = slots
+		slots += 2 * int32(len(marks)+1)
+	}
+	// segmentsAt returns the segments of Q' portal id holding its amoebot
+	// u: first to last, two for a mark.
+	segmentsAt := func(id, u int32) (first, last int32) {
+		k, isMark := slices.BinarySearch(sp.marksOf[id], u)
+		if isMark {
+			return int32(k), int32(k) + 1
+		}
+		return int32(k), int32(k)
+	}
+
+	// Blobs: the components of the region minus the Q' portals, labelled by
+	// a depth-first search in the order of their smallest node. The label
+	// column doubles as the search's visited set. ports.ID is -1 outside
+	// the region, so the search reads the structure's neighbors directly.
+	blobOf := ar.Index(s.N())
+	defer ar.PutIndex(blobOf)
+	inBlob := func(u int32) bool {
+		return u != amoebot.None && ports.ID[u] >= 0 && !inQP[ports.ID[u]] && !blobOf.Has(u)
+	}
+	var blobs [][]int32
+	var stack []int32
+	for _, start := range region.Nodes() {
+		if !inBlob(start) {
+			continue
+		}
+		bi := int32(len(blobs))
+		var blob []int32
+		blobOf.Set(start, bi)
+		stack = append(stack[:0], start)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			blob = append(blob, u)
+			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
+				if v := s.Neighbor(u, d); inBlob(v) {
+					blobOf.Set(v, bi)
+					stack = append(stack, v)
 				}
 			}
 		}
-		sort.Slice(marks, func(a, b int) bool {
-			return s.Coord(marks[a]).X < s.Coord(marks[b]).X
-		})
-		if len(marks) > 0 {
-			isMark.Remove(marks[0])
-			marks = marks[1:] // unmark the westernmost
-		}
-		sp.marksOf[id] = marks
-		// Segments: the portal's node run split at the marks, marks
-		// belonging to both sides. The run and the marks are both in
-		// ascending x order, so one cursor walks them in lockstep.
-		run := ports.NodesOf(id)
-		mi := 0
-		var segs [][]int32
-		cur := []int32{}
-		for _, u := range run {
-			segFirst[u] = int32(len(segs))
-			cur = append(cur, u)
-			if mi < len(marks) && marks[mi] == u {
-				mi++
-				segs = append(segs, cur)
-				cur = []int32{u}
-			}
-		}
-		segs = append(segs, cur)
-		sp.segmentsOf[id] = segs
+		blobs = append(blobs, blob)
 	}
 
-	// H-graph: vertices are the blobs (components of region minus Q'
-	// portal nodes) and the side copies of the segments; edges follow the
-	// crossing edges incident to Q' portal nodes. Base regions are the
-	// connected components of H.
-	qpPortalOf := ar.Index(s.N()) // node -> its Q' portal id
-	defer ar.PutIndex(qpPortalOf)
-	var qpNodes []int32
-	for id := int32(0); id < int32(ports.Len()); id++ {
-		if !inQP[id] {
-			continue
-		}
-		for _, u := range ports.NodesOf(id) {
-			qpPortalOf.Set(u, id)
-			qpNodes = append(qpNodes, u)
-		}
-	}
-	// segsOf returns the segments holding the Q' portal amoebot u: first
-	// to last, two for a mark.
-	segsOf := func(u int32) (first, last int32) {
-		first = segFirst[u]
-		if isMark.Has(u) {
-			return first, first + 1
-		}
-		return first, first
-	}
-
-	rest := region.Filter(func(i int32) bool { return !qpPortalOf.Has(i) })
-	blobs := amoebot.NewRegion(s, rest).Components()
-	blobOf := ar.Index(s.N())
-	defer ar.PutIndex(blobOf)
-	for bi, b := range blobs {
-		for _, u := range b.Nodes() {
-			blobOf.Set(u, int32(bi))
-		}
-	}
-
-	// Union-find over H vertices: blobs first, then segment copies.
-	copyIdx := make(map[segCopy]int)
+	// H: its vertices are the blobs and the side copies of the segments
+	// that crossing edges reach, numbered after the blobs in the order they
+	// are first reached; its edges are the crossing edges at Q' portal
+	// amoebots. The base regions are its components.
+	vertexOf := slices.Repeat([]int32{-1}, int(slots)) // per copy slot: its H vertex, -1 while unreached
 	var copies []segCopy
-	idxOf := func(c segCopy) int {
-		if i, ok := copyIdx[c]; ok {
-			return i
-		}
-		i := len(blobs) + len(copies)
-		copyIdx[c] = i
-		copies = append(copies, c)
-		return i
-	}
 	parent := make([]int, len(blobs), len(blobs)+16)
 	for i := range parent {
 		parent[i] = i
 	}
+	vertex := func(c segCopy) int {
+		k := slot0[c.portal] + 2*c.seg + int32(c.side)
+		if vertexOf[k] < 0 {
+			vertexOf[k] = int32(len(parent))
+			parent = append(parent, len(parent))
+			copies = append(copies, c)
+		}
+		return int(vertexOf[k])
+	}
 	var find func(int) int
 	find = func(x int) int {
-		for x >= len(parent) {
-			parent = append(parent, len(parent))
-		}
 		if parent[x] != x {
 			parent[x] = find(parent[x])
 		}
 		return parent[x]
 	}
-	union := func(a, b int) {
-		find(a)
-		find(b)
-		parent[find(a)] = find(b)
-	}
-
-	for _, u := range qpNodes {
-		id := qpPortalOf.At(u)
-		for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
-			if d.Axis() == amoebot.AxisX {
-				continue
-			}
-			v := region.Neighbor(u, d)
-			if v == amoebot.None {
-				continue
-			}
-			side, _ := amoebot.AxisX.SideOf(d)
-			first, last := segsOf(u)
-			for si := first; si <= last; si++ {
-				from := idxOf(segCopy{portal: id, seg: si, side: side})
-				if bi, isBlob := blobOf.Get(v); isBlob {
-					union(from, int(bi))
-				} else {
-					// v belongs to another Q' portal: connect the two
-					// segment copies (their facing sides).
-					vp := qpPortalOf.At(v)
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	for id := int32(0); id < int32(ports.Len()); id++ {
+		if !inQP[id] {
+			continue
+		}
+		for _, u := range ports.NodesOf(id) {
+			first, last := segmentsAt(id, u)
+			for d := amoebot.Direction(0); d < amoebot.NumDirections; d++ {
+				if d.Axis() == amoebot.AxisX {
+					continue
+				}
+				v := s.Neighbor(u, d)
+				if v == amoebot.None || ports.ID[v] < 0 {
+					continue
+				}
+				side, _ := amoebot.AxisX.SideOf(d)
+				for si := first; si <= last; si++ {
+					from := vertex(segCopy{portal: id, seg: si, side: side})
+					if bi, isBlob := blobOf.Get(v); isBlob {
+						union(from, int(bi))
+						continue
+					}
+					// v lies on another Q' portal: join the two facing
+					// segment copies.
+					vp := ports.ID[v]
 					oside, _ := amoebot.AxisX.SideOf(d.Opposite())
-					vfirst, vlast := segsOf(v)
+					vfirst, vlast := segmentsAt(vp, v)
 					for vsi := vfirst; vsi <= vlast; vsi++ {
-						union(from, idxOf(segCopy{portal: vp, seg: vsi, side: oside}))
+						union(from, vertex(segCopy{portal: vp, seg: vsi, side: oside}))
 					}
 				}
 			}
 		}
 	}
-	// Make sure both side copies of every segment exist, so no amoebot is
-	// left uncovered.
-	for id := int32(0); id < int32(ports.Len()); id++ {
-		for si := range sp.segmentsOf[id] {
-			idxOf(segCopy{portal: id, seg: int32(si), side: amoebot.SideA})
-			idxOf(segCopy{portal: id, seg: int32(si), side: amoebot.SideB})
+	if len(copies) == 0 {
+		// No crossing edge leaves Q', so the connected region is one row:
+		// a Q' portal without marks, whose two side copies fuse into one
+		// region with no body.
+		if ports.Len() != 1 {
+			panic("core: Q' portals without crossing edges in a region of several rows")
+		}
+		sp.regions = []*baseRegion{{nodes: region, qpPortals: []int32{0}, sides: []amoebot.Side{noSide}, runs: [][]int32{ports.NodesOf(0)}}}
+		return sp
+	}
+	// A mark has a crossing edge, and so does a portal without marks in a
+	// connected region of several rows: every segment has a reached copy.
+	for k := 0; k < len(vertexOf); k += 2 {
+		if vertexOf[k] < 0 && vertexOf[k+1] < 0 {
+			panic("core: a Q' portal segment meets no crossing edge")
 		}
 	}
 
-	// A "solo" component consists of the copies of a single segment with no
-	// blobs or pairs attached. If both side copies of a segment are solo
-	// (e.g. a pure-line structure), they fuse into one segment region; a
-	// solo copy whose sibling is attached somewhere is dropped — the
-	// segment is already covered by the sibling's region.
-	group := make(map[int][]int)
-	regroup := func() {
-		group = make(map[int][]int)
-		for i := 0; i < len(blobs); i++ {
-			group[find(i)] = append(group[find(i)], i)
-		}
-		for ci := range copies {
-			i := len(blobs) + ci
-			group[find(i)] = append(group[find(i)], i)
+	// Collect the components in the order of their union-find roots, each
+	// with its blobs' nodes and its segment copies.
+	type component struct {
+		nodes  []int32
+		copies []segCopy
+	}
+	compOf := make([]int32, len(parent)) // per root: its component
+	var comps []component
+	for v := range parent {
+		if find(v) == v {
+			compOf[v] = int32(len(comps))
+			comps = append(comps, component{})
 		}
 	}
-	regroup()
-	isSolo := func(root int) bool {
-		members := group[root]
-		for _, m := range members {
-			if m < len(blobs) {
-				return false
-			}
-			c := copies[m-len(blobs)]
-			c0 := copies[members[0]-len(blobs)]
-			if c.portal != c0.portal || c.seg != c0.seg {
-				return false
-			}
-		}
-		return true
-	}
-	dropped := map[int]bool{}
-	for root := range group {
-		if !isSolo(root) {
-			continue
-		}
-		c := copies[group[root][0]-len(blobs)]
-		other := amoebot.SideA
-		if c.side == amoebot.SideA {
-			other = amoebot.SideB
-		}
-		sibling := find(idxOf(segCopy{portal: c.portal, seg: c.seg, side: other}))
-		if sibling == root {
-			continue // both copies already together: a valid segment region
-		}
-		if isSolo(sibling) {
-			union(root, sibling)
+	for v := range parent {
+		c := &comps[compOf[find(v)]]
+		if v < len(blobs) {
+			c.nodes = append(c.nodes, blobs[v]...)
 		} else {
-			dropped[root] = true
+			c.copies = append(c.copies, copies[v-len(blobs)])
 		}
 	}
-	regroup()
-	for root := range dropped {
-		if find(root) == root {
-			delete(group, root)
-		}
-	}
-
-	roots := make([]int, 0, len(group))
-	for root := range group {
-		roots = append(roots, root)
-	}
-	sort.Ints(roots)
-	nodeSeen := ar.BitSet(s.N())
-	defer ar.PutBitSet(nodeSeen)
-	for _, root := range roots {
-		members := group[root]
-		var nodes []int32
-		var qps []int32
-		var sides []amoebot.Side
-		var segs [][2]int32
-		addNode := func(u int32) {
-			if !nodeSeen.Has(u) {
-				nodeSeen.Add(u)
-				nodes = append(nodes, u)
+	// A region's copies of one portal lie on one side and are consecutive
+	// segments; their run is one sub-slice of NodesOf, from the first
+	// segment's start (a mark or the representative) to the last one's end.
+	for _, c := range comps {
+		slices.SortFunc(c.copies, func(a, b segCopy) int {
+			return cmp.Or(cmp.Compare(a.portal, b.portal), cmp.Compare(a.seg, b.seg))
+		})
+		br := &baseRegion{}
+		for i, sc := range c.copies {
+			pnodes, marks := ports.NodesOf(sc.portal), sp.marksOf[sc.portal]
+			end := int32(len(pnodes))
+			if int(sc.seg) < len(marks) {
+				end = marks[sc.seg] - pnodes[0] + 1
 			}
-		}
-		for _, m := range members {
-			if m < len(blobs) {
-				for _, u := range blobs[m].Nodes() {
-					addNode(u)
+			if i > 0 && sc.portal == c.copies[i-1].portal {
+				if sc.side != c.copies[i-1].side {
+					panic(fmt.Sprintf("core: base region lies on both sides of Q' portal %d", sc.portal))
 				}
+				if sc.seg != c.copies[i-1].seg+1 {
+					panic(fmt.Sprintf("core: base region's segments of Q' portal %d are not contiguous", sc.portal))
+				}
+				last := len(br.runs) - 1
+				br.runs[last] = pnodes[br.runs[last][0]-pnodes[0] : end]
 				continue
 			}
-			c := copies[m-len(blobs)]
-			if k, known := slices.BinarySearch(qps, c.portal); !known {
-				qps = slices.Insert(qps, k, c.portal)
-				sides = slices.Insert(sides, k, c.side)
-			} else if sides[k] != c.side {
-				// Both side copies of one segment and nothing else: a
-				// fused pure-segment region, which has no body.
-				if len(members) != 2 || segs[0] != [2]int32{c.portal, c.seg} {
-					panic(fmt.Sprintf("core: base region lies on both sides of Q' portal %d", c.portal))
-				}
-				sides[k] = noSide
+			start := int32(0)
+			if sc.seg > 0 {
+				start = marks[sc.seg-1] - pnodes[0]
 			}
-			segs = append(segs, [2]int32{c.portal, c.seg})
-			for _, u := range sp.segmentsOf[c.portal][c.seg] {
-				addNode(u)
-			}
+			br.qpPortals = append(br.qpPortals, sc.portal)
+			br.sides = append(br.sides, sc.side)
+			br.runs = append(br.runs, pnodes[start:end])
 		}
-		for _, u := range nodes {
-			nodeSeen.Remove(u) // targeted cleanup keeps the set reusable
+		for _, run := range br.runs {
+			c.nodes = append(c.nodes, run...)
 		}
-		if len(nodes) == 0 {
-			continue
-		}
-		sp.regions = append(sp.regions, &baseRegion{
-			nodes:     amoebot.NewRegion(s, nodes),
-			qpPortals: qps,
-			sides:     sides,
-			segs:      dedupeSegs(segs),
-		})
+		br.nodes = amoebot.NewRegion(s, c.nodes)
+		sp.regions = append(sp.regions, br)
 	}
 	return sp
-}
-
-func dedupeSegs(segs [][2]int32) [][2]int32 {
-	seen := map[[2]int32]bool{}
-	var out [][2]int32
-	for _, sg := range segs {
-		if !seen[sg] {
-			seen[sg] = true
-			out = append(out, sg)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
-// portalNodesIn returns the contiguous run of the given portal's nodes that
-// belong to the region (its segments within the region), ascending in x.
-func (sp *splitRegions) portalNodesIn(br *baseRegion, id int32) []int32 {
-	var out []int32
-	for _, sg := range br.segs {
-		if sg[0] != id {
-			continue
-		}
-		out = append(out, sp.segmentsOf[id][sg[1]]...)
-	}
-	s := sp.ports.Region.Structure()
-	sort.Slice(out, func(a, b int) bool { return s.Coord(out[a]).X < s.Coord(out[b]).X })
-	// Adjacent segments share their splitting mark; drop the duplicates the
-	// sort brought together.
-	dedup := out[:0]
-	for i, u := range out {
-		if i == 0 || u != out[i-1] {
-			dedup = append(dedup, u)
-		}
-	}
-	out = dedup
-	for i := 1; i < len(out); i++ {
-		if s.Coord(out[i]).X != s.Coord(out[i-1]).X+1 {
-			panic("core: region's portal segments are not contiguous")
-		}
-	}
-	return out
 }

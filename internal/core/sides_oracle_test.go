@@ -12,17 +12,23 @@ import (
 	"spforest/internal/sim"
 )
 
-// TestPortalSidesMatchSearchOracle checks the sides the forest algorithm
-// propagates into without a search against splitSides, the depth-first
-// search over region \ P that PropagateEnv keeps. A base case reads B as
-// its region minus the portal run, on the side buildSplit recorded; phase 2
-// of a merge reads north \ P and south \ P. For every base region and each
+// TestPortalSidesMatchSearchOracle checks the split and the sides the
+// forest algorithm propagates into without a search. The split must cover
+// the structure, its regions may share only Q' portal amoebots, and each
+// region's recorded run of a Q' portal must be exactly its amoebots on that
+// portal. The sides are checked against splitSides, the depth-first search
+// over region \ P that PropagateEnv keeps. A base case reads B as its
+// region minus the portal run, on the side buildSplit recorded; phase 2 of
+// a merge reads north \ P and south \ P. For every base region and each
 // of its Q' portals, the search must put exactly that B on the recorded
 // side and nothing on the other (both sides empty for a fused pure-segment
 // region); for every phase-2 join, the search over north ∪ south ∪ P must
 // find north \ P and south \ P. The joins come from replaying ForestEnv's
 // merge schedule on the regions alone. Inputs are random hole-free blobs
 // with 2–32 sources, and lines and combs, whose pure-segment regions fuse.
+// Combs give regions meeting more than two Q' portals: Comb(8, 250) with
+// the k = 4 sources of TestEnvelopeForestIndependentOfDiameter gives a
+// 1,580-amoebot region meeting four.
 func TestPortalSidesMatchSearchOracle(t *testing.T) {
 	type input struct {
 		name    string
@@ -40,20 +46,25 @@ func TestPortalSidesMatchSearchOracle(t *testing.T) {
 		s := shapes.Line(24)
 		inputs = append(inputs, input{fmt.Sprintf("line k=%d", k), s, shapes.RandomSubset(rng, s, k)})
 	}
+	inputs = append(inputs, input{"line of two", shapes.Line(2), []int32{0, 1}})
 	for _, k := range []int{2, 4, 8, 16} {
 		s := shapes.Comb(8, 6)
 		inputs = append(inputs, input{fmt.Sprintf("comb k=%d", k), s, shapes.RandomSubset(rng, s, k)})
 	}
 	spine := shapes.Comb(6, 4)
 	inputs = append(inputs, input{"comb spine sources", spine, []int32{0, 4, 10}})
+	long := shapes.Comb(8, 250)
+	inputs = append(inputs, input{"long comb k=4", long, shapes.RandomSubset(rand.New(rand.NewSource(13)), long, 4)})
 
-	var regions, fused, joins int
+	var regions, fused, joins, maxQP int
 	for _, in := range inputs {
 		region := amoebot.WholeRegion(in.s)
 		sp, levels := replaySplit(region, in.sources, in.sources[0])
+		checkSplit(t, in.name, sp)
 		for ri, br := range sp.regions {
+			maxQP = max(maxQP, len(br.qpPortals))
 			for i, id := range br.qpPortals {
-				pnodes := sp.portalNodesIn(br, id)
+				pnodes := br.runs[i]
 				label := fmt.Sprintf("%s: base region %d, Q' portal %d", in.name, ri, id)
 				var want [amoebot.NumSides][]int32
 				if side := br.sides[i]; side == noSide {
@@ -76,10 +87,40 @@ func TestPortalSidesMatchSearchOracle(t *testing.T) {
 			t.Fatalf("%s: the replayed schedule left %d regions", in.name, len(states))
 		}
 	}
-	if fused == 0 || joins == 0 {
-		t.Fatalf("inputs reached %d fused pure-segment regions and %d phase-2 joins; want both", fused, joins)
+	if fused == 0 || joins == 0 || maxQP <= 2 {
+		t.Fatalf("inputs reached %d fused pure-segment regions, %d phase-2 joins and at most %d Q' portals in a region; want both and more than two",
+			fused, joins, maxQP)
 	}
-	t.Logf("%d (base region, Q' portal) pairs, %d of them fused, and %d phase-2 joins", regions, fused, joins)
+	t.Logf("%d (base region, Q' portal) pairs, %d of them fused, %d phase-2 joins; a region meets up to %d Q' portals",
+		regions, fused, joins, maxQP)
+}
+
+// checkSplit checks the base regions themselves: together they cover the
+// region, two of them share only Q' portal amoebots, and each recorded run
+// is exactly the region's amoebots on that portal.
+func checkSplit(t *testing.T, name string, sp *splitRegions) {
+	t.Helper()
+	ports := sp.ports
+	holders := make([]int, ports.Region.Structure().N())
+	for ri, br := range sp.regions {
+		for _, u := range br.nodes.Nodes() {
+			holders[u]++
+			if holders[u] > 1 && !sp.inQP[ports.ID[u]] {
+				t.Fatalf("%s: base region %d shares amoebot %d, which lies on no Q' portal", name, ri, u)
+			}
+		}
+		for i, id := range br.qpPortals {
+			on := br.nodes.Filter(func(u int32) bool { return ports.ID[u] == id })
+			if !slices.Equal(on, br.runs[i]) {
+				t.Fatalf("%s: base region %d holds %d amoebots of Q' portal %d, its run %d", name, ri, len(on), id, len(br.runs[i]))
+			}
+		}
+	}
+	for _, u := range ports.Region.Nodes() {
+		if holders[u] == 0 {
+			t.Fatalf("%s: amoebot %d lies in no base region", name, u)
+		}
+	}
 }
 
 // checkSides checks that splitSides over region, split at the portal run
@@ -110,20 +151,10 @@ func minusRun(body *amoebot.Region, pnodes []int32) []int32 {
 func replaySplit(region *amoebot.Region, sources []int32, leader int32) (*splitRegions, [][]int32) {
 	ports := portal.Compute(region, amoebot.AxisX)
 	view := ports.WholeView()
-	inQ := make([]bool, ports.Len())
-	for _, src := range sources {
-		inQ[ports.ID[src]] = true
-	}
 	var clock sim.Clock
-	rpQ := portal.RootPrune(&clock, view, ports.ID[leader], inQ)
-	aq := portal.Augment(&clock, view, rpQ)
-	inQP := make([]bool, ports.Len())
-	for id := range inQP {
-		inQP[id] = inQ[id] || aq[id]
-	}
-	sp := buildSplit(region, ports, inQP, rpQ, nil)
-	rPrime := portal.ElectPortal(&clock, view, ports.ID[leader], inQP)
-	dec := portal.Decompose(&clock, view, rPrime, inQP)
+	sp := splitAtQPrime(&clock, nil, ports, view, sources, leader)
+	rPrime := portal.ElectPortal(&clock, view, ports.ID[leader], sp.inQP)
+	dec := portal.Decompose(&clock, view, rPrime, sp.inQP)
 	maxDepth := 0
 	for _, d := range dec.Depth {
 		maxDepth = max(maxDepth, d)
