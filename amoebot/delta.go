@@ -211,7 +211,7 @@ func (s *Structure) checkResult(ns *Structure, addSet, removeSet map[Coord]bool)
 		return fmt.Errorf("amoebot: delta result invalid: %w", ns.Validate())
 	}
 	// χ = 1 leaves connectivity: c − holes = 1, so connected ⇒ hole-free.
-	if s.peelDelta(addSet, removeSet) || ns.IsConnected() {
+	if s.peelDelta(addSet, removeSet) || ns.componentCount() == 1 {
 		ns.markValid()
 		return nil
 	}

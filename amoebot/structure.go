@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"spforest/internal/par"
 )
@@ -27,13 +26,15 @@ type Structure struct {
 	rowOff []int32
 	nbr    [][NumDirections]int32
 
-	// Validity and fingerprint are derived from the immutable coordinate
-	// set, so both are computed at most once. Apply primes validOnce on
-	// structures it proved valid incrementally, skipping the O(n) pass.
-	validOnce sync.Once
-	validErr  error
-	fpOnce    sync.Once
-	fp        string
+	// Validity (with the component and hole counts it rests on) and the
+	// fingerprint are derived from the immutable coordinate set, so both
+	// are computed at most once. Apply primes validOnce on structures it
+	// proved valid incrementally, skipping the O(n) pass.
+	validOnce    sync.Once
+	comps, holes int
+	validErr     error
+	fpOnce       sync.Once
+	fp           string
 }
 
 // MaxCoord bounds the axial coordinates of a structure's cells: every
@@ -177,9 +178,11 @@ func (s *Structure) Neighbors(i int32, buf []int32) []int32 {
 	return buf
 }
 
-// IsConnected reports whether the induced graph G_X is connected.
+// IsConnected reports whether the induced graph G_X is connected. It reads
+// the component count of the memoized validation pass.
 func (s *Structure) IsConnected() bool {
-	return s.componentCount() == 1
+	s.Validate()
+	return s.comps == 1
 }
 
 func (s *Structure) componentCount() int {
@@ -207,20 +210,15 @@ func (s *Structure) componentCount() int {
 	return comps
 }
 
-// edgeAndTriangleCount returns the number of induced edges and the number of
-// filled unit triangles (three mutually adjacent occupied nodes).
-func (s *Structure) edgeAndTriangleCount() (edges, triangles int) {
-	return s.edgeAndTriangleCountExec(nil) // nil exec: the single-chunk serial tally
-}
-
 // Holes returns the number of holes of the structure: bounded connected
 // components of the complement graph G_{V∆\X}. It is computed from the Euler
 // characteristic of the induced simplicial complex (nodes, induced edges,
 // filled unit triangles): for a structure with c connected components,
-// holes = c − (V − E + T). This is O(n) regardless of the bounding box.
+// holes = c − (V − E + T). This is O(n) regardless of the bounding box,
+// and it is the count of the memoized validation pass.
 func (s *Structure) Holes() int {
-	e, t := s.edgeAndTriangleCount()
-	return s.componentCount() - (s.N() - e + t)
+	s.Validate()
+	return s.holes
 }
 
 // IsHoleFree reports whether the structure has no holes, i.e. the complement
@@ -235,69 +233,33 @@ func (s *Structure) Validate() error {
 	return s.ValidateExec(nil)
 }
 
-// ValidateExec is Validate with the O(n) pass fanned out over the exec (nil
-// validates serially): the connectivity flood fill expands level by level
-// with chunk-parallel frontier claims, and the Euler-characteristic hole
-// count reduces chunk-local edge/triangle tallies in index order. The
-// verdict (including the hole count in the error message) is identical at
-// every worker count, and the memo still guarantees at most one pass per
-// structure.
+// ValidateExec is Validate with the edge/triangle tally of the hole count
+// fanned out over the exec (nil tallies serially). The verdict, including
+// the hole count in the error message, is identical at every worker count,
+// and the memo still guarantees at most one pass per structure.
 func (s *Structure) ValidateExec(ex *par.Exec) error {
-	s.validOnce.Do(func() { s.validErr = s.validateExec(ex) })
+	s.validOnce.Do(func() { s.validateExec(ex) })
 	return s.validErr
 }
 
-func (s *Structure) validateExec(ex *par.Exec) error {
-	if ex.Workers() > 1 {
-		if !s.isConnectedParallel(ex) {
-			return errors.New("amoebot: structure is not connected")
-		}
-		// Connected: the component count in the Euler formula is 1, so the
-		// hole count needs only the edge and triangle tallies.
-		e, t := s.edgeAndTriangleCountExec(ex)
-		if h := 1 - (s.N() - e + t); h != 0 {
-			return fmt.Errorf("amoebot: structure has %d hole(s)", h)
-		}
-		return nil
+// validateExec counts the components with one depth-first search and the
+// holes from the Euler characteristic, and derives the verdict from both.
+func (s *Structure) validateExec(ex *par.Exec) {
+	s.comps = s.componentCount()
+	e, t := s.edgeAndTriangleCountExec(ex)
+	s.holes = s.comps - (s.N() - e + t)
+	switch {
+	case s.comps != 1:
+		s.validErr = errors.New("amoebot: structure is not connected")
+	case s.holes != 0:
+		s.validErr = fmt.Errorf("amoebot: structure has %d hole(s)", s.holes)
 	}
-	if !s.IsConnected() {
-		return errors.New("amoebot: structure is not connected")
-	}
-	if h := s.Holes(); h != 0 {
-		return fmt.Errorf("amoebot: structure has %d hole(s)", h)
-	}
-	return nil
 }
 
-// isConnectedParallel flood-fills the structure from node 0 with a
-// level-synchronous parallel BFS: workers claim undiscovered neighbors of
-// their frontier chunk with compare-and-swap and the per-chunk discoveries
-// concatenate in chunk order. Only the reached-node count is observed, so
-// the verdict cannot depend on the host schedule.
-func (s *Structure) isConnectedParallel(ex *par.Exec) bool {
-	n := s.N()
-	seen := make([]int32, n)
-	seen[0] = 1
-	reached := 1
-	frontier := []int32{0}
-	for len(frontier) > 0 {
-		next := par.ExpandLevel(ex, frontier, func(u int32, emit func(int32)) {
-			for d := Direction(0); d < NumDirections; d++ {
-				if v := s.nbr[u][d]; v != None &&
-					atomic.CompareAndSwapInt32(&seen[v], 0, 1) {
-					emit(v)
-				}
-			}
-		})
-		reached += len(next)
-		frontier = next
-	}
-	return reached == n
-}
-
-// edgeAndTriangleCountExec is the edge/triangle tally as a chunk-parallel
-// reduction; a nil exec runs it as one serial chunk. Per-node tallies are
-// independent and the sums fold in index order.
+// edgeAndTriangleCountExec returns the number of induced edges and the
+// number of filled unit triangles (three mutually adjacent occupied nodes)
+// as a chunk-parallel reduction; a nil exec runs it as one serial chunk.
+// Per-node tallies are independent and the sums fold in index order.
 func (s *Structure) edgeAndTriangleCountExec(ex *par.Exec) (edges, triangles int) {
 	type tally struct{ deg2, corners int }
 	sums := par.Reduce(ex, len(s.nbr),
@@ -328,7 +290,7 @@ func (s *Structure) edgeAndTriangleCountExec(ex *par.Exec) (edges, triangles int
 // markValid primes the validity memo of a structure that was proven
 // connected and hole-free by incremental means (see Apply).
 func (s *Structure) markValid() {
-	s.validOnce.Do(func() { s.validErr = nil })
+	s.validOnce.Do(func() { s.comps = 1 })
 }
 
 // Bounds returns the inclusive axial bounding box of the structure in

@@ -1,8 +1,10 @@
 package amoebot
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -204,10 +206,11 @@ func TestCoordsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestValidateExecMatchesSerial: the parallel validation path must return
-// the same verdict — including the exact hole count in the error text —
-// as the serial one, for valid, disconnected and holed structures. Fresh
-// structures are built per worker count because the verdict is memoized.
+// TestValidateExecMatchesSerial: validation with the edge/triangle tally
+// fanned out over several workers must return the same verdict — including
+// the exact hole count in the error text — as the one-chunk tally, for
+// valid, disconnected and holed structures. Fresh structures are built per
+// worker count because the verdict is memoized.
 func TestValidateExecMatchesSerial(t *testing.T) {
 	ring := func() []Coord {
 		var cs []Coord
@@ -241,8 +244,8 @@ func TestValidateExecMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestValidateExecLargeBlob exercises the chunked flood fill above the
-// parallel fan-out threshold against the serial verdict.
+// TestValidateExecLargeBlob runs the chunked edge/triangle tally above the
+// parallel fan-out threshold on a structure known to be valid.
 func TestValidateExecLargeBlob(t *testing.T) {
 	// A dense parallelogram strip, guaranteed connected and hole-free.
 	var cs []Coord
@@ -253,5 +256,32 @@ func TestValidateExecLargeBlob(t *testing.T) {
 	}
 	if err := MustStructure(cs).ValidateExec(par.New(4, nil)); err != nil {
 		t.Fatalf("parallel validation rejected a valid structure: %v", err)
+	}
+}
+
+// BenchmarkValidateExec times one validation pass on the hexagons of radius
+// 130 and 577 (n = 51,091 and 1,000,519) with GOMAXPROCS workers, so
+// `go test -run NONE -bench ValidateExec -cpu 1,2 ./amoebot` compares one
+// and two workers. Each iteration validates a fresh memo over the same
+// adjacency.
+func BenchmarkValidateExec(b *testing.B) {
+	for _, r := range []int{130, 577} {
+		b.Run(fmt.Sprintf("n=%d", 3*r*(r+1)+1), func(b *testing.B) {
+			var cs []Coord
+			for z := -r; z <= r; z++ {
+				for x := max(-r, -r-z); x <= min(r, r-z); x++ {
+					cs = append(cs, XZ(x, z))
+				}
+			}
+			s := MustStructure(cs)
+			ex := par.New(runtime.GOMAXPROCS(0), nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh := &Structure{coords: s.coords, rowZ: s.rowZ, rowOff: s.rowOff, nbr: s.nbr}
+				if err := fresh.ValidateExec(ex); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -91,3 +91,37 @@ func TestApplyAllocationBound(t *testing.T) {
 		t.Fatalf("Apply allocates %.2f MB per step (median), want at most 2.4 MB", float64(median)/(1<<20))
 	}
 }
+
+// TestRejectedRunAllocationBound pins the cost of a query a holed engine
+// rejects: spfserve builds every engine with AllowHoles, so a portal-based
+// query on a holed structure is a serving-path error. New stores the hole
+// count of the validation pass, and the rejection formats it, so the
+// mean rejected Run on a 20k holed blob allocates fewer bytes than the
+// structure has amoebots. Recounting the holes on every rejection ran a
+// component search and the edge/triangle tally and allocated about five
+// bytes per amoebot.
+func TestRejectedRunAllocationBound(t *testing.T) {
+	const runs = 20
+	s := spforest.RandomHoledBlob(3, 20000, 2)
+	e, err := engine.New(s, &engine.Config{Seed: 1, IntraWorkers: 1, AllowHoles: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := engine.Query{Algo: engine.AlgoForest, Sources: s.Coords()[:1]}
+	if _, err := e.Run(q); err == nil {
+		t.Fatal("forest query on a holed engine succeeded")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := e.Run(q); err == nil {
+			t.Fatal("forest query on a holed engine succeeded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mean := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("mean %d bytes allocated per rejected Run (n = %d)", mean, s.N())
+	if mean >= uint64(s.N()) {
+		t.Fatalf("a rejected Run allocates %d bytes, want fewer than n = %d", mean, s.N())
+	}
+}

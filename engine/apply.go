@@ -115,7 +115,7 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 	// answer no portal query, and Apply accepts a delta from it only when
 	// the result fills every hole. The child itself is hole-free: Apply
 	// validated it.
-	if e.holed || fp.Size() > ne.s.N()/4 {
+	if e.holes > 0 || fp.Size() > ne.s.N()/4 {
 		ne.distStats.PortalsRebuilt += int64(built)
 		return
 	}

@@ -53,12 +53,13 @@ type Config struct {
 	Workers int
 	// IntraWorkers bounds the intra-query parallelism: the worker budget of
 	// the deterministic parallel layer (internal/par) that every single
-	// query may spend on its own dense sweeps — validation flood fill, the
-	// three per-axis portal decompositions, per-region base cases,
-	// per-level merges and the BFS frontier expansions. 1 forces the fully
-	// serial per-query path; zero or negative means GOMAXPROCS. Results,
-	// simulated rounds and beeps are bit-for-bit identical at every setting
-	// — the layer only changes host wall time.
+	// query may spend on its own dense sweeps — validation's edge/triangle
+	// tally, the three per-axis portal decompositions, per-region base
+	// cases and propagation components, per-level merges and SPT parent
+	// choice. The bfs and exact baselines sweep serially at every setting.
+	// 1 forces the fully serial per-query path; zero or negative means
+	// GOMAXPROCS. Results, simulated rounds and beeps are bit-for-bit
+	// identical at every setting — the layer only changes host wall time.
 	IntraWorkers int
 	// AllowHoles admits structures that are connected but not hole-free.
 	// The paper's portal-based algorithms require hole-free structures
@@ -82,7 +83,7 @@ type Engine struct {
 	exec      *par.Exec    // intra-query parallel executor (IntraWorkers over arena)
 	batchExec *par.Exec    // inter-query executor of Batch (Workers budget, no arena)
 	env       *core.Env    // execution environment handed to the core algorithms
-	holed     bool         // structure has holes (admitted via Config.AllowHoles)
+	holes     int          // the structure's hole count (non-zero only under Config.AllowHoles)
 
 	leaderOnce  sync.Once
 	leaderIdx   int32
@@ -131,12 +132,12 @@ func New(s *amoebot.Structure, cfg *Config) (*Engine, error) {
 		if !e.cfg.AllowHoles {
 			return nil, err
 		}
-		// Validate memoizes one verdict for connected+hole-free; a holed
-		// engine needs connectivity alone, checked directly.
+		// A holed engine needs connectivity alone. Both counts come from
+		// the validation pass, which the structure memoizes.
 		if !s.IsConnected() {
 			return nil, errors.New("engine: structure is not connected")
 		}
-		e.holed = true
+		e.holes = s.Holes()
 	}
 	e.workers = e.cfg.Workers
 	if e.workers <= 0 {
@@ -174,7 +175,7 @@ func (e *Engine) Generation() uint64 { return e.gen }
 
 // Holed reports whether the engine's structure has holes (possible only
 // for engines built with Config.AllowHoles).
-func (e *Engine) Holed() bool { return e.holed }
+func (e *Engine) Holed() bool { return e.holes > 0 }
 
 // Structure returns the structure the engine is bound to.
 func (e *Engine) Structure() *amoebot.Structure { return e.s }
@@ -215,7 +216,7 @@ func (e *Engine) planQuery(q Query) plannedQuery {
 		pq.err = unknownAlgo(algo)
 		return pq
 	}
-	if e.holed && !holeTolerant(solver) {
+	if e.holes > 0 && !holeTolerant(solver) {
 		pq.err = e.holeFreeErr(algo)
 		return pq
 	}
@@ -231,10 +232,10 @@ func (e *Engine) planQuery(q Query) plannedQuery {
 }
 
 // holeFreeErr is the precondition error of a portal-based algorithm on a
-// holed structure.
+// holed structure; it formats the hole count New stored.
 func (e *Engine) holeFreeErr(algo string) error {
 	return fmt.Errorf("engine: algorithm %q requires a hole-free structure (%d hole(s); hole-tolerant solvers: %s)",
-		algo, e.s.Holes(), strings.Join(HoleTolerantSolvers(), ", "))
+		algo, e.holes, strings.Join(HoleTolerantSolvers(), ", "))
 }
 
 // runPlanned executes a successfully planned query on a fresh clock.

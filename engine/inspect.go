@@ -129,7 +129,7 @@ type Decomposition struct {
 // by Engine.Leader). Like the forest algorithm, it requires a hole-free
 // structure.
 func (e *Engine) BaseRegions(sources []amoebot.Coord) (*Decomposition, error) {
-	if e.holed {
+	if e.holes > 0 {
 		return nil, e.holeFreeErr(AlgoForest)
 	}
 	srcs, err := e.resolve(sources, "source")

@@ -2,10 +2,11 @@
 //
 // Everything above the query already fans out: engine.Batch spreads whole
 // queries over a worker pool and the service shards whole structures. This
-// package parallelizes the inside of a single query — the dense index-space
-// sweeps of the solver stack (per-circuit beep fan-out, per-axis portal
-// computation, per-region base cases, per-level frontier expansion) — while
-// keeping every output bit-for-bit identical at every worker count.
+// package parallelizes the inside of a single query — the per-axis portal
+// computations, per-region base cases and propagation components, the
+// merges of one centroid level, and the index-space sweeps of SPT parent
+// choice and of structure validation's edge/triangle tally — while keeping
+// every output bit-for-bit identical at every worker count.
 //
 // The amoebot model itself licenses this: amoebots act simultaneously in
 // every synchronous round, and circuits are disjoint per construction, so
@@ -20,8 +21,13 @@
 //     boundaries — which vary with the worker count — cannot show through.
 //
 // A nil *Exec (or Workers() == 1) degrades to the plain serial loop with
-// zero goroutines, so call sites never branch and the workers=1
-// configuration is exactly the pre-parallel code path.
+// zero goroutines, so the workers=1 configuration is exactly the serial
+// code path and call sites do not branch on the worker count. The one
+// exception is core.mergeLevel: its concurrent path is not the serial walk
+// fanned out but a reproduction of it, which first collects every level
+// portal's touching regions and checks that they are disjoint. At one
+// worker that bookkeeping buys nothing, so mergeLevel walks the level
+// serially.
 package par
 
 import (
@@ -280,24 +286,4 @@ func Reduce[T any](e *Exec, n int, mapChunk func(lo, hi int) T, merge func(acc, 
 		acc = merge(acc, p)
 	}
 	return acc
-}
-
-// ExpandLevel fans one level of a level-synchronous BFS out over the
-// frontier: expand(u, emit) visits u's neighbors, claims undiscovered ones
-// race-safely (typically compare-and-swap on a distance array — the claim
-// winner may vary, the claimed value must not) and calls emit for every
-// node it wins. Per-chunk emissions concatenate in ascending chunk order.
-// It is the shared frontier primitive behind the parallel flood fills
-// (structure validation, the BFS baselines, the exact distances).
-func ExpandLevel(e *Exec, frontier []int32, expand func(u int32, emit func(v int32))) []int32 {
-	return Reduce(e, len(frontier),
-		func(lo, hi int) []int32 {
-			var part []int32
-			emit := func(v int32) { part = append(part, v) }
-			for _, u := range frontier[lo:hi] {
-				expand(u, emit)
-			}
-			return part
-		},
-		func(acc, part []int32) []int32 { return append(acc, part...) })
 }
