@@ -13,14 +13,16 @@ import (
 
 	"spforest/amoebot"
 	"spforest/engine"
+	"spforest/internal/scenario"
 	"spforest/internal/shapes"
 )
 
 // The golden differential test pins the behavior of every registered solver
 // on a fixed portfolio of structures: crafted shapes (stressing detours,
-// visibility switching, cut vertices), parallelograms, and random hole-free
-// blobs. For each (structure, solver) pair the forest (as a parent vector),
-// the simulated round count and the beep count are compared bit-for-bit
+// visibility switching, cut vertices), parallelograms, random hole-free
+// blobs, and two inputs that reach the forest algorithm's rarer steps. For
+// each (structure, solver) pair the forest (as a parent vector), the
+// simulated round count and the beep count are compared bit-for-bit
 // against testdata/golden.json, which was captured from the map-based
 // reference implementation before the dense index-space refactor. Any
 // divergence — a different parent choice, one extra round — fails loudly.
@@ -129,6 +131,27 @@ func goldenCases(t testing.TB) []goldenCase {
 			s:       s,
 			sources: shapes.RandomSubset(rng, s, k),
 		})
+	}
+	// The forest algorithm's cut merge (mergePairAtCut) and its extension
+	// over uncovered portal amoebots (extendAlongPortal) run on no case
+	// above. The FuzzSolverAgreement seed lemma52-mark-segments reaches the
+	// first and the registry scenario maze/9x7 the second, each with its
+	// six-source spread set.
+	lemma52 := shapes.FillHoles(shapes.RandomHoledBlob(rand.New(rand.NewSource(-135)), 34, 2))
+	maze, _ := scenario.ByName("maze/9x7")
+	for _, c := range []struct {
+		name   string
+		s      *amoebot.Structure
+		spread []amoebot.Coord
+	}{
+		{"fuzz/lemma52-mark-segments", lemma52, scenario.SourceSets(-135, lemma52)[2]},
+		{"scenario/maze-9x7", maze.S, maze.SourceSets()[2]},
+	} {
+		sources := make([]int32, len(c.spread))
+		for i, coord := range c.spread {
+			sources[i], _ = c.s.Index(coord)
+		}
+		cases = append(cases, goldenCase{name: c.name, s: c.s, sources: sources})
 	}
 	return cases
 }

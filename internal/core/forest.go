@@ -175,14 +175,20 @@ func ForestEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sources, dest
 			panic("core: merged forest misses a source")
 		}
 	}
+	forestLabels.Put(states[0].label, states[0].region.Nodes())
 	// ---- Corollary 57: prune every tree to its destinations.
 	return pruneToDestinations(env, clock, full, region, sources, dests, amoebot.NewForest(s))
 }
 
-// regionState is one current region with its (S∩region)-forest.
+// regionState is one current region with its (S∩region)-forest and the
+// forest's labels (see forestLabels). Every step that sets a member's
+// parent writes its label too. The label column is taken from
+// forestLabels, and goes back when a merge consumes the state, over the
+// merged region, which holds every node the column labelled.
 type regionState struct {
 	region *amoebot.Region
 	forest *amoebot.Forest
+	label  []int32
 }
 
 // baseCase computes the (S∩Y)-forest of one base region (Lemma 54): the
@@ -226,7 +232,8 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 	// Each line forest lives on its portal run, and propagates into the
 	// side of the run the region lies on (none for a fused pure-segment
 	// region): B is the region minus the run.
-	var acc *amoebot.Forest
+	nodes := br.nodes.Nodes()
+	var acc *regionState
 	for i, qi := range ordered {
 		pnodes := br.runs[qi]
 		var segSources []int32
@@ -235,17 +242,19 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 				segSources = append(segSources, u)
 			}
 		}
-		f := LineForestEnv(env, clock, s, pnodes, segSources)
+		st := &regionState{region: br.nodes, forest: amoebot.NewForest(s), label: forestLabels.Take(s.N())}
+		lineForest(env, clock, s, pnodes, segSources, st.forest, st.label)
 		if side := br.sides[qi]; side != noSide {
-			propagate(env, clock, br.nodes, br.nodes, pnodes, pnodes, f, side)
+			propagate(env, clock, br.nodes, br.nodes, pnodes, pnodes, st.forest, st.label, side)
 		}
 		if i == 0 {
-			acc = f
+			acc = st
 		} else {
-			merge(env, clock, br.nodes.Nodes(), acc, f)
+			merge(clock, nodes, acc.forest, acc.label, st.forest, st.label)
+			forestLabels.Put(st.label, nodes)
 		}
 	}
-	return &regionState{region: br.nodes, forest: acc}
+	return acc
 }
 
 // mergeLevel executes one level of the merge schedule. The serial
@@ -430,10 +439,11 @@ func mergeTouching(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRe
 		whole := north.region.Union(south.region).Union(amoebot.NewRegion(s, pnodes))
 		extendAlongPortal(ar, clock, north, pnodes)
 		extendAlongPortal(ar, clock, south, pnodes)
-		propagate(env, clock, whole, south.region, pnodes, whole.Nodes(), north.forest, amoebot.SideB)
-		propagate(env, clock, whole, north.region, pnodes, whole.Nodes(), south.forest, amoebot.SideA)
-		merge(env, clock, whole.Nodes(), north.forest, south.forest)
-		out = &regionState{region: whole, forest: north.forest}
+		propagate(env, clock, whole, south.region, pnodes, whole.Nodes(), north.forest, north.label, amoebot.SideB)
+		propagate(env, clock, whole, north.region, pnodes, whole.Nodes(), south.forest, south.label, amoebot.SideA)
+		merge(clock, whole.Nodes(), north.forest, north.label, south.forest, south.label)
+		forestLabels.Put(south.label, whole.Nodes())
+		out = &regionState{region: whole, forest: north.forest, label: north.label}
 	}
 	return out
 }
@@ -519,8 +529,9 @@ func mergePairAtCut(env *Env, clock *sim.Clock, a, b *regionState, m int32) *reg
 	extendThroughCut(env, clock, a, b.region, m)
 	extendThroughCut(env, clock, b, a.region, m)
 	union := a.region.Union(b.region)
-	merge(env, clock, union.Nodes(), a.forest, b.forest)
-	return &regionState{region: union, forest: a.forest}
+	merge(clock, union.Nodes(), a.forest, a.label, b.forest, b.label)
+	forestLabels.Put(b.label, union.Nodes())
+	return &regionState{region: union, forest: a.forest, label: a.label}
 }
 
 // emptyForest reports whether the state's forest has no member (its region
@@ -531,7 +542,9 @@ func (st *regionState) emptyForest() bool {
 
 // extendThroughCut extends own's forest in place into the other region
 // through the cut amoebot m: an SPT rooted at m covers the other side and
-// is grafted onto own's forest (the pair overlaps only on m).
+// is grafted onto own's forest (the pair overlaps only on m). The grafted
+// amoebots are labelled by a walk over the other region, which stops at
+// m or at the first amoebot it labelled before.
 func extendThroughCut(env *Env, clock *sim.Clock, own *regionState, other *amoebot.Region, m int32) {
 	if own.emptyForest() || other.Len() <= 1 {
 		return
@@ -545,23 +558,26 @@ func extendThroughCut(env *Env, clock *sim.Clock, own *regionState, other *amoeb
 			own.forest.SetParent(u, p)
 		}
 	}
+	labelFrom(own.forest, own.label, other.Nodes())
+	labelled("extendThroughCut", own.forest, own.label)
 }
 
 // extendAlongPortal completes the state's forest in place over the portal
 // run: uncovered portal amoebots (segments whose only bodies lie on the
 // opposite side) adopt the parent towards the nearest covered portal
-// amoebot, weighting it by its tree depth. A PASC sweep along the portal
-// delivers the distances (charged logarithmically); the shortest paths
-// involved run along the portal itself, so correctness follows from the
-// grid metric.
+// amoebot, weighting it by its tree depth, read off its label. A PASC
+// sweep along the portal delivers the distances (charged
+// logarithmically); the shortest paths involved run along the portal
+// itself, so correctness follows from the grid metric. The uncovered
+// amoebots lie outside the state's region and take labels too.
 func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, st *regionState, pnodes []int32) {
-	f := st.forest
+	f, label := st.forest, st.label
 	if st.emptyForest() {
 		return
 	}
 	covered := 0
 	for _, u := range pnodes {
-		if f.Member(u) {
+		if label[u] != 0 {
 			covered++
 		}
 	}
@@ -582,31 +598,33 @@ func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, st *regionState, pnode
 	run := inf
 	for i := 0; i < n; i++ {
 		run++
-		if f.Member(pnodes[i]) {
-			if d := int32(f.Depth(pnodes[i])); d < run {
-				run = d
-			}
+		if l := label[pnodes[i]]; l != 0 && l-1 < run {
+			run = l - 1
 		}
 		bestW[i] = run
 	}
 	run = inf
 	for i := n - 1; i >= 0; i-- {
 		run++
-		if f.Member(pnodes[i]) {
-			if d := int32(f.Depth(pnodes[i])); d < run {
-				run = d
-			}
+		if l := label[pnodes[i]]; l != 0 && l-1 < run {
+			run = l - 1
 		}
 		bestE[i] = run
 	}
-	// In place: slot i is written after the sweeps and its own test.
+	// In place: slot i is written after the sweeps and its own test. An
+	// amoebot adopting its western neighbor is labelled in this ascending
+	// pass, after that neighbor; one adopting its eastern neighbor stays
+	// unlabelled until the descending pass below. Two neighbors never adopt
+	// each other: that would need bestW[i-1] > bestE[i-1] = bestE[i] + 1
+	// and bestW[i] = bestW[i-1] + 1 ≤ bestE[i] at once.
 	maxVal := int32(1)
 	for i := 0; i < n; i++ {
-		if f.Member(pnodes[i]) {
+		if label[pnodes[i]] != 0 {
 			continue
 		}
 		if bestW[i] <= bestE[i] {
 			f.SetParent(pnodes[i], pnodes[i-1])
+			label[pnodes[i]] = label[pnodes[i-1]] + 1
 			if bestW[i] < inf/2 && bestW[i] > maxVal {
 				maxVal = bestW[i]
 			}
@@ -617,7 +635,13 @@ func extendAlongPortal(ar *dense.Arena, clock *sim.Clock, st *regionState, pnode
 			}
 		}
 	}
+	for i := n - 1; i >= 0; i-- {
+		if label[pnodes[i]] == 0 {
+			label[pnodes[i]] = label[pnodes[i+1]] + 1
+		}
+	}
 	clock.Tick(int64(2 * bits.Len(uint(maxVal)))) // weighted line PASC
+	labelled("extendAlongPortal", f, label)
 }
 
 // ForestSequentialEnv is the naive multi-source approach the paper
@@ -631,9 +655,16 @@ func ForestSequentialEnv(env *Env, clock *sim.Clock, region *amoebot.Region, sou
 	}
 	ordered := append([]int32(nil), sources...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	acc := SPTEnv(env, clock, region, ordered[0], region.Nodes())
+	ar := env.Arena()
+	nodes := region.Nodes()
+	acc := SPTEnv(env, clock, region, ordered[0], nodes)
+	label := forestDepths(acc, nodes, ar)
 	for _, src := range ordered[1:] {
-		merge(env, clock, region.Nodes(), acc, SPTEnv(env, clock, region, src, region.Nodes()))
+		tree := SPTEnv(env, clock, region, src, nodes)
+		treeLabel := forestDepths(tree, nodes, ar)
+		merge(clock, nodes, acc, label, tree, treeLabel)
+		ar.PutInt32s(treeLabel)
 	}
+	ar.PutInt32s(label)
 	return pruneToDestinations(env, clock, acc, region, sources, dests, amoebot.NewForest(region.Structure()))
 }

@@ -185,3 +185,63 @@ func TestForestManySourcesSameRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLabelColumnsReturnClean: the forest path hands every label column
+// back to forestLabels with the labels it wrote cleared. After a run of
+// forest queries on a 3,000-amoebot blob, every column the pool hands out
+// reads 0 up to its capacity, and one at least is a recycled one (a fresh
+// column from Take(1) has capacity 1). The race detector makes sync.Pool
+// drop a random quarter of its puts, so the last check skips under it.
+func TestLabelColumnsReturnClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(173))
+	s := shapes.RandomBlob(rng, 3000)
+	r := amoebot.WholeRegion(s)
+	for trial := 0; trial < 4; trial++ {
+		sources := shapes.RandomSubset(rng, s, 4+4*trial)
+		var clock sim.Clock
+		ForestEnv(testEnv(), &clock, r, sources, allNodes(s), sources[0], ScheduleCentroid)
+	}
+	recycled := 0
+	var cols [][]int32
+	for i := 0; i < 64; i++ {
+		col := forestLabels.Take(1)
+		cols = append(cols, col)
+		if cap(col) > 1 {
+			recycled++
+		}
+		for u, l := range col[:cap(col)] {
+			if l != 0 {
+				t.Fatalf("pooled label column %d holds label %d at node %d", i, l, u)
+			}
+		}
+	}
+	for _, col := range cols {
+		forestLabels.Put(col, nil)
+	}
+	if recycled == 0 && !raceEnabled {
+		t.Fatal("no label column came back to the pool")
+	}
+}
+
+// TestExtendAlongPortalLabelsBothWays: extendAlongPortal gives the
+// uncovered amoebots of a run parents towards the covered stretch from
+// both of its ends, and labels each of them with its depth + 1. The
+// forest queries of the label oracle reach the branch only with uncovered
+// amoebots east of the covered ones, so this pins the western end too.
+func TestExtendAlongPortalLabelsBothWays(t *testing.T) {
+	s := shapes.Line(12)
+	chain := chainOf(s)
+	f, label := amoebot.NewForest(s), make([]int32, s.N())
+	var clock sim.Clock
+	lineForest(testEnv(), &clock, s, chain[4:8], chain[5:6], f, label)
+	st := &regionState{region: amoebot.NewRegion(s, chain[4:8]), forest: f, label: label}
+	extendAlongPortal(testEnv().Arena(), &clock, st, chain)
+	if err := verify.Forest(s, chain[5:6], allNodes(s), f); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range chain {
+		if want := int32(f.Depth(u)) + 1; label[u] != want {
+			t.Fatalf("node %d: label %d, depth + 1 = %d", u, label[u], want)
+		}
+	}
+}

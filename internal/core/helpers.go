@@ -26,57 +26,87 @@ import (
 	"spforest/internal/sim"
 )
 
-// forestDepths returns the depth of every member of f (its parent hops to
-// its root) plus one, indexed by node, with 0 for non-members; members
-// lists f's members. One walk up the parent links resolves each member
-// once, memoized. The depths are what the tree-distance PASC on f
-// (Corollary 5) streams, dist(S, ·): every non-root member is a participant
-// with its depth as value, and forestDepths adds each to vals. Panics when
-// a member's parent is no member or a parent cycle makes f no forest.
-// Release the column with ar.PutInt32s.
-func forestDepths(f *amoebot.Forest, members []int32, ar *dense.Arena, vals *sim.Tally) []int32 {
+// forestLabels recycles the label columns of the forest path. A label
+// column belongs to one forest: label[u] is u's depth (its parent hops to
+// its root) plus one for a member u of the forest, and 0 elsewhere. The
+// depth is dist(S, u), the value the tree-distance PASC on the forest
+// (Corollary 5) streams, and every forest step writes it where it sets
+// the parent, so merging and propagation read the distances they compare
+// without a walk. A column goes back over every node it labelled.
+var forestLabels = dense.NewColumns(0)
+
+// labelHook, when set, sees the forest and label column each step writes,
+// once the step is done: the line algorithm, propagation, merging, and the
+// two extensions of a merge (extendThroughCut, extendAlongPortal). The
+// label oracle test sets it; it is nil otherwise.
+var labelHook func(step string, f *amoebot.Forest, label []int32)
+
+// labelled hands a step's forest and labels to labelHook, if set.
+func labelled(step string, f *amoebot.Forest, label []int32) {
+	if labelHook != nil {
+		labelHook(step, f, label)
+	}
+}
+
+// forestDepths labels f's members among nodes in an arena column (release
+// it with ar.PutInt32s), by one memoized walk up the parent links that
+// resolves each member once. The entry points that take arbitrary forests
+// (MergeEnv, PropagateEnv and ForestSequentialEnv's per-source SPTs) label
+// them with it; the forest path labels as it builds. Panics when a
+// member's parent is no member or a parent cycle makes f no forest.
+func forestDepths(f *amoebot.Forest, nodes []int32, ar *dense.Arena) []int32 {
 	const onPath = -1
-	depth := ar.Int32s(f.Structure().N())
+	label := ar.Int32s(f.Structure().N())
 	var path []int32
-	for _, g := range members {
+	for _, g := range nodes {
+		if !f.Member(g) {
+			continue
+		}
 		u := g
-		for depth[u] == 0 {
+		for label[u] == 0 {
 			p := f.Parent(u)
 			if p == amoebot.None {
-				depth[u] = 1
+				label[u] = 1
 				break
 			}
 			if !f.Member(p) {
 				panic(fmt.Sprintf("core: member %d has parent outside member set", u))
 			}
-			depth[u] = onPath
+			label[u] = onPath
 			path = append(path, u)
 			u = p
 		}
-		if depth[u] == onPath {
+		if label[u] == onPath {
 			panic(fmt.Sprintf("core: parent cycle through %d, not a forest", u))
 		}
 		for i := len(path) - 1; i >= 0; i-- {
 			v := path[i]
-			depth[v] = depth[f.Parent(v)] + 1
-			vals.Add(int(depth[v]) - 1)
+			label[v] = label[f.Parent(v)] + 1
 		}
 		path = path[:0]
 	}
-	return depth
+	return label
 }
 
-// membersAmong lists f's members among nodes, in nodes' order, on an
-// arena column (release it with ar.PutInt32s). When nodes is a region
-// holding every member of f, it is f.Members() at the region's cost.
-func membersAmong(f *amoebot.Forest, nodes []int32, ar *dense.Arena) []int32 {
-	m := ar.Int32s(len(nodes))[:0]
+// labelFrom labels the unlabelled members among nodes from their parents'
+// labels, for a step that grafts new trees onto a labelled forest: one
+// walk up from each stops at the first labelled amoebot, and the unwind
+// labels the walked path, so each amoebot resolves once and the cost is
+// the grafted nodes', not the forest's.
+func labelFrom(f *amoebot.Forest, label []int32, nodes []int32) {
+	var path []int32
 	for _, u := range nodes {
-		if f.Member(u) {
-			m = append(m, u)
+		if !f.Member(u) {
+			continue
 		}
+		for v := u; label[v] == 0; v = f.Parent(v) {
+			path = append(path, v)
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			label[path[i]] = label[f.Parent(path[i])] + 1
+		}
+		path = path[:0]
 	}
-	return m
 }
 
 // pruneFates recycles the per-node columns of pruneToDestinations: a prune

@@ -22,11 +22,21 @@ import (
 // draws from the arena, so a stream of line queries allocates only the
 // output forest.
 func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
+	f := amoebot.NewForest(s)
+	label := forestLabels.Take(s.N())
+	lineForest(env, clock, s, chain, sources, f, label)
+	forestLabels.Put(label, chain)
+	return f
+}
+
+// lineForest is LineForestEnv writing the forest into f, which has no
+// member on the chain, and each member's label into label: its depth + 1,
+// which is the streamed distance the slot compared, plus one.
+func lineForest(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32, f *amoebot.Forest, label []int32) {
 	ar := env.Arena()
 	n := len(chain)
-	f := amoebot.NewForest(s)
 	if n == 0 {
-		return f
+		return
 	}
 	isSource := ar.Bools(n)
 	defer ar.PutBools(isSource)
@@ -45,7 +55,7 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 		first, last = min(first, int(i)), max(last, int(i))
 	}
 	if len(sources) == 0 {
-		return f
+		return
 	}
 
 	// One beep round per direction on the chain circuit cut at sources:
@@ -73,6 +83,7 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 		case isSource[i]:
 			distW = 0
 			f.SetRoot(g)
+			label[g] = 1
 			continue
 		case i < n-1:
 			distW++
@@ -81,10 +92,12 @@ func LineForestEnv(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int
 		hasWest, hasEast := i > first, i < last
 		if hasWest && (!hasEast || distE[i] <= distW) {
 			f.SetParent(g, chain[i-1]) // west distance ≤ east distance
+			label[g] = distE[i] + 1
 		} else {
 			f.SetParent(g, chain[i+1])
+			label[g] = distW + 1
 		}
 	}
 	clock.ChargePASC(2, vals)
-	return f
+	labelled("line", f, label)
 }

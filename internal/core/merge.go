@@ -16,47 +16,58 @@ import (
 // side. Runs in O(log n) rounds; 4 links per edge (2 per forest).
 //
 // The two tree-PASC executions are evaluated in closed form (DESIGN.md
-// §2): one memoized walk up each forest's parent links yields every
-// member's depth — the value its execution streams — a doubly covered
-// amoebot compares the two depths, and sim.Clock.ChargePASC bills the
-// joint two-lane run on the merge's clock. Panics unless both forests are
-// forests over their members.
+// §2): the streamed value of a member is its depth, which the forest path
+// carries as a label on every member. MergeEnv takes arbitrary forests, so
+// it first labels both with one memoized walk up each forest's parent
+// links (forestDepths), then merges as the forest path does: a doubly
+// covered amoebot compares the two depths, and sim.Clock.ChargePASC bills
+// the joint two-lane run on the merge's clock. Panics unless both forests
+// are forests over their members.
 func MergeEnv(env *Env, clock *sim.Clock, f1, f2 *amoebot.Forest) *amoebot.Forest {
 	if f2.Structure() != f1.Structure() {
 		panic("core: merging forests of different structures")
 	}
+	ar := env.Arena()
+	nodes := amoebot.WholeRegion(f1.Structure()).Nodes()
 	out := f1.Clone()
-	merge(env, clock, amoebot.WholeRegion(f1.Structure()).Nodes(), out, f2)
+	label1 := forestDepths(out, nodes, ar)
+	defer ar.PutInt32s(label1)
+	label2 := forestDepths(f2, nodes, ar)
+	defer ar.PutInt32s(label2)
+	merge(clock, nodes, out, label1, f2, label2)
 	return out
 }
 
-// merge is MergeEnv merging f2 into f1 in place. nodes is the region both
-// forests live on (ascending, holding every member of each), so the merge
-// costs the region, not the structure. An empty side charges nothing.
-func merge(env *Env, clock *sim.Clock, nodes []int32, f1, f2 *amoebot.Forest) {
-	ar := env.Arena()
-	members1 := membersAmong(f1, nodes, ar)
-	defer ar.PutInt32s(members1)
-	members2 := membersAmong(f2, nodes, ar)
-	defer ar.PutInt32s(members2)
-	if len(members1) == 0 || len(members2) == 0 {
-		for _, g := range members2 {
-			f1.SetParent(g, f2.Parent(g))
-		}
-		return
-	}
+// merge is MergeEnv merging f2 into f1 in place, in one pass over nodes,
+// the region both forests live on (holding every member of each), so the
+// merge costs the region, not the structure. label1 and label2 are the
+// forests' labels (see forestLabels); label1 ends as the merged forest's.
+// The pass tallies both forests' PASC values from their labels, and every
+// amoebot f2 covers keeps f2's parent and label where f1 does not cover it
+// or f2's depth is strictly smaller. An empty side charges nothing.
+func merge(clock *sim.Clock, nodes []int32, f1 *amoebot.Forest, label1 []int32, f2 *amoebot.Forest, label2 []int32) {
 	var vals sim.Tally
-	depth1 := forestDepths(f1, members1, ar, &vals)
-	defer ar.PutInt32s(depth1)
-	depth2 := forestDepths(f2, members2, ar, &vals)
-	defer ar.PutInt32s(depth2)
-	clock.ChargePASC(2, vals)
-
-	// f2 is strictly nearer exactly where both depths are set and depth1 is
-	// the larger; a non-member's entry is 0. f1 keeps every other member.
-	for _, g := range members2 {
-		if depth1[g] > depth2[g] || depth1[g] == 0 {
-			f1.SetParent(g, f2.Parent(g))
+	var seen1, seen2 int32 // OR of the labels: nonzero iff a side has a member
+	for _, u := range nodes {
+		l1, l2 := label1[u], label2[u]
+		seen1 |= l1
+		seen2 |= l2
+		if l1 > 1 {
+			vals.Add(int(l1) - 1)
+		}
+		if l2 == 0 {
+			continue
+		}
+		if l2 > 1 {
+			vals.Add(int(l2) - 1)
+		}
+		if l1 == 0 || l2 < l1 {
+			f1.SetParent(u, f2.Parent(u))
+			label1[u] = l2
 		}
 	}
+	if seen1 != 0 && seen2 != 0 {
+		clock.ChargePASC(2, vals)
+	}
+	labelled("merge", f1, label1)
 }

@@ -24,6 +24,10 @@ import (
 // comparator iteration by iteration. The Oracle tests require forests,
 // rounds and beeps of both to match.
 
+// oracleChunk is the chunk size the packed executions' per-slot sweeps fan
+// out in (par.Exec.ForChunks); every slot writes only its own state.
+const oracleChunk = 64
+
 // linePacked is LineForestEnv as a packed execution: the east and west
 // runs as two lanes of one wave.Packed, each slot feeding its comparator.
 func linePacked(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32, sources []int32) *amoebot.Forest {
@@ -96,7 +100,7 @@ func linePacked(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32,
 	defer ar.PutBytes(cmps)
 	ex := env.Exec()
 	feed := func(bitsE, bitsW []uint8) {
-		ex.Range(n, func(lo, hi int) {
+		ex.ForChunks(n, oracleChunk, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				switch {
 				case !hasWest[i] && !hasEast[i]:
@@ -122,7 +126,7 @@ func linePacked(env *Env, clock *sim.Clock, s *amoebot.Structure, chain []int32,
 		feed(p.Bits(0), p.Bits(1))
 	}
 	p.Release()
-	ex.Range(n, func(lo, hi int) {
+	ex.ForChunks(n, oracleChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := chain[i]
 			if isSource[i] {
@@ -207,7 +211,7 @@ func (mc *mergeCmps) release(ar *dense.Arena) {
 // disjoint comparator slots, so the fan-out is race-free and
 // order-independent.
 func (mc *mergeCmps) feed(ex *par.Exec, local1, local2 *dense.Index, b1, b2 []uint8) {
-	ex.Range(len(mc.both), func(lo, hi int) {
+	ex.ForChunks(len(mc.both), oracleChunk, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			g := mc.both[ci]
 			mc.states[ci] = bitstream.CmpFeed(mc.states[ci], b1[local1.At(g)], b2[local2.At(g)])
@@ -292,9 +296,7 @@ func propagatePacked(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes 
 	towardY, towardZ := towardPortal(into)
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	visY, visZ := visibility(ar, amoebot.NewRegion(s, bNodes), pnodes, into)
-	defer ar.PutBitSet(visY)
-	defer ar.PutBitSet(visZ)
+	visY, visZ := portalVisibility(s, pnodes, bNodes)
 	clock.Tick(1)
 	clock.AddBeeps(2 * int64(len(pnodes)))
 
@@ -343,7 +345,7 @@ func propagatePacked(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes 
 		for !run.Done(0) {
 			run.StepRound(clock)
 			bits := run.Bits(0)
-			ex.Range(len(probes), func(lo, hi int) {
+			ex.ForChunks(len(probes), oracleChunk, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					pr := &probes[i]
 					pr.cmp.Feed(bits[toLocal.At(pr.projY)], bits[toLocal.At(pr.projZ)])
@@ -352,7 +354,7 @@ func propagatePacked(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes 
 		}
 		ar.PutIndex(toLocal)
 		run.Release()
-		ex.Range(len(probes), func(lo, hi int) {
+		ex.ForChunks(len(probes), oracleChunk, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				pr := &probes[i]
 				// n_y if dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46).
@@ -405,6 +407,15 @@ func propagatePacked(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes 
 		clock.JoinMax(branches...)
 	}
 	return out
+}
+
+// mustNeighbor returns u's neighbor in direction d inside the region.
+func mustNeighbor(region *amoebot.Region, u int32, d amoebot.Direction) int32 {
+	v := region.Neighbor(u, d)
+	if v == amoebot.None {
+		panic(fmt.Sprintf("core: expected neighbor of %d in direction %v", u, d))
+	}
+	return v
 }
 
 func sameForest(t *testing.T, label string, want, got *amoebot.Forest) {

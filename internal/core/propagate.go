@@ -26,15 +26,14 @@ import (
 // Runs in O(log n) rounds. An empty forest propagates to an empty forest.
 // pnodes must be a contiguous run of one row, ascending in x.
 //
-// The tree-PASC of phase 1 is evaluated in closed form (DESIGN.md §2): one
-// memoized walk up f's parent links yields every member's depth, a
-// both-visible amoebot compares its projections' depths, and
-// sim.Clock.ChargePASC bills the one-lane run. The phase-2 invisible
-// components — disjoint sub-regions by construction — run on worker
-// goroutines with their branch clocks joined in component order. Panics
-// unless f is a forest over its members. B is found by a search over the
-// components of region \ P (splitSides), which panics when one of them
-// touches P from both sides or not at all.
+// The tree-PASC of phase 1 is evaluated in closed form (DESIGN.md §2): the
+// streamed value of a member is its depth, which the forest path carries
+// as a label on every member. PropagateEnv takes an arbitrary forest, so
+// it first labels f's members in the region with one memoized walk up the
+// parent links (forestDepths), then propagates as the forest path does
+// (propagate). Panics unless f is a forest over its members. B is found by
+// a search over the components of region \ P (splitSides), which panics
+// when one of them touches P from both sides or not at all.
 func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []int32, f *amoebot.Forest, into amoebot.Side) *amoebot.Forest {
 	if len(pnodes) == 0 {
 		panic("core: empty portal")
@@ -47,7 +46,9 @@ func PropagateEnv(env *Env, clock *sim.Clock, region *amoebot.Region, pnodes []i
 	inP := portalRow(region.Structure(), pnodes, ar)
 	defer ar.PutBitSet(inP)
 	b := amoebot.NewRegion(region.Structure(), splitSides(ar, region, inP)[into])
-	propagate(env, clock, region, b, pnodes, region.Nodes(), out, into)
+	label := forestDepths(out, region.Nodes(), ar)
+	defer ar.PutInt32s(label)
+	propagate(env, clock, region, b, pnodes, region.Nodes(), out, label, into)
 	return out
 }
 
@@ -74,97 +75,67 @@ func portalRow(s *amoebot.Structure, pnodes []int32, ar *dense.Arena) *dense.Bit
 // propagate is PropagateEnv extending f in place into B = body \ P, where
 // body lies on the given side of P and may hold part of P. Its callers
 // know that side without a search: a base region records it, and phase 2
-// of a merge joins one region per side. region holds B ∪ P and answers the
-// neighbor reads towards P; fNodes holds every member of f. pnodes is a
-// contiguous run of one row, ascending in x, as portalRow checks.
-func propagate(env *Env, clock *sim.Clock, region, body *amoebot.Region, pnodes, fNodes []int32, f *amoebot.Forest, into amoebot.Side) {
+// of a merge joins one region per side. region holds B ∪ P and answers
+// phase 2's neighbor reads; fNodes holds every member of f, and f has no
+// member in B. label is f's label column (see forestLabels): propagate
+// reads the labels of P's amoebots and labels every amoebot of B as it
+// sets its parent. pnodes is a contiguous run of one row, ascending in x,
+// as portalRow checks.
+//
+// Phase 1 is one parent-first pass over B (visiblePass). Its tree-PASC
+// tally reads the labels of f's members outside B', which are the members
+// before the pass. Phase 2 labels each invisible component's new SPT by a
+// walk over only that component's amoebots.
+func propagate(env *Env, clock *sim.Clock, region, body *amoebot.Region, pnodes, fNodes []int32, f *amoebot.Forest, label []int32, into amoebot.Side) {
 	nb := body.Len()
 	for _, p := range pnodes {
 		if body.Contains(p) {
 			nb--
 		}
 	}
-	if nb == 0 {
+	if nb == 0 || !slices.ContainsFunc(fNodes, f.Member) {
 		return
 	}
 	ar := env.Arena()
-	members := membersAmong(f, fNodes, ar)
-	defer ar.PutInt32s(members)
-	if len(members) == 0 {
-		return
-	}
 	s := region.Structure()
 	zP := s.Coord(pnodes[0]).Z
-	x0 := s.Coord(pnodes[0]).X
-	towardY, towardZ := towardPortal(into)
-	onP := func(u int32) bool {
-		c := s.Coord(u)
-		return c.Z == zP && c.X >= x0 && c.X < x0+len(pnodes)
-	}
 
 	// Phase 1: visibility via the y-/z-portals of P ∪ B (one beep round).
-	visY, visZ := visibility(ar, body, pnodes, into)
+	visY, visZ := ar.BitSet(s.N()), ar.BitSet(s.N())
 	defer ar.PutBitSet(visY)
 	defer ar.PutBitSet(visZ)
+	invisible, both := visiblePass(body, pnodes, f, label, into, visY, visZ)
 	clock.Tick(1)
 	clock.AddBeeps(2 * int64(len(pnodes)))
-
-	// Both-visible amoebots compare the streamed distances of their two
-	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
-	// on the portal circuits in the same cadence): n_y if
-	// dist(S, proj_y) ≤ dist(S, proj_z), else n_z (Lemma 46). The
-	// projections sit at x = −Y_u − z_P (along y) and x = X_u (along z) of
-	// the run. The depths are taken before phase 1 writes into f.
-	// No amoebot of P is visible, so the loops over body need not skip P.
-	var depth []int32
-	if slices.ContainsFunc(body.Nodes(), func(u int32) bool { return visY.Has(u) && visZ.Has(u) }) {
-		var vals sim.Tally
-		depth = forestDepths(f, members, ar, &vals)
-		defer ar.PutInt32s(depth)
-		clock.ChargePASC(1, vals)
-	}
-	projDepth := func(x int) int32 {
-		if k := x - x0; k >= 0 && k < len(pnodes) {
-			if p := pnodes[k]; s.Coord(p).X == x && depth[p] != 0 {
-				return depth[p]
-			}
-		}
-		panic("core: projection of a visible amoebot missed the portal")
-	}
-	for _, u := range body.Nodes() {
-		switch vy, vz := visY.Has(u), visZ.Has(u); {
-		case vy && vz:
-			if cu := s.Coord(u); projDepth(-cu.Y-zP) <= projDepth(cu.X) {
-				f.SetParent(u, mustNeighbor(region, u, towardY))
-			} else {
-				f.SetParent(u, mustNeighbor(region, u, towardZ))
-			}
-		case vy:
-			f.SetParent(u, mustNeighbor(region, u, towardY))
-		case vz:
-			f.SetParent(u, mustNeighbor(region, u, towardZ))
-		}
-	}
 	visible := visY // B': visible along either axis
 	visible.Or(visZ)
+	// Both-visible amoebots compared the streamed distances of their two
+	// projections onto P (tree-PASC on f; the P-amoebots forward their bits
+	// on the portal circuits in the same cadence), which bills the one-lane
+	// run over f's members before the pass.
+	if both {
+		var vals sim.Tally
+		for _, u := range fNodes {
+			if l := label[u]; l > 1 && !visible.Has(u) {
+				vals.Add(int(l) - 1)
+			}
+		}
+		clock.ChargePASC(1, vals)
+	}
 
 	// Phase 2: invisible components. Each component Z elects s_Z (the
 	// amoebot adjacent to B' closest to P), adopts a nearest-P neighbor in
 	// B' as its parent and runs the SPT algorithm inside Z (in parallel
 	// over all components; two rounds for the component circuits/election).
-	var invisible []int32
-	for _, u := range body.Nodes() {
-		if !visible.Has(u) && !onP(u) {
-			invisible = append(invisible, u)
-		}
-	}
 	if len(invisible) > 0 {
 		clock.Tick(2)
 		comps := amoebot.NewRegion(s, invisible).Components()
 		// The components are vertex-disjoint sub-regions of B \ B', where f
 		// has no member yet, so their SPTs write into f on worker goroutines
 		// (each its own component's entries), rooted at s_Z until s_Z takes
-		// its parent in B'; the branch clocks join in component order.
+		// its parent in B'; the branch clocks join in component order. A
+		// component's labels follow from its s_Z's parent, labelled in
+		// phase 1.
 		branches := make([]*sim.Clock, len(comps))
 		env.Exec().For(len(comps), func(ci int) {
 			z := comps[ci]
@@ -180,9 +151,88 @@ func propagate(env *Env, clock *sim.Clock, region, body *amoebot.Region, pnodes,
 				}
 			}
 			f.SetParent(sz, parent)
+			labelFrom(f, label, z.Nodes())
 		})
 		clock.JoinMax(branches...)
 	}
+	labelled("propagate", f, label)
+}
+
+// visiblePass is phase 1 of propagation: one pass over B = body \ P that
+// finds the amoebots seeing P along the y- and z-axes (visY, visZ: those
+// whose y- (z-) portal of P ∪ B contains an amoebot of P, Lemma 47), gives
+// each of them its parent and label, and lists the invisible rest. The
+// visibility is recursive along each axis: u sees P along y exactly when
+// its neighbor towards P along y lies on P's run, or lies in B and sees P
+// along y. So the pass runs parent-first, towards P before away from it —
+// ascending node order when B lies south of P (a node's row is its major
+// key), descending when north — and both = true reports an amoebot seeing
+// P along both axes, which compared its projections' labels (Lemma 46).
+// visY and visZ must be empty sets over the structure. A parent towards P
+// must carry a label, so the pass panics when f leaves an amoebot of P's
+// run uncovered that B sees.
+func visiblePass(body *amoebot.Region, pnodes []int32, f *amoebot.Forest, label []int32, into amoebot.Side, visY, visZ *dense.BitSet) (invisible []int32, both bool) {
+	s := body.Structure()
+	zP := s.Coord(pnodes[0]).Z
+	x0 := s.Coord(pnodes[0]).X
+	onP := func(u int32) bool {
+		c := s.Coord(u)
+		return c.Z == zP && c.X >= x0 && c.X < x0+len(pnodes)
+	}
+	// sees reports whether the neighbor v of a B amoebot (towards P along
+	// the axis of vis) lies on P's run or sees P along that axis.
+	sees := func(v int32, vis *dense.BitSet) bool {
+		return v != amoebot.None && (vis.Has(v) || onP(v))
+	}
+	projLabel := func(x int) int32 {
+		if k := x - x0; k >= 0 && k < len(pnodes) && s.Coord(pnodes[k]).X == x {
+			if l := label[pnodes[k]]; l != 0 {
+				return l
+			}
+			panic(fmt.Sprintf("core: projection %d has no label: the forest does not cover P", pnodes[k]))
+		}
+		panic("core: projection of a visible amoebot missed the portal")
+	}
+	towardY, towardZ := towardPortal(into)
+	nodes := body.Nodes()
+	for k := range nodes {
+		u := nodes[k]
+		if into == amoebot.SideA {
+			u = nodes[len(nodes)-1-k]
+		}
+		if onP(u) {
+			continue
+		}
+		ny, nz := s.Neighbor(u, towardY), s.Neighbor(u, towardZ)
+		vy, vz := sees(ny, visY), sees(nz, visZ)
+		p, d := ny, towardY
+		switch {
+		case vy && vz:
+			// n_y if dist(S, proj_y) ≤ dist(S, proj_z), else n_z; the
+			// projections sit at x = −Y_u − z_P (along y) and x = X_u
+			// (along z) of the run.
+			both = true
+			if cu := s.Coord(u); projLabel(-cu.Y-zP) > projLabel(cu.X) {
+				p, d = nz, towardZ
+			}
+			visY.Add(u)
+			visZ.Add(u)
+		case vy:
+			visY.Add(u)
+		case vz:
+			p, d = nz, towardZ
+			visZ.Add(u)
+		default:
+			invisible = append(invisible, u)
+			continue
+		}
+		if label[p] == 0 {
+			panic(fmt.Sprintf("core: %v-neighbor %d of %d has no label: the forest does not cover P", d, p, u))
+		}
+		f.SetParent(u, p)
+		label[u] = label[p] + 1
+	}
+	return invisible, both
 }
 
 // towardPortal returns the directions from B towards P along the y- and
@@ -192,30 +242,6 @@ func towardPortal(into amoebot.Side) (towardY, towardZ amoebot.Direction) {
 		return amoebot.DirSW, amoebot.DirSE
 	}
 	return amoebot.DirNE, amoebot.DirNW
-}
-
-// visibility returns the amoebots of B = body \ P (on the given side of
-// the x-portal P) that see P along the y-axis and along the z-axis: those
-// whose y- (z-) portal of P ∪ B contains an amoebot of P (Lemma 47). An
-// axis line crosses P's row once, so that portal holds a P amoebot exactly
-// when walking from the P amoebot away from P along the axis stays inside
-// B up to the amoebot; a walk away from P never re-enters P's row, so it
-// tests membership in body. The walks cost O(|P| + |B|); portal
-// decompositions of P ∪ B would cost the whole structure. Release both
-// sets with ar.PutBitSet.
-func visibility(ar *dense.Arena, body *amoebot.Region, pnodes []int32, into amoebot.Side) (visY, visZ *dense.BitSet) {
-	s := body.Structure()
-	towardY, towardZ := towardPortal(into)
-	visY, visZ = ar.BitSet(s.N()), ar.BitSet(s.N())
-	for _, p := range pnodes {
-		for v := s.Neighbor(p, towardY.Opposite()); v != amoebot.None && body.Contains(v); v = s.Neighbor(v, towardY.Opposite()) {
-			visY.Add(v)
-		}
-		for v := s.Neighbor(p, towardZ.Opposite()); v != amoebot.None && body.Contains(v); v = s.Neighbor(v, towardZ.Opposite()) {
-			visZ.Add(v)
-		}
-	}
-	return visY, visZ
 }
 
 // splitSides returns the nodes of region \ P on each side of the x-portal
@@ -267,14 +293,6 @@ func splitSides(ar *dense.Arena, region *amoebot.Region, inP *dense.BitSet) [amo
 		sides[side] = append(sides[side], comp...)
 	}
 	return sides
-}
-
-func mustNeighbor(region *amoebot.Region, u int32, d amoebot.Direction) int32 {
-	v := region.Neighbor(u, d)
-	if v == amoebot.None {
-		panic(fmt.Sprintf("core: expected neighbor of %d in direction %v", u, d))
-	}
-	return v
 }
 
 // electComponentRoot picks s_Z — the component node adjacent to B' closest

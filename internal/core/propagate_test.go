@@ -195,3 +195,22 @@ func TestPropagateEnvRejectsRegionsWithoutSides(t *testing.T) {
 		}
 	}
 }
+
+// TestPropagateRejectsUncoveredPortal: an amoebot of B that sees P takes
+// its parent towards P and that parent's label + 1, so propagation panics
+// when the forest leaves the P amoebot it sees unlabelled, instead of
+// writing a label no walk would find. Here f is a single root at the
+// western end of a middle row P, so the rest of P is uncovered.
+func TestPropagateRejectsUncoveredPortal(t *testing.T) {
+	s := shapes.Parallelogram(6, 4)
+	region := amoebot.WholeRegion(s)
+	var pnodes []int32
+	for x := 0; x < 6; x++ {
+		u, _ := s.Index(amoebot.XZ(x, 1))
+		pnodes = append(pnodes, u)
+	}
+	f := amoebot.NewForest(s)
+	f.SetRoot(pnodes[0])
+	var clock sim.Clock
+	mustPanicWith(t, "PropagateEnv over an uncovered P", "does not cover P", func() { PropagateEnv(testEnv(), &clock, region, pnodes, f, amoebot.SideB) })
+}

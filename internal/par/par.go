@@ -162,12 +162,11 @@ func (e *Exec) For(n int, fn func(i int)) {
 }
 
 // ForChunks runs fn over contiguous chunks of [0, n), handing chunks out
-// dynamically by atomic cursor. It blends For and Range: like For, claims
-// are dynamic so skewed per-index costs still balance; like Range, one
-// hand-off covers chunk indices, so huge trip counts (a 10⁵-query batch)
-// pay one synchronization per chunk instead of one channel hand-off per
-// index. fn must tolerate any claim order; the chunks partition [0, n)
-// exactly.
+// dynamically by atomic cursor. Like For, claims are dynamic so skewed
+// per-index costs still balance; unlike For, one hand-off covers chunk
+// indices, so huge trip counts (a 10⁵-query batch) pay one synchronization
+// per chunk instead of one hand-off per index. fn must tolerate any claim
+// order; the chunks partition [0, n) exactly.
 func (e *Exec) ForChunks(n, chunk int, fn func(lo, hi int)) {
 	if chunk < 1 {
 		chunk = 1
@@ -203,37 +202,6 @@ func (e *Exec) ForChunks(n, chunk int, fn func(lo, hi int)) {
 		}()
 	}
 	work()
-	wg.Wait()
-}
-
-// Range splits [0, n) into one contiguous chunk per worker and runs
-// fn(lo, hi) on each concurrently (the last chunk on the calling
-// goroutine). It is the cheap fan-out for uniform per-index sweeps. The
-// caller guarantees that disjoint index ranges touch disjoint mutable
-// state.
-func (e *Exec) Range(n int, fn func(lo, hi int)) {
-	if !e.parallel(n) {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	workers := e.Workers()
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		if !e.acquire() {
-			break // pool drained: the caller finishes the rest inline
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer e.release()
-			fn(lo, hi)
-		}(lo, lo+chunk)
-	}
-	fn(lo, n)
 	wg.Wait()
 }
 

@@ -48,25 +48,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestRangeCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-			e := New(workers, nil)
-			counts := make([]int32, n)
-			e.Range(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&counts[i], 1)
-				}
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, c)
-				}
-			}
-		}
-	}
-}
-
 // TestReduceDeterministicOrder pins the index-order fold with a
 // non-commutative merge (list concatenation): the result must be the
 // identity permutation at every worker count.

@@ -98,23 +98,40 @@ func ForestInRegionWithDist(region *amoebot.Region, dist []int32, sources, dests
 	// Together with parent adjacency this pins everything down: the tree
 	// path from the root to u has length depth(u), so
 	// dist(S,u) ≤ dist(root,u) ≤ depth(u) = dist(S,u) — the path is a
-	// shortest path and the own root is a nearest source.
+	// shortest path and the own root is a nearest source. Check has ruled
+	// out cycles and non-member or non-adjacent parents, so by induction
+	// along each root path depth = dist holds everywhere exactly when every
+	// root has distance 0 and every other member its parent's distance
+	// plus one: one O(n) pass.
 	// Property 2: leaves are sources or destinations.
 	for i := int32(0); i < int32(s.N()); i++ {
 		if !f.Member(i) {
 			continue
 		}
-		depth := f.Depth(i)
-		if depth < 0 {
-			return fmt.Errorf("verify: member %d has broken parent chain", i)
+		want := int32(0)
+		if p := f.Parent(i); p != amoebot.None {
+			want = dist[p] + 1
 		}
-		if int32(depth) != dist[i] {
-			return fmt.Errorf("verify: node %d has depth %d but dist(S,·)=%d (property 5)",
-				i, depth, dist[i])
+		if dist[i] != want {
+			return property5(f, dist, i)
 		}
 		if children[i] == 0 && !inS[i] && !inD[i] {
 			return fmt.Errorf("verify: leaf %d is neither source nor destination (property 2)", i)
 		}
 	}
 	return nil
+}
+
+// property5 reports the property 5 violation that a member u breaking the
+// local rule (dist(u) = dist(parent) + 1, or 0 at a root) implies: a node
+// on u's root path, u itself or an ancestor, whose depth differs from its
+// distance. Depths fall by one per step up the path and the root's
+// distance is 0, so the walk finds one.
+func property5(f *amoebot.Forest, dist []int32, u int32) error {
+	depth := f.Depth(u)
+	for int32(depth) == dist[u] {
+		u = f.Parent(u)
+		depth--
+	}
+	return fmt.Errorf("verify: node %d has depth %d but dist(S,·)=%d (property 5)", u, depth, dist[u])
 }
