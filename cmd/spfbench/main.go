@@ -661,10 +661,10 @@ func e12() {
 // e14 measures the dynamic-structure churn workload: a chain of random
 // validity-preserving deltas, a forest query after every mutation, served
 // three ways — a fresh engine rebuilt from scratch per step (re-validate,
-// re-elect), an incremental Engine.Apply chain (leader and distance cache
-// carried across deltas), and the pooled service (Mutate + Query). Rounds
-// differ by the re-elections the incremental paths skip; wall time adds
-// the host-side savings of copy-on-write mutation and cache migration.
+// re-elect), an incremental Engine.Apply chain (leader carried across
+// deltas), and the pooled service (Mutate + Query). Rounds differ by the
+// re-elections the incremental paths skip; wall time adds the host-side
+// savings of incremental mutation and validation.
 func e14() {
 	n, steps := 4000, 16
 	if *quick {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"spforest/amoebot"
-	"spforest/internal/baseline"
 	"spforest/internal/core"
 	"spforest/internal/portal"
 )
@@ -24,9 +23,6 @@ import (
 //     primed with it and no query is ever charged a re-election. Only a
 //     delta that removes the leader (or a configured Config.Leader) sends
 //     the derived engine back to lazy election;
-//   - every memoized exact-distance entry whose source set survives is
-//     remapped onto the new indexing and incrementally repaired
-//     (baseline.RepairExact); only entries that lost a source are evicted;
 //   - every portal decomposition the receiver memoized is patched around
 //     the delta's footprint (portal.Patch, which reads the x axis off the
 //     rows) when the footprint admits local repair, and invalidated back
@@ -34,11 +30,15 @@ import (
 //     decomposition's whole view with it — see migratePortals and
 //     DESIGN.md §8.
 //
+// The exact-distance memo is not carried: the derived engine starts with
+// an empty one and computes an entry on its first use (one BFS), so a step
+// costs the same whether or not the receiver memoized distances.
+//
 // The receiver is unchanged and remains usable; both engines may serve
 // queries concurrently. The derived engine's CacheStats records the
-// migration (DistKept, DistEvicted, RepairWrites, PortalsPatched,
-// PortalsRebuilt) and its Generation is the receiver's plus one. An empty
-// delta returns the receiver itself, every memo intact.
+// portal migration (PortalsPatched, PortalsRebuilt) and its Generation is
+// the receiver's plus one. An empty delta returns the receiver itself,
+// every memo intact.
 func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 	ns, remap, err := e.s.ApplyRemap(d)
 	if err != nil {
@@ -59,7 +59,7 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 		arena:     e.arena,
 		exec:      e.exec,
 		batchExec: e.batchExec,
-		distCache: make(map[string]*distEntry),
+		distCache: make(map[string][]int32),
 	}
 	// The portal memo is per structure: the derived engine gets a fresh
 	// environment over its own (empty) inspect state.
@@ -81,7 +81,6 @@ func (e *Engine) Apply(d amoebot.Delta) (*Engine, error) {
 			ne.setLeader(i)
 		}
 	}
-	ne.migrateDistances(e, d, remap)
 	ne.migratePortals(e, d, remap)
 	return ne, nil
 }
@@ -137,71 +136,5 @@ func (ne *Engine) migratePortals(e *Engine, d amoebot.Delta, remap []int32) {
 		np := e.inspect.raw[axis].Patch(sp)
 		ne.inspect.portalOnce[axis].Do(func() { ne.inspect.set(axis, np) })
 		ne.distStats.PortalsPatched++
-	}
-}
-
-// migrateDistances carries the parent's exact-distance memo across the
-// delta: entries whose sources all survive are remapped to the new
-// indexing and repaired around the delta; entries that lost a source are
-// evicted.
-func (ne *Engine) migrateDistances(e *Engine, d amoebot.Delta, remap []int32) {
-	ns := ne.s
-	// Entries migrate in the parent's insertion order, so the derived
-	// engine's FIFO eviction ring starts in a deterministic state (map
-	// iteration order would scramble it run to run).
-	e.distMu.Lock()
-	entries := make([]*distEntry, 0, len(e.distCache))
-	for _, key := range e.distOrder {
-		if ent, ok := e.distCache[key]; ok {
-			entries = append(entries, ent)
-		}
-	}
-	e.distMu.Unlock()
-	if len(entries) == 0 {
-		return
-	}
-
-	// The repair frontier is shared by all entries.
-	var suspects, added []int32
-	for _, c := range d.Remove {
-		for dir := amoebot.Direction(0); dir < amoebot.NumDirections; dir++ {
-			if j, ok := ns.Index(c.Neighbor(dir)); ok {
-				suspects = append(suspects, j)
-			}
-		}
-	}
-	for _, c := range d.Add {
-		if j, ok := ns.Index(c); ok {
-			added = append(added, j)
-		}
-	}
-
-	for _, ent := range entries {
-		newSrcs := make([]int32, len(ent.srcs))
-		lost := false
-		for i, src := range ent.srcs {
-			if remap[src] == amoebot.None {
-				lost = true
-				break
-			}
-			newSrcs[i] = remap[src]
-		}
-		if lost {
-			ne.distStats.DistEvicted++
-			continue
-		}
-		nd := make([]int32, ns.N())
-		for i := range nd {
-			nd[i] = baseline.Unknown
-		}
-		for i, j := range remap {
-			if j != amoebot.None {
-				nd[j] = ent.dist[i]
-			}
-		}
-		writes := baseline.RepairExact(ne.region, newSrcs, nd, suspects, added)
-		ne.storeDistance(sourceKey(newSrcs), &distEntry{srcs: newSrcs, dist: nd})
-		ne.distStats.DistKept++
-		ne.distStats.RepairWrites += int64(writes)
 	}
 }

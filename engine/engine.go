@@ -91,18 +91,11 @@ type Engine struct {
 	prepStats   Stats       // cost of the lazy election; zero when Leader was given
 
 	distMu    sync.Mutex
-	distCache map[string]*distEntry
-	distOrder []string   // cache keys in insertion order: the FIFO eviction ring
-	distStats CacheStats // counters under distMu; Generation/DistEntries filled on read
+	distCache map[string][]int32 // exact distances per canonical source set
+	distOrder []string           // cache keys in insertion order: the FIFO eviction ring
+	distStats CacheStats         // counters under distMu; Generation/DistEntries filled on read
 
 	inspect inspectState // memoized portal decompositions (see inspect.go)
-}
-
-// distEntry is one memoized exact-distance computation. The source indices
-// are retained so Apply can remap the entry onto a mutated structure.
-type distEntry struct {
-	srcs []int32
-	dist []int32
 }
 
 // New validates the structure once and binds an engine to it. All later
@@ -121,7 +114,7 @@ func New(s *amoebot.Structure, cfg *Config) (*Engine, error) {
 		s:         s,
 		region:    amoebot.WholeRegion(s),
 		arena:     dense.NewArena(),
-		distCache: make(map[string]*distEntry),
+		distCache: make(map[string][]int32),
 	}
 	if cfg != nil {
 		e.cfg = *cfg
@@ -339,13 +332,12 @@ const maxDistCacheEntries = 64
 // exactDistances memoizes baseline.ExactExec per canonical source set, keeping
 // at most maxDistCacheEntries entries. Eviction is a deterministic FIFO
 // ring over insertion order — the oldest-inserted entry goes first — so a
-// repeated batch workload cannot randomly evict its own hot entry the way
-// the previous map-range deletion could. The returned slice is shared;
-// callers must not modify it.
+// repeated batch workload cannot randomly evict its own hot entry. The
+// returned slice is shared; callers must not modify it.
 func (e *Engine) exactDistances(srcs []int32) []int32 {
 	key := sourceKey(srcs)
 	e.distMu.Lock()
-	ent, hit := e.distCache[key]
+	d, hit := e.distCache[key]
 	if hit {
 		e.distStats.DistHits++
 	} else {
@@ -353,32 +345,26 @@ func (e *Engine) exactDistances(srcs []int32) []int32 {
 	}
 	e.distMu.Unlock()
 	if hit {
-		return ent.dist
+		return d
 	}
-	d, _ := baseline.ExactExec(e.exec, e.region, srcs)
+	d, _ = baseline.ExactExec(e.exec, e.region, srcs)
 	e.distMu.Lock()
-	e.storeDistance(key, &distEntry{srcs: append([]int32(nil), srcs...), dist: d})
+	if _, dup := e.distCache[key]; !dup {
+		if len(e.distCache) >= maxDistCacheEntries {
+			delete(e.distCache, e.distOrder[0])
+			e.distOrder = e.distOrder[1:]
+		}
+		e.distOrder = append(e.distOrder, key)
+	}
+	e.distCache[key] = d
 	e.distMu.Unlock()
 	return d
 }
 
-// storeDistance inserts a distance entry, evicting the oldest-inserted one
-// when the cache is full. Callers hold distMu.
-func (e *Engine) storeDistance(key string, ent *distEntry) {
-	if _, dup := e.distCache[key]; !dup {
-		if len(e.distCache) >= maxDistCacheEntries {
-			oldest := e.distOrder[0]
-			e.distOrder = e.distOrder[1:]
-			delete(e.distCache, oldest)
-		}
-		e.distOrder = append(e.distOrder, key)
-	}
-	e.distCache[key] = ent
-}
-
 // CacheStats reports the engine's generation-tracked cache counters: hits
-// and misses of the exact-distance memo on this engine, and — for engines
-// derived with Apply — how the parent's entries fared in the migration.
+// and misses of the exact-distance memo on this engine, which starts empty
+// on every engine (Apply carries no entry), and — for engines derived with
+// Apply — how the parent's portal decompositions fared in the migration.
 func (e *Engine) CacheStats() CacheStats {
 	e.distMu.Lock()
 	st := e.distStats
@@ -396,13 +382,6 @@ type CacheStats struct {
 	DistEntries int
 	// DistHits and DistMisses count exactDistances lookups on this engine.
 	DistHits, DistMisses int64
-	// DistKept and DistEvicted count the parent's entries that survived
-	// (incrementally repaired) or were dropped (a source was removed) by
-	// the Apply that built this engine.
-	DistKept, DistEvicted int64
-	// RepairWrites counts the distance values the migrations rewrote;
-	// small values mean the deltas barely disturbed the cached entries.
-	RepairWrites int64
 	// PortalsPatched and PortalsRebuilt count, for the Apply that built
 	// this engine, the parent's memoized portal axes that were repaired in
 	// place around the delta footprint versus invalidated back to lazy

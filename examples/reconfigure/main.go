@@ -9,8 +9,7 @@
 // structure sheds tail cells and grows dock-side cells. Each mutation
 // derives the next engine incrementally (engine.Apply via the service
 // pool): the elected leader survives every delta, so no re-election is
-// ever charged, and the exact-distance cache is repaired in place instead
-// of recomputed.
+// ever charged.
 package main
 
 import (

@@ -260,38 +260,27 @@ func baseCase(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions
 // mergeLevel executes one level of the merge schedule. The serial
 // reference walks the level's portals in order, each rewriting the state
 // list via mergeAlongPortal. The model runs the level's merges
-// simultaneously, and the host can too whenever the active portals' —
-// those meeting ≥ 2 current regions — touching sets are pairwise disjoint
-// (the generic case: centroid levels live in disjoint subtrees of the
-// decomposition). Under that disjointness the serial walk provably ends
-// with
+// simultaneously, and so does mergeLevel (par.Exec.For, in level order at
+// one worker) whenever the active portals' — those meeting ≥ 2 current
+// regions — touching sets are pairwise disjoint (the generic case:
+// centroid levels live in disjoint subtrees of the decomposition). Under
+// that disjointness the serial walk provably ends with
 //
 //	[states untouched by any active portal, original order] +
 //	[one merged state per active portal, level order]
 //
-// which is exactly what the concurrent path produces, so the state-list
-// evolution — and with it every later touching/rest split and side
-// classification — is bit-identical. Overlapping touching sets fall back
-// to the serial walk, and the centroid schedule does produce them: a base
-// region that buildSplit leaves meeting more than two Q' portals (Lemma
-// 52's bound) touches each of them, and two of them can share a level;
-// Comb(8, 250) with k = 4 yields a region meeting four, three on one
-// level (TestIntraWorkersByteIdentical runs it). Branch clocks join in
-// level order on both paths.
+// which is exactly what the concurrent formulation produces, so the
+// state-list evolution — and with it every later touching/rest split and
+// side classification — is bit-identical. The clocks are too: the serial
+// walk also forks a branch per no-op portal, but such a branch charges
+// nothing, and JoinMax ignores a zero-round, zero-beep branch.
+// Overlapping touching sets fall back to the serial walk, and the
+// centroid schedule does produce them: a base region that buildSplit
+// leaves meeting more than two Q' portals (Lemma 52's bound) touches each
+// of them, and two of them can share a level; Comb(8, 250) with k = 4
+// yields a region meeting four, three on one level
+// (TestIntraWorkersByteIdentical runs it).
 func mergeLevel(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegions, level []int32, states []*regionState) []*regionState {
-	serial := func() []*regionState {
-		lb := make([]*sim.Clock, 0, len(level))
-		for _, p := range level {
-			branch := clock.Fork()
-			lb = append(lb, branch)
-			states = mergeAlongPortal(env, branch, s, sp, p, states)
-		}
-		clock.JoinMax(lb...)
-		return states
-	}
-	if len(level) == 1 || env.Exec().Workers() <= 1 {
-		return serial()
-	}
 	touching := make([][]*regionState, len(level))
 	for i, p := range level {
 		pnodes := sp.ports.NodesOf(p)
@@ -310,7 +299,14 @@ func mergeLevel(env *Env, clock *sim.Clock, s *amoebot.Structure, sp *splitRegio
 		}
 		for _, st := range touching[i] {
 			if inActive[st] {
-				return serial()
+				lb := make([]*sim.Clock, 0, len(level))
+				for _, p := range level {
+					branch := clock.Fork()
+					lb = append(lb, branch)
+					states = mergeAlongPortal(env, branch, s, sp, p, states)
+				}
+				clock.JoinMax(lb...)
+				return states
 			}
 			inActive[st] = true
 		}

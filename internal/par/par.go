@@ -22,12 +22,7 @@
 //
 // A nil *Exec (or Workers() == 1) degrades to the plain serial loop with
 // zero goroutines, so the workers=1 configuration is exactly the serial
-// code path and call sites do not branch on the worker count. The one
-// exception is core.mergeLevel: its concurrent path is not the serial walk
-// fanned out but a reproduction of it, which first collects every level
-// portal's touching regions and checks that they are disjoint. At one
-// worker that bookkeeping buys nothing, so mergeLevel walks the level
-// serially.
+// code path and call sites do not branch on the worker count.
 package par
 
 import (
@@ -78,10 +73,6 @@ func New(workers int, arena *dense.Arena) *Exec {
 	}
 	return e
 }
-
-// Serial returns the one-worker executor over the arena: every call runs
-// the plain serial loop.
-func Serial(arena *dense.Arena) *Exec { return &Exec{workers: 1, arena: arena} }
 
 // acquire obtains the right to spawn one helper goroutine, without
 // blocking: a drained pool (nested or concurrent fan-outs hold the

@@ -18,9 +18,6 @@ func TestWorkersDefaults(t *testing.T) {
 	if got := (&Exec{}).Workers(); got != 1 {
 		t.Fatalf("zero exec workers = %d, want 1", got)
 	}
-	if got := Serial(nil).Workers(); got != 1 {
-		t.Fatalf("Serial workers = %d, want 1", got)
-	}
 	if got := New(7, nil).Workers(); got != 7 {
 		t.Fatalf("New(7) workers = %d, want 7", got)
 	}

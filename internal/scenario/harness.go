@@ -413,7 +413,7 @@ func CheckChurn(sc Scenario, c Churn) error {
 		}
 		for j := range di {
 			if di[j] != df[j] {
-				return fmt.Errorf("%s: %s step %d: repaired distance %d != fresh %d at node %d",
+				return fmt.Errorf("%s: %s step %d: derived distance %d != fresh %d at node %d",
 					sc.Name, c, i, di[j], df[j], j)
 			}
 		}

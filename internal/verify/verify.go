@@ -46,14 +46,16 @@ func ForestInRegionWithDist(region *amoebot.Region, dist []int32, sources, dests
 	if err := f.Check(); err != nil {
 		return fmt.Errorf("verify: structural check: %w", err)
 	}
-	inS := make(map[int32]bool, len(sources))
+	// One flag column marks the sources and the destinations.
+	const isSource, isDest = 1, 2
+	flags := make([]uint8, s.N())
 	for _, src := range sources {
 		if !region.Contains(src) {
 			return fmt.Errorf("verify: source %d outside region", src)
 		}
-		inS[src] = true
+		flags[src] |= isSource
 	}
-	if len(inS) == 0 {
+	if len(sources) == 0 {
 		return fmt.Errorf("verify: no sources")
 	}
 
@@ -80,15 +82,14 @@ func ForestInRegionWithDist(region *amoebot.Region, dist []int32, sources, dests
 				return fmt.Errorf("verify: member %d has parent outside region", i)
 			}
 			children[p]++
-		} else if !inS[i] {
+		} else if flags[i]&isSource == 0 {
 			return fmt.Errorf("verify: root %d is not a source", i)
 		}
 	}
 
 	// Property 4: destinations covered.
-	inD := make(map[int32]bool, len(dests))
 	for _, d := range dests {
-		inD[d] = true
+		flags[d] |= isDest
 		if !f.Member(d) {
 			return fmt.Errorf("verify: destination %d not covered (property 4)", d)
 		}
@@ -115,7 +116,7 @@ func ForestInRegionWithDist(region *amoebot.Region, dist []int32, sources, dests
 		if dist[i] != want {
 			return property5(f, dist, i)
 		}
-		if children[i] == 0 && !inS[i] && !inD[i] {
+		if children[i] == 0 && flags[i] == 0 {
 			return fmt.Errorf("verify: leaf %d is neither source nor destination (property 2)", i)
 		}
 	}

@@ -7,7 +7,8 @@
 // workload: queries against a structure the pool has seen reuse its engine
 // (and everything the engine memoizes — validation, region, leader, exact
 // distances), and mutations derive the successor engine incrementally with
-// Engine.Apply instead of rebuilding. Shards bound lock contention and a
+// Engine.Apply instead of rebuilding: it carries the leader and the portal
+// decompositions, and starts an empty distance memo. Shards bound lock contention and a
 // per-shard LRU bounds memory; hit, miss and eviction counters expose the
 // pool's behavior.
 //
@@ -288,8 +289,8 @@ func (sv *Service) BatchTimed(s *amoebot.Structure, qs []engine.Query) (*engine.
 // Mutate applies the delta to s and returns the mutated structure. When
 // the pool holds an engine for s, the successor engine is derived
 // incrementally with Engine.Apply — carrying the surviving leader and the
-// repaired distance entries — and pooled under the new fingerprint, so the
-// next Query on the result pays no preprocessing. Without a pooled engine
+// patched portal decompositions — and pooled under the new fingerprint, so
+// the next Query on the result pays no preprocessing. Without a pooled engine
 // the delta is applied to the structure alone (still incrementally
 // validated) and an engine is built on first query. The engine for s
 // itself stays pooled; interleaved queries against old and new shapes both
